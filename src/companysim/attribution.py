@@ -38,10 +38,6 @@ class MonthlyReturnPanel:
     months: list[str]
     returns: dict[str, dict[str, float]]
 
-    def companies(self) -> list[str]:
-        seen = {c for month in self.returns.values() for c in month}
-        return sorted(seen)
-
 
 def monthly_cumulative_returns(
     panel: ReturnPanel, min_obs: int = DEFAULT_MIN_MONTH_OBS
@@ -50,22 +46,26 @@ def monthly_cumulative_returns(
 
     Company-months with fewer than ``min_obs`` daily observations are
     dropped so partially traded months do not masquerade as full ones.
+    The product runs left to right over the panel's sorted dates; a
+    missing day holds 0.0, so its factor is exactly 1.0 and the result is
+    bit-identical to multiplying the observed days in date order.
     """
     if min_obs < 1:
         raise ValueError(f"min_obs must be >= 1, got {min_obs}")
+    month_of = [date[:7] for date in panel.dates]
+    starts = [j for j, month in enumerate(month_of)
+              if j == 0 or month != month_of[j - 1]]
     by_month: dict[str, dict[str, float]] = {}
-    for company_id in panel.companies():
-        obs = panel.series[company_id]
-        grouped: dict[str, list[str]] = {}
-        for date in obs:
-            grouped.setdefault(date[:7], []).append(date)
-        for month, dates in grouped.items():
-            if len(dates) < min_obs:
-                continue
-            growth = 1.0
-            for date in sorted(dates):
-                growth *= 1.0 + obs[date]
-            by_month.setdefault(month, {})[company_id] = growth - 1.0
+    if starts:
+        growth = np.multiply.reduceat(1.0 + panel.values, starts, axis=1)
+        counts = np.add.reduceat(panel.mask, starts, axis=1, dtype=np.int64)
+        kept = counts >= min_obs
+        for m, start in enumerate(starts):
+            rows = np.flatnonzero(kept[:, m])
+            if rows.size:
+                by_month[month_of[start]] = dict(zip(
+                    [panel.ids[i] for i in rows], (growth[rows, m] - 1.0).tolist()
+                ))
     months = sorted(by_month)
     if not months:
         raise DataValidationError(

@@ -77,7 +77,6 @@ from .similarity import (
     gics_baseline_correlation,
     load_returns_csv,
     sector_outlier_scores,
-    top_k_peers,
 )
 from .textprep import ChunkingConfig, clean_text, tokenize, truncate
 
@@ -305,10 +304,8 @@ def cmd_peers(args, cfg: RunConfig) -> int:
     }
     if args.corpus and args.hierarchy:
         corpus = _load_inputs(args.corpus, args.hierarchy)
-        labels = {
-            i: corpus.gics_labels(cfg.peers.baseline_level)[i]
-            for i in corpus.ids() if i in matrix
-        }
+        level_labels = corpus.gics_labels(cfg.peers.baseline_level)
+        labels = {i: level_labels[i] for i in corpus.ids() if i in matrix}
         baseline = gics_baseline_correlation(
             labels, panel, years=years, min_overlap=cfg.peers.min_overlap
         )
@@ -319,11 +316,8 @@ def cmd_peers(args, cfg: RunConfig) -> int:
         with open(args.top_out, "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["company_id", "rank", "peer_id", "similarity"])
-            sub = matrix.subset(sorted(i for i in matrix.ids if i in panel.series))
-            for company_id in sub.ids:
-                for rank, (peer, sim) in enumerate(
-                    top_k_peers(sub, company_id, cfg.peers.k), start=1
-                ):
+            for company_id, peers in report.peers.items():
+                for rank, (peer, sim) in enumerate(peers, start=1):
                     writer.writerow([company_id, rank, peer, f"{sim:.8f}"])
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8", newline="") as f:

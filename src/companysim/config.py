@@ -32,6 +32,20 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass but not an integer here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int_fields(section, name: str) -> None:
+    """Every field declared ``int`` holds an integer; a range check alone
+    would let 2.5 or true through."""
+    for f in dataclasses.fields(section):
+        if f.type == "int":
+            _require(_is_int(getattr(section, f.name)),
+                     f"{name}.{f.name} must be an integer")
+
+
 @dataclass(frozen=True)
 class EmbeddingConfig:
     provider: str = "tfidf"
@@ -51,6 +65,7 @@ class EmbeddingConfig:
     auth_env: str | None = None
 
     def __post_init__(self) -> None:
+        _require_int_fields(self, "embedding")
         _require(self.provider in PROVIDER_CHOICES,
                  f"embedding.provider must be one of {PROVIDER_CHOICES}")
         _require(self.context_budget in CONTEXT_BUDGET_CHOICES,
@@ -80,6 +95,7 @@ class ClassifyConfig:
     test_fraction: float = 0.2
 
     def __post_init__(self) -> None:
+        _require_int_fields(self, "classify")
         _require(self.level in GICS_LEVEL_CHOICES,
                  f"classify.level must be one of {GICS_LEVEL_CHOICES}")
         _require(self.l2_penalty >= 0, "classify.l2_penalty must be >= 0")
@@ -97,12 +113,16 @@ class PeersConfig:
     baseline_level: str = "sector"
 
     def __post_init__(self) -> None:
+        _require_int_fields(self, "peers")
         _require(self.k >= 1, "peers.k must be >= 1")
         _require(self.min_overlap >= 2, "peers.min_overlap must be >= 2")
         _require(self.baseline_level in GICS_LEVEL_CHOICES,
                  f"peers.baseline_level must be one of {GICS_LEVEL_CHOICES}")
         if self.years is not None:
-            object.__setattr__(self, "years", tuple(int(y) for y in self.years))
+            _require(isinstance(self.years, (list, tuple))
+                     and all(_is_int(y) for y in self.years),
+                     "peers.years must be null or a list of integers")
+            object.__setattr__(self, "years", tuple(self.years))
 
 
 @dataclass(frozen=True)
@@ -117,6 +137,7 @@ class ClusterConfig:
     reduce_components: int = 50
 
     def __post_init__(self) -> None:
+        _require_int_fields(self, "cluster")
         _require(self.method in ("kmeans", "agglomerative", "spectral", "random"),
                  "cluster.method must be kmeans, agglomerative, spectral, or random")
         _require(self.n_clusters >= 1, "cluster.n_clusters must be >= 1")
@@ -139,6 +160,7 @@ class AttributionConfig:
     min_companies: int = 2
 
     def __post_init__(self) -> None:
+        _require_int_fields(self, "attribution")
         _require(self.min_month_obs >= 1,
                  "attribution.min_month_obs must be >= 1")
         if self.winsorize is not None:

@@ -14,8 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -36,35 +40,93 @@ _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 RETURNS_HEADER = ["company_id", "date", "return"]
 
 
-@dataclass
 class ReturnPanel:
-    """Daily simple returns keyed company -> date -> value."""
+    """Daily simple returns as a dense company x date panel.
 
-    series: dict[str, dict[str, float]]
+    ``ids`` and ``dates`` are sorted; ``values[i, j]`` is company ``i``'s
+    return on ``dates[j]`` where ``mask[i, j]`` is set, and 0.0 elsewhere.
+    ``series`` holds the same data keyed company -> date -> value. Each
+    form is derived from the other only when it is first read: the
+    loader's panel has no ``series`` until asked, and a panel built from
+    ``series`` (kept, not copied) no arrays.
+    """
 
-    def companies(self) -> list[str]:
+    def __init__(self, series: Mapping[str, Mapping[str, float]]):
+        self.series = series
+
+    @classmethod
+    def from_arrays(
+        cls,
+        ids: list[str],
+        dates: list[str],
+        values: np.ndarray,
+        mask: np.ndarray,
+    ) -> "ReturnPanel":
+        panel = cls.__new__(cls)
+        panel.ids, panel.dates, panel._grid = ids, dates, (values, mask)
+        return panel
+
+    @cached_property
+    def series(self) -> dict[str, dict[str, float]]:
+        out = {}
+        for i, company_id in enumerate(self.ids):
+            row = self.values[i].tolist()
+            out[company_id] = {
+                self.dates[j]: row[j] for j in np.flatnonzero(self.mask[i]).tolist()
+            }
+        return out
+
+    @cached_property
+    def ids(self) -> list[str]:
         return sorted(self.series)
 
+    @cached_property
+    def dates(self) -> list[str]:
+        return sorted({date for obs in self.series.values() for date in obs})
+
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
+        column = {date: j for j, date in enumerate(self.dates)}
+        values = np.zeros((len(self.ids), len(self.dates)))
+        mask = np.zeros(values.shape, dtype=bool)
+        for i, company_id in enumerate(self.ids):
+            obs = self.series[company_id]
+            cols = [column[date] for date in obs]
+            values[i, cols] = list(obs.values())
+            mask[i, cols] = True
+        return values, mask
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._grid[0]
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self._grid[1]
+
+    def companies(self) -> list[str]:
+        return list(self.ids)
+
     def years(self) -> list[int]:
-        seen = {int(date[:4]) for obs in self.series.values() for date in obs}
-        return sorted(seen)
+        return sorted({int(date[:4]) for date in self.dates})
 
-    def restrict_year(self, year: int) -> "ReturnPanel":
-        prefix = f"{year:04d}-"
-        out: dict[str, dict[str, float]] = {}
-        for company_id, obs in self.series.items():
-            kept = {d: r for d, r in obs.items() if d.startswith(prefix)}
-            if kept:
-                out[company_id] = kept
-        return ReturnPanel(out)
-
-    def subset(self, ids: Sequence[str]) -> "ReturnPanel":
-        return ReturnPanel({i: self.series[i] for i in ids if i in self.series})
+    def year_columns(self, year: int) -> slice:
+        """The columns of ``dates`` that fall in ``year``."""
+        return slice(
+            bisect_left(self.dates, f"{year:04d}-"),
+            bisect_left(self.dates, f"{year + 1:04d}-"),
+        )
 
 
 def load_returns_csv(path: str | Path) -> ReturnPanel:
-    """Strict long-format CSV: header company_id,date,return."""
-    series: dict[str, dict[str, float]] = {}
+    """Strict long-format CSV: header company_id,date,return.
+
+    Streams the file into flat index and value arrays, then scatters them
+    into the dense panel; every bad row raises naming its line.
+    """
+    company_index: dict[str, int] = {}
+    date_index: dict[str, int] = {}
+    rows, cols, values = array("q"), array("q"), array("d")
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -73,33 +135,75 @@ def load_returns_csv(path: str | Path) -> ReturnPanel:
                 f"returns file must start with {','.join(RETURNS_HEADER)!r}, "
                 f"got {header!r}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataValidationError(f"line {line_no}: expected 3 columns")
-            company_id, date, raw_value = row
-            if not _DATE_RE.match(date):
-                raise DataValidationError(
-                    f"line {line_no}: bad date {date!r}, expected YYYY-MM-DD"
-                )
-            if not company_id:
-                raise DataValidationError(f"line {line_no}: empty company id")
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise DataValidationError(
-                    f"line {line_no}: bad return value {raw_value!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise DataValidationError(f"line {line_no}: non-finite return")
-            obs = series.setdefault(company_id, {})
-            if date in obs:
-                raise DataValidationError(
-                    f"line {line_no}: duplicate observation {company_id}/{date}"
-                )
-            obs[date] = value
-    if not series:
+        try:
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != 3:
+                    raise DataValidationError(f"line {line_no}: expected 3 columns")
+                company_id, date, raw_value = row
+                col = date_index.get(date)
+                if col is None:
+                    if not _DATE_RE.match(date):
+                        raise DataValidationError(
+                            f"line {line_no}: bad date {date!r}, expected YYYY-MM-DD"
+                        )
+                    col = date_index[date] = len(date_index)
+                if not company_id:
+                    raise DataValidationError(f"line {line_no}: empty company id")
+                try:
+                    value = float(raw_value)
+                except ValueError:
+                    raise DataValidationError(
+                        f"line {line_no}: bad return value {raw_value!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataValidationError(f"line {line_no}: non-finite return")
+                rows.append(company_index.setdefault(company_id, len(company_index)))
+                cols.append(col)
+                values.append(value)
+        except DataValidationError:
+            # a duplicate on an earlier line is the first error in the file
+            _check_duplicates(rows, cols, company_index, date_index)
+            raise
+    if not values:
         raise DataValidationError(f"no return observations in {path}")
-    return ReturnPanel(series)
+    _check_duplicates(rows, cols, company_index, date_index)
+    ids, row_of = _sorted_index(company_index)
+    dates, col_of = _sorted_index(date_index)
+    r = row_of[np.frombuffer(rows, dtype=np.int64)]
+    c = col_of[np.frombuffer(cols, dtype=np.int64)]
+    grid = np.zeros((len(ids), len(dates)))
+    grid[r, c] = np.frombuffer(values, dtype=np.float64)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[r, c] = True
+    return ReturnPanel.from_arrays(ids, dates, grid, mask)
+
+
+def _sorted_index(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """Keys in sorted order, and first-seen position -> sorted position."""
+    keys = sorted(index)
+    position = np.empty(len(keys), dtype=np.int64)
+    position[[index[key] for key in keys]] = np.arange(len(keys))
+    return keys, position
+
+
+def _check_duplicates(
+    rows: array, cols: array, company_index: dict, date_index: dict
+) -> None:
+    """Raise for the first line that repeats an earlier (company, date)."""
+    if not rows:
+        return
+    keys = np.frombuffer(rows, dtype=np.int64) * len(date_index) + np.frombuffer(
+        cols, dtype=np.int64
+    )
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        first = int(repeats.min())
+        company_id = list(company_index)[rows[first]]
+        date = list(date_index)[cols[first]]
+        raise DataValidationError(
+            f"line {first + 2}: duplicate observation {company_id}/{date}"
+        )
 
 
 def save_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
@@ -148,19 +252,92 @@ def pairwise_return_correlation(
     min_overlap: int = DEFAULT_MIN_OVERLAP,
 ) -> float:
     """Pearson correlation over the dates both series observe."""
-    try:
-        obs_a = panel.series[id_a]
-        obs_b = panel.series[id_b]
-    except KeyError as e:
-        raise DataValidationError(f"no return series for {e.args[0]!r}") from None
-    common = sorted(set(obs_a) & set(obs_b))
-    if len(common) < max(2, min_overlap):
+    row = {company_id: i for i, company_id in enumerate(panel.ids)}
+    for company_id in (id_a, id_b):
+        if company_id not in row:
+            raise DataValidationError(f"no return series for {company_id!r}")
+    a, b = row[id_a], row[id_b]
+    common = panel.mask[a] & panel.mask[b]
+    n_common = int(common.sum())
+    if n_common < max(2, min_overlap):
         raise InsufficientOverlapError(
-            f"{id_a}/{id_b}: {len(common)} common dates < {min_overlap}"
+            f"{id_a}/{id_b}: {n_common} common dates < {min_overlap}"
         )
-    x = np.array([obs_a[d] for d in common])
-    y = np.array([obs_b[d] for d in common])
-    return pearson_correlation(x, y)
+    return pearson_correlation(panel.values[a, common], panel.values[b, common])
+
+
+# Rows are processed in blocks of at most this many (row x company)
+# cells, so a block's product, nine such grids, stays near 9 MB.
+_BLOCK_CELLS = 1 << 17
+
+# A pair whose variance over the common dates is at most this share of its
+# sum of squares (about the row mean) may be constant there up to rounding
+# of the products; pearson_correlation decides it on the raw values.
+_FLAT_SHARE = 1e-3
+
+
+def _pair_correlations(
+    values: np.ndarray,
+    mask: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    min_overlap: int,
+) -> np.ndarray:
+    """Pearson correlation of rows ``a[p]`` and ``b[p]`` over the columns
+    both observe, for every pair p; NaN where fewer than
+    ``max(2, min_overlap)`` columns are common or either row is constant
+    on them.
+
+    Each row is de-meaned over its own observed columns (d, zero where
+    unobserved; m is the 0/1 mask). Masked products then give, per pair,
+    the common count n = m_a.m_b, each row's sum s and sum of squares q
+    over the common columns (s_a = d_a.m_b, q_a = d_a^2.m_b) and the
+    cross-product c = d_a.d_b, and the correlation is
+    (c - s_a s_b / n) / sqrt((q_a - s_a^2 / n) (q_b - s_b^2 / n)).
+    They come from one product per block of rows,
+    [m; d; d^2]_block @ [m; d; d^2]^T, of whose nine grids six are used:
+    a matrix product call has a fixed cost (thread start-up in a threaded
+    BLAS) that dominates at a few hundred companies.
+    """
+    n_rows = values.shape[0]
+    m = mask.astype(np.float64)
+    means = values.sum(axis=1) / np.maximum(m.sum(axis=1), 1.0)
+    d = (values - means[:, None]) * m
+    stacked = np.stack([m, d, d * d])
+    right = stacked.reshape(3 * n_rows, -1).T
+    rho = np.full(a.size, np.nan)
+    block = max(1, _BLOCK_CELLS // max(1, n_rows))
+    for lo in range(0, n_rows, block):
+        sel = np.flatnonzero((a >= lo) & (a < lo + block))
+        if not sel.size:
+            continue
+        left = stacked[:, lo:lo + block]
+        size = left.shape[1]
+        grid = left.reshape(3 * size, -1) @ right
+        i, j = a[sel] - lo, b[sel]
+        n = grid[i, j]
+        s_b, q_b = grid[i, n_rows + j], grid[i, 2 * n_rows + j]
+        s_a, cross = grid[size + i, j], grid[size + i, n_rows + j]
+        q_a = grid[2 * size + i, j]
+        del grid
+        enough = n >= max(2, min_overlap)
+        n = np.where(enough, n, 1.0)
+        var_a = q_a - s_a * s_a / n
+        var_b = q_b - s_b * s_b / n
+        flat = enough & ((var_a <= _FLAT_SHARE * q_a) | (var_b <= _FLAT_SHARE * q_b))
+        ok = enough & ~flat
+        rho[sel[ok]] = (cross[ok] - s_a[ok] * s_b[ok] / n[ok]) / np.sqrt(
+            var_a[ok] * var_b[ok]
+        )
+        for p in sel[flat]:
+            common = mask[a[p]] & mask[b[p]]
+            try:
+                rho[p] = pearson_correlation(
+                    values[a[p], common], values[b[p], common]
+                )
+            except ZeroVarianceError:
+                pass
+    return rho
 
 
 def _unit_rows(matrix: EmbeddingMatrix) -> np.ndarray:
@@ -173,29 +350,40 @@ def _unit_rows(matrix: EmbeddingMatrix) -> np.ndarray:
 
 
 def top_k_peers(
-    matrix: EmbeddingMatrix, company_id: str, k: int
-) -> list[tuple[str, float]]:
-    """The k nearest companies by cosine similarity, excluding the company
-    itself; exact similarity ties break toward the lexicographically
-    smaller id. k is clamped to the number of candidates."""
+    matrix: EmbeddingMatrix, k: int
+) -> dict[str, list[tuple[str, float]]]:
+    """Each company's k nearest companies by cosine similarity, excluding
+    the company itself; exact similarity ties break toward the
+    lexicographically smaller id. k is clamped to the number of
+    candidates. The rows are normalized once; each company's similarities
+    are one matrix-vector product."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     unit = _unit_rows(matrix)
-    sims = unit @ unit[matrix.index(company_id)]
-    ranked = sorted(
-        (
-            (other, float(sims[i]))
-            for i, other in enumerate(matrix.ids)
-            if other != company_id
-        ),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return ranked[:k]
+    ids = matrix.ids
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    k = min(k, len(ids) - 1)
+    if k < 1:
+        return {company_id: [] for company_id in ids}
+    peers: dict[str, list[tuple[str, float]]] = {}
+    for i, company_id in enumerate(ids):
+        sims = unit @ unit[i]
+        sims[i] = -np.inf
+        # every company tied with the k-th best competes for the last places
+        cutoff = np.partition(sims, len(ids) - k)[len(ids) - k]
+        candidates = np.flatnonzero(sims >= cutoff)
+        order = candidates[np.lexsort((rank[candidates], -sims[candidates]))]
+        peers[company_id] = [(ids[j], float(sims[j])) for j in order[:k]]
+    return peers
 
 
 @dataclass
 class CorrelationReport:
-    """Average peer return correlation, overall and by year/company."""
+    """Average peer return correlation, overall and by year/company.
+
+    ``peers`` holds the ranked (peer, similarity) lists the embedding
+    scorer used; it is not part of the report file."""
 
     rho_bar: float
     per_year: dict[int, float]
@@ -205,6 +393,7 @@ class CorrelationReport:
     n_companies: int
     skipped_pairs: int
     excluded_companies: list[str]
+    peers: dict[str, list[tuple[str, float]]] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -227,31 +416,36 @@ def _score_peer_sets(
     k: int | None,
 ) -> CorrelationReport:
     """Shared scorer: given each company's peer list, average pairwise
-    correlations per year, then across years."""
+    correlations per year, then across years.
+
+    Within a year a company without returns is not scored; a peer without
+    returns that year, with fewer than ``min_overlap`` common dates, or
+    with either series constant on them is a skipped pair.
+    """
+    companies = sorted(peer_sets)
+    row = {company_id: i for i, company_id in enumerate(panel.ids)}
+    owner, a, b = [], [], []
+    for n, company_id in enumerate(companies):
+        for peer in peer_sets[company_id]:
+            owner.append(n)
+            a.append(row[company_id])
+            b.append(row[peer])
+    owner, a, b = (np.array(x, dtype=np.int64) for x in (owner, a, b))
     per_year: dict[int, float] = {}
     company_scores: dict[str, list[float]] = {}
     skipped_pairs = 0
     for year in years:
-        year_panel = panel.restrict_year(year)
-        year_scores: dict[str, float] = {}
-        for company_id in sorted(peer_sets):
-            if company_id not in year_panel.series:
-                continue
-            correlations = []
-            for peer in peer_sets[company_id]:
-                if peer not in year_panel.series:
-                    skipped_pairs += 1
-                    continue
-                try:
-                    correlations.append(
-                        pairwise_return_correlation(
-                            year_panel, company_id, peer, min_overlap
-                        )
-                    )
-                except (InsufficientOverlapError, ZeroVarianceError):
-                    skipped_pairs += 1
-            if correlations:
-                year_scores[company_id] = float(np.mean(correlations))
+        cols = panel.year_columns(year)
+        year_mask = panel.mask[:, cols]
+        rho = _pair_correlations(panel.values[:, cols], year_mask, a, b, min_overlap)
+        scored = year_mask.any(axis=1)[a]
+        valid = scored & ~np.isnan(rho)
+        skipped_pairs += int(np.count_nonzero(scored & ~valid))
+        totals = np.bincount(owner[valid], weights=rho[valid], minlength=len(companies))
+        counts = np.bincount(owner[valid], minlength=len(companies))
+        year_scores = {
+            companies[n]: float(totals[n] / counts[n]) for n in np.flatnonzero(counts)
+        }
         if year_scores:
             per_year[year] = float(np.mean(list(year_scores.values())))
             for company_id, score in year_scores.items():
@@ -288,9 +482,10 @@ def avg_peer_correlation(
 
     Peers are chosen once from the full embedding matrix, restricted to
     companies that also have return data; correlations are then computed
-    within each requested year.
+    within each requested year. The report keeps the ranked peer lists.
     """
-    universe = [i for i in matrix.ids if i in panel.series]
+    with_returns = set(panel.ids)
+    universe = [i for i in matrix.ids if i in with_returns]
     if len(universe) < 2:
         raise DataValidationError(
             "need at least 2 companies with both embeddings and returns"
@@ -299,11 +494,14 @@ def avg_peer_correlation(
     use_years = list(years) if years is not None else panel.years()
     if not use_years:
         raise DataValidationError("no years with return data")
+    ranked = top_k_peers(sub, k)
     peer_sets = {
-        company_id: [peer for peer, _ in top_k_peers(sub, company_id, k)]
-        for company_id in sub.ids
+        company_id: [peer for peer, _ in peers]
+        for company_id, peers in ranked.items()
     }
-    return _score_peer_sets(peer_sets, panel, use_years, min_overlap, k)
+    report = _score_peer_sets(peer_sets, panel, use_years, min_overlap, k)
+    report.peers = ranked
+    return report
 
 
 def gics_baseline_correlation(
@@ -314,7 +512,8 @@ def gics_baseline_correlation(
 ) -> CorrelationReport:
     """Same scorer with membership peer sets: every other company sharing
     the company's label (so k varies with group size)."""
-    universe = sorted(i for i in labels if i in panel.series)
+    with_returns = set(panel.ids)
+    universe = sorted(i for i in labels if i in with_returns)
     if len(universe) < 2:
         raise DataValidationError(
             "need at least 2 companies with both labels and returns"

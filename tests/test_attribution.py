@@ -68,6 +68,47 @@ def test_monthly_mixed_signs():
     assert monthly.returns["2020-03"]["A"] == pytest.approx(expected, abs=1e-12)
 
 
+def _loop_monthly(series, min_obs):
+    """Sequential compounding per company-month, observed days in date
+    order: the loop the vectorized product replaced."""
+    out = {}
+    for cid in sorted(series):
+        grouped = {}
+        for date in series[cid]:
+            grouped.setdefault(date[:7], []).append(date)
+        for month, dates in grouped.items():
+            if len(dates) < min_obs:
+                continue
+            growth = 1.0
+            for date in sorted(dates):
+                growth *= 1.0 + series[cid][date]
+            out.setdefault(month, {})[cid] = growth - 1.0
+    return out
+
+
+def test_monthly_compounding_bit_identical_to_loop():
+    min_obs = 15
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        series = {}
+        for i in range(12):
+            obs = {}
+            for month in range(1, 13):
+                # around the threshold: min_obs - 1, min_obs, or a random count
+                n = [min_obs - 1, min_obs, int(rng.integers(0, 23))][i % 3]
+                days = sorted(rng.choice(np.arange(1, 29), size=min(n, 28),
+                                         replace=False))
+                for day in days:
+                    obs[f"2021-{month:02d}-{day:02d}"] = float(
+                        rng.normal(scale=0.03))
+            if obs:
+                series[f"c{i:02d}"] = obs
+        expected = _loop_monthly(series, min_obs)
+        monthly = monthly_cumulative_returns(_panel(series), min_obs=min_obs)
+        assert monthly.months == sorted(expected)
+        assert monthly.returns == expected  # exact float equality
+
+
 def test_monthly_all_sparse_raises():
     panel = _panel({"A": {"2020-01-02": 0.01}})
     with pytest.raises(DataValidationError):

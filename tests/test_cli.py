@@ -4,7 +4,9 @@ import json
 import pytest
 
 from companysim import synth
+from companysim.cache import load_cache
 from companysim.cli import main
+from companysim.similarity import top_k_peers
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +208,45 @@ def test_exit_code_config_errors(workspace, tmp_path):
                "--corpus", workspace / "corpus.jsonl",
                "--hierarchy", workspace / "hierarchy.csv",
                "--out", tmp_path / "e.bin") == 1
+
+
+def test_exit_code_config_error_on_bad_peers_type(workspace, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"peers": {"years": "2021"}}))
+    assert run("--config", cfg, "peers", "--cache", tmp_path / "none.bin",
+               "--returns", workspace / "returns.csv",
+               "--out", tmp_path / "p.json") == 1
+
+
+def test_exit_code_data_error_on_bad_returns(workspace, tmp_path):
+    cache = tmp_path / "emb.bin"
+    assert run("embed", "--corpus", workspace / "corpus.jsonl",
+               "--hierarchy", workspace / "hierarchy.csv", "--out", cache) == 0
+    bad = tmp_path / "returns.csv"
+    bad.write_text("company_id,date,return\nC0001,2021-01-04,nan\n")
+    assert run("peers", "--cache", cache, "--returns", bad,
+               "--out", tmp_path / "p.json") == 2
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_peers_top_out_lists_the_scored_peers(workspace, tmp_path):
+    cache = tmp_path / "emb.bin"
+    run("embed", "--corpus", workspace / "corpus.jsonl",
+        "--hierarchy", workspace / "hierarchy.csv", "--out", cache)
+    top = tmp_path / "top.csv"
+    assert run("peers", "--cache", cache,
+               "--returns", workspace / "returns.csv",
+               "--out", tmp_path / "p.json", "--top-out", top) == 0
+    matrix = load_cache(cache)
+    expected = top_k_peers(matrix, 10)
+    with open(top) as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["company_id", "rank", "peer_id", "similarity"]
+    assert rows[1:] == [
+        [company_id, str(rank), peer, f"{sim:.8f}"]
+        for company_id in sorted(expected)
+        for rank, (peer, sim) in enumerate(expected[company_id], start=1)
+    ]
 
 
 def test_exit_code_data_errors(workspace, tmp_path):

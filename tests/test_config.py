@@ -3,6 +3,8 @@ import json
 import pytest
 
 from companysim.config import (
+    ClusterConfig,
+    PeersConfig,
     RunConfig,
     config_from_dict,
     config_hash,
@@ -44,10 +46,36 @@ def test_unknown_section_key_rejected():
     {"peers": {"k": 0}},
     {"cluster": {"method": "dbscan"}},
     {"attribution": {"winsorize": 0.5}},
+    # types are strict: no string or scalar years, no bool or float counts
+    {"peers": {"years": "2021"}},
+    {"peers": {"years": 2021}},
+    {"peers": {"years": [2021, "2022"]}},
+    {"peers": {"years": [2021.0]}},
+    {"peers": {"years": [True]}},
+    {"peers": {"k": 2.5}},
+    {"peers": {"k": True}},
+    {"peers": {"min_overlap": 60.5}},
+    {"peers": {"min_overlap": True}},
+    {"cluster": {"n_clusters": True}},
+    {"cluster": {"n_clusters": 6.0}},
+    {"cluster": {"n_neighbors": 2.5}},
+    {"embedding": {"window": True}},
+    {"classify": {"max_iter": 10.5}},
+    {"attribution": {"min_month_obs": 1.5}},
 ])
 def test_invalid_values_rejected(patch):
     with pytest.raises(ConfigError):
         config_from_dict(patch)
+
+
+def test_peers_years_kept_as_integer_tuple():
+    cfg = config_from_dict({"peers": {"years": [2021, 2020]}})
+    assert cfg.peers.years == (2021, 2020)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    with pytest.raises(ConfigError):
+        PeersConfig(years="2021")
+    with pytest.raises(ConfigError):
+        ClusterConfig(n_clusters=True)
 
 
 def test_remote_provider_requires_endpoint():

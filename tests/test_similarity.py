@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from companysim import similarity
 from companysim.embeddings import EmbeddingMatrix
 from companysim.errors import (
     DataValidationError,
@@ -158,7 +159,7 @@ def test_top_k_peers_ranking_and_ties():
         provider_id="t",
         context_budget=512,
     )
-    peers = top_k_peers(matrix, "a", 3)
+    peers = top_k_peers(matrix, 3)["a"]
     # b ties at similarity 1.0 with nothing; then d; c last
     assert [p for p, _ in peers] == ["b", "d", "c"]
     ids = ["a", "b", "c"]
@@ -169,7 +170,7 @@ def test_top_k_peers_ranking_and_ties():
         context_budget=512,
     )
     # b and c tie exactly; lexicographically smaller id first
-    assert [p for p, _ in top_k_peers(tied, "a", 2)] == ["b", "c"]
+    assert [p for p, _ in top_k_peers(tied, 2)["a"]] == ["b", "c"]
 
 
 def test_avg_peer_correlation_matches_bruteforce_oracle():
@@ -277,3 +278,264 @@ def test_sector_outlier_scores_need_two_sectors():
     matrix, _ = _random_universe(rng, 3)
     with pytest.raises(DataValidationError):
         sector_outlier_scores(matrix, {i: "only" for i in matrix.ids})
+
+
+# ---------------------------------------------------------------------------
+# The dense scorer against the per-pair loop it replaced
+
+
+def _loop_scores(peer_sets, series, years, min_overlap):
+    """Per-pair loop over company -> date -> value dicts, one
+    pearson_correlation call per pair: (per_year, per_company,
+    skipped_pairs, excluded_companies)."""
+    per_year, company_scores, skipped = {}, {}, 0
+    for year in years:
+        prefix = f"{year:04d}-"
+        year_series = {}
+        for cid, obs in series.items():
+            kept = {d: v for d, v in obs.items() if d.startswith(prefix)}
+            if kept:
+                year_series[cid] = kept
+        scores = {}
+        for cid in sorted(peer_sets):
+            if cid not in year_series:
+                continue
+            rhos = []
+            for peer in peer_sets[cid]:
+                if peer not in year_series:
+                    skipped += 1
+                    continue
+                mine, theirs = year_series[cid], year_series[peer]
+                common = sorted(set(mine) & set(theirs))
+                if len(common) < max(2, min_overlap):
+                    skipped += 1
+                    continue
+                try:
+                    rhos.append(pearson_correlation(
+                        np.array([mine[d] for d in common]),
+                        np.array([theirs[d] for d in common]),
+                    ))
+                except ZeroVarianceError:
+                    skipped += 1
+            if rhos:
+                scores[cid] = float(np.mean(rhos))
+        if scores:
+            per_year[year] = float(np.mean(list(scores.values())))
+            for cid, score in scores.items():
+                company_scores.setdefault(cid, []).append(score)
+    per_company = {c: float(np.mean(v)) for c, v in company_scores.items()}
+    return per_year, per_company, skipped, sorted(set(peer_sets) - set(per_company))
+
+
+def _gappy_series(rng, n_random, min_overlap, per_year=60):
+    """Two years of returns with every gap the scorer must handle. The
+    "edge" companies share 2020 dates with edge_a on exactly
+    min_overlap - 1 (edge_short) and min_overlap (edge_exact) days;
+    edge_short and "gone_2020" are absent from a whole year; "flat" is
+    constant; "flat_on_overlap" is constant (0.5) exactly on the dates it
+    shares with "partner". The rest list and delist at random and miss
+    ~10% of their days."""
+    dates = [f"{y}-{1 + d // 28:02d}-{1 + d % 28:02d}"
+             for y in (2020, 2021) for d in range(per_year)]
+    y2020, y2021 = dates[:per_year], dates[per_year:]
+
+    def noise(ds):
+        return {d: float(rng.normal(scale=0.02)) for d in ds}
+
+    flat_on_overlap = noise(dates)
+    flat_on_overlap.update({d: 0.5 for d in y2020[10:40]})
+    series = {
+        "edge_a": {**noise(y2020[:30]), **noise(y2021)},
+        "edge_short": noise(y2020[30 - (min_overlap - 1):]),
+        "edge_exact": {**noise(y2020[30 - min_overlap:]), **noise(y2021[:45])},
+        "gone_2020": noise(y2021),
+        "flat": {d: 0.25 for d in dates},
+        "flat_on_overlap": flat_on_overlap,
+        "partner": noise(y2020[10:40]),
+    }
+    for i in range(n_random):
+        lo = int(rng.integers(0, len(dates) // 2)) if rng.random() < 0.3 else 0
+        hi = int(rng.integers(lo + 1, len(dates) + 1)) if rng.random() < 0.3 else len(dates)
+        kept = [d for d in dates[lo:hi] if rng.random() > 0.1]
+        series[f"r{i:02d}"] = noise(kept)
+    return series
+
+
+def _assert_matches_loop(report, peer_sets, series, years, min_overlap):
+    per_year, per_company, skipped, excluded = _loop_scores(
+        peer_sets, series, years, min_overlap)
+    assert report.skipped_pairs == skipped
+    assert report.excluded_companies == excluded
+    assert set(report.per_year) == set(per_year)
+    for year, value in per_year.items():
+        assert abs(report.per_year[year] - value) <= 1e-12
+    assert set(report.per_company) == set(per_company)
+    for cid, value in per_company.items():
+        assert abs(report.per_company[cid] - value) <= 1e-12
+
+
+def test_dense_scorer_matches_loop_on_gappy_panels():
+    min_overlap = 20
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        series = _gappy_series(rng, int(rng.integers(4, 20)), min_overlap)
+        panel = ReturnPanel(series)
+        ids = sorted(series)
+        special = ["edge_a", "edge_short", "edge_exact", "gone_2020", "flat",
+                   "flat_on_overlap", "partner"]
+        labels = {cid: ("S" if cid in special else str(rng.integers(0, 3)))
+                  for cid in ids}
+        baseline = gics_baseline_correlation(
+            labels, panel, years=[2020, 2021], min_overlap=min_overlap)
+        groups = {}
+        for cid in ids:
+            groups.setdefault(labels[cid], []).append(cid)
+        peer_sets = {c: [p for p in groups[labels[c]] if p != c] for c in ids}
+        peer_sets = {c: p for c, p in peer_sets.items() if p}
+        _assert_matches_loop(baseline, peer_sets, series, [2020, 2021], min_overlap)
+
+        matrix = EmbeddingMatrix(
+            ids=ids, matrix=rng.normal(size=(len(ids), 4)).astype(np.float32),
+            provider_id="t", context_budget=512)
+        k = int(rng.integers(1, 6))
+        report = avg_peer_correlation(
+            matrix, panel, k=k, years=[2020, 2021], min_overlap=min_overlap)
+        peer_sets = {c: [p for p, _ in peers] for c, peers in report.peers.items()}
+        _assert_matches_loop(report, peer_sets, series, [2020, 2021], min_overlap)
+
+
+def test_dense_scorer_row_blocks_agree(monkeypatch):
+    rng = np.random.default_rng(11)
+    series = _gappy_series(rng, 25, 20)
+    labels = {cid: str(i % 3) for i, cid in enumerate(sorted(series))}
+    whole = gics_baseline_correlation(labels, ReturnPanel(series), min_overlap=20)
+    # 32 rows: blocks of one row each
+    monkeypatch.setattr(similarity, "_BLOCK_CELLS", 32)
+    blocked = gics_baseline_correlation(labels, ReturnPanel(series), min_overlap=20)
+    # the products round differently by shape, so floats agree to rounding
+    assert blocked.skipped_pairs == whole.skipped_pairs
+    assert blocked.excluded_companies == whole.excluded_companies
+    assert blocked.per_company == pytest.approx(whole.per_company, abs=1e-14)
+    assert blocked.per_year == pytest.approx(whole.per_year, abs=1e-14)
+
+
+def test_dense_scorer_skip_rules_at_the_edges():
+    rng = np.random.default_rng(5)
+    panel = ReturnPanel(_gappy_series(rng, 0, 20))
+
+    def outcome(company, peer):
+        """(years with a valid pair, skipped pairs) scoring the two as
+        each other's only peer; None when no pair is valid."""
+        try:
+            report = gics_baseline_correlation(
+                {company: "S", peer: "S"}, panel, years=[2020, 2021],
+                min_overlap=20)
+        except DataValidationError:
+            return None
+        return sorted(report.per_year), report.skipped_pairs
+
+    # min_overlap - 1 common days in 2020; edge_short has no 2021 at all
+    assert outcome("edge_a", "edge_short") is None
+    # exactly min_overlap common days in 2020
+    assert outcome("edge_a", "edge_exact") == ([2020, 2021], 0)
+    # constant series, and a series constant on its overlap: zero variance
+    assert outcome("flat", "edge_a") is None
+    assert outcome("flat_on_overlap", "partner") is None
+    # flat_on_overlap varies over the dates it shares with edge_exact
+    assert outcome("flat_on_overlap", "edge_exact") == ([2020, 2021], 0)
+    # absent from 2020: not scored there, and its peer's pair is skipped
+    assert outcome("gone_2020", "edge_a") == ([2021], 1)
+
+
+def test_pairwise_return_correlation_matches_dense_scorer():
+    rng = np.random.default_rng(3)
+    series = _gappy_series(rng, 6, 20)
+    panel = ReturnPanel(series)
+    report = gics_baseline_correlation(
+        {"r00": "S", "r01": "S"}, panel, years=[2020], min_overlap=20)
+    year = {c: {d: v for d, v in obs.items() if d.startswith("2020-")}
+            for c, obs in series.items()}
+    rho = pairwise_return_correlation(ReturnPanel(year), "r00", "r01", 20)
+    assert abs(report.per_company["r00"] - rho) <= 1e-14
+    with pytest.raises(DataValidationError, match="no return series"):
+        pairwise_return_correlation(panel, "r00", "nope")
+
+
+def test_top_k_peers_exact_ties_at_kth_place():
+    # rows listed out of id order; b is nearest, then c, d and x tie at 0
+    ids = ["x", "a", "d", "b", "c", "e"]
+    rows = {"a": [1, 0], "b": [1, 0.5], "c": [0, 1], "d": [0, 2],
+            "x": [0, -1], "e": [-1, 0]}
+    matrix = EmbeddingMatrix(
+        ids=ids, matrix=np.array([rows[i] for i in ids], dtype=np.float32),
+        provider_id="t", context_budget=512)
+    assert [p for p, _ in top_k_peers(matrix, 2)["a"]] == ["b", "c"]
+    assert [p for p, _ in top_k_peers(matrix, 3)["a"]] == ["b", "c", "d"]
+    assert [p for p, _ in top_k_peers(matrix, 4)["a"]] == ["b", "c", "d", "x"]
+    assert [p for p, _ in top_k_peers(matrix, 9)["a"]] == ["b", "c", "d", "x", "e"]
+
+
+def test_top_k_peers_bit_identical_to_sorted_ranking():
+    """Against the per-company ranking it replaced: one matrix-vector
+    product per company and a full sort on (-similarity, id)."""
+    rng = np.random.default_rng(17)
+    base = rng.normal(size=(6, 3))
+    rows = base[rng.integers(0, 6, size=30)]  # many exact ties
+    ids = [f"c{i:02d}" for i in rng.permutation(30)]
+    matrix = EmbeddingMatrix(ids=ids, matrix=rows.astype(np.float32),
+                             provider_id="t", context_budget=512)
+    unit = matrix.matrix.astype(np.float64)
+    unit = unit / np.linalg.norm(unit, axis=1)[:, None]
+    for k in (1, 4, 29):
+        got = top_k_peers(matrix, k)
+        for i, cid in enumerate(ids):
+            sims = unit @ unit[i]
+            ranked = sorted(((o, float(sims[j])) for j, o in enumerate(ids)
+                             if o != cid), key=lambda p: (-p[1], p[0]))
+            assert got[cid] == ranked[:k]
+
+
+# ---------------------------------------------------------------------------
+# Loader
+
+
+@pytest.mark.parametrize("body, message", [
+    ("company_id,date\n", "must start with"),
+    ("", "must start with"),
+    ("company_id,date,return\n", "no return observations"),
+    ("company_id,date,return\na,2020-01-02,0.1\nb,2020-01-02\n",
+     "line 3: expected 3 columns"),
+    ("company_id,date,return\na,2020-01-02,0.1,x\n", "line 2: expected 3 columns"),
+    ("company_id,date,return\na,2020-01-02,0.1\na,2020/01/03,0.1\n",
+     "line 3: bad date"),
+    ("company_id,date,return\n,2020-01-02,0.1\n", "line 2: empty company id"),
+    ("company_id,date,return\na,2020-01-02,0.1\na,2020-01-03,\n",
+     "line 3: bad return value"),
+    ("company_id,date,return\na,2020-01-02,nan\n", "line 2: non-finite"),
+    ("company_id,date,return\na,2020-01-02,0.1\nb,2020-01-02,-inf\n",
+     "line 3: non-finite"),
+    ("company_id,date,return\na,2020-01-02,0.1\nb,2020-01-02,0.2\n"
+     "a,2020-01-02,0.3\n", "line 4: duplicate observation a/2020-01-02"),
+    # the first error in the file wins: a duplicate before a bad value
+    ("company_id,date,return\na,2020-01-02,0.1\na,2020-01-02,0.1\n"
+     "b,2020-01-02,oops\n", "line 3: duplicate observation a/2020-01-02"),
+])
+def test_returns_csv_rejects_bad_input_naming_the_line(tmp_path, body, message):
+    path = tmp_path / "r.csv"
+    path.write_text(body)
+    with pytest.raises(DataValidationError, match=message):
+        load_returns_csv(path)
+
+
+def test_loaded_panel_is_dense_and_sorted(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("company_id,date,return\n"
+                    "b,2020-01-03,0.5\na,2020-01-02,-0.25\nb,2020-01-02,0.125\n")
+    panel = load_returns_csv(path)
+    assert panel.ids == ["a", "b"]
+    assert panel.dates == ["2020-01-02", "2020-01-03"]
+    assert panel.values.tolist() == [[-0.25, 0.0], [0.125, 0.5]]
+    assert panel.mask.tolist() == [[True, False], [True, True]]
+    assert panel.series == {"a": {"2020-01-02": -0.25},
+                            "b": {"2020-01-02": 0.125, "2020-01-03": 0.5}}
+    assert panel.years() == [2020]
