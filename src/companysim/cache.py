@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 from pathlib import Path
 from typing import Callable, Sequence
@@ -40,24 +41,43 @@ def _ids_path(path: Path) -> Path:
     return path.with_name(path.name + ".ids")
 
 
+def _replace_all(contents: dict[Path, Sequence[bytes]]) -> None:
+    """Write each file's parts to a temporary file beside it, then rename
+    every temporary file over its target. A failure while writing leaves
+    every target as it was."""
+    temps = {path: path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in contents}
+    try:
+        for path, parts in contents.items():
+            with open(temps[path], "wb") as f:
+                f.writelines(parts)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def save_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Write the matrix and its id sidecar atomically enough for reruns
-    (full rewrite, no partial headers)."""
+    """Write the matrix and its id sidecar. Both are written in full to
+    temporary files first and then renamed into place, so an interrupted
+    write never leaves a truncated cache behind."""
     path = Path(path)
     rows = np.ascontiguousarray(matrix.matrix, dtype="<f4")
     provider_bytes = matrix.provider_id.encode("utf-8")
     if len(provider_bytes) > 0xFFFF:
         raise ValueError("provider_id too long to encode")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<H", len(provider_bytes)))
-        f.write(provider_bytes)
-        f.write(_HEADER_TAIL.pack(matrix.context_budget, matrix.dimension, len(matrix)))
-        f.write(rows.tobytes())
-    with open(_ids_path(path), "w", encoding="utf-8") as f:
-        for company_id in matrix.ids:
-            f.write(company_id + "\n")
+    header = (
+        MAGIC
+        + struct.pack("<I", VERSION)
+        + struct.pack("<H", len(provider_bytes))
+        + provider_bytes
+        + _HEADER_TAIL.pack(matrix.context_budget, matrix.dimension, len(matrix))
+    )
+    ids = "".join(company_id + "\n" for company_id in matrix.ids)
+    _replace_all({
+        path: (header, rows.tobytes()),
+        _ids_path(path): (ids.encode("utf-8"),),
+    })
     logger.info("saved %d embeddings to %s", len(matrix), path)
 
 

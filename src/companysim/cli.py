@@ -146,10 +146,6 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _load_inputs(corpus_path: str, hierarchy_path: str) -> Corpus:
-    return load_corpus(corpus_path, hierarchy_path)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -197,7 +193,7 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
 
 
 def cmd_pairs(args, cfg: RunConfig) -> int:
-    corpus = _load_inputs(args.corpus, args.hierarchy)
+    corpus = load_corpus(args.corpus, args.hierarchy)
     pairs = generate_finetune_pairs(corpus, seed=cfg.seed)
     save_pairs(pairs, args.out)
     _say(args, f"wrote {len(pairs)} pairs -> {args.out}")
@@ -205,7 +201,7 @@ def cmd_pairs(args, cfg: RunConfig) -> int:
 
 
 def cmd_embed(args, cfg: RunConfig) -> int:
-    corpus = _load_inputs(args.corpus, args.hierarchy)
+    corpus = load_corpus(args.corpus, args.hierarchy)
     provider = _build_provider(cfg, corpus)
     chunking = _chunking(cfg)
     weighted = cfg.embedding.length_weighted
@@ -229,7 +225,7 @@ def cmd_embed(args, cfg: RunConfig) -> int:
 
 
 def cmd_classify(args, cfg: RunConfig) -> int:
-    corpus = _load_inputs(args.corpus, args.hierarchy)
+    corpus = load_corpus(args.corpus, args.hierarchy)
     matrix = cache_io.load_cache(args.cache)
     common = [i for i in corpus.ids() if i in matrix]
     if len(common) < 2:
@@ -303,7 +299,7 @@ def cmd_peers(args, cfg: RunConfig) -> int:
         "margin": None,
     }
     if args.corpus and args.hierarchy:
-        corpus = _load_inputs(args.corpus, args.hierarchy)
+        corpus = load_corpus(args.corpus, args.hierarchy)
         level_labels = corpus.gics_labels(cfg.peers.baseline_level)
         labels = {i: level_labels[i] for i in corpus.ids() if i in matrix}
         baseline = gics_baseline_correlation(
@@ -399,7 +395,7 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
     }
     level_labels: dict[str, str] | None = None
     if args.corpus and args.hierarchy:
-        corpus = _load_inputs(args.corpus, args.hierarchy)
+        corpus = load_corpus(args.corpus, args.hierarchy)
         level_labels = corpus.gics_labels(args.labels_level)
         aligned = [level_labels[i] for i in matrix.ids if i in level_labels]
         predicted = [
@@ -500,7 +496,7 @@ def cmd_project(args, cfg: RunConfig) -> int:
 
 def cmd_outliers(args, cfg: RunConfig) -> int:
     matrix = cache_io.load_cache(args.cache)
-    corpus = _load_inputs(args.corpus, args.hierarchy)
+    corpus = load_corpus(args.corpus, args.hierarchy)
     sectors = corpus.gics_labels("sector")
     scores = sector_outlier_scores(matrix, sectors)
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import DataValidationError, ProviderError
-from .providers import EmbeddingProvider
-from .textprep import ChunkingConfig, prepare_chunks
+from .providers import MAX_TEXTS_PER_REQUEST, EmbeddingProvider
+from .textprep import ChunkingConfig, TokenSequence, prepare_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +50,54 @@ def pool_chunk_embeddings(
     return (w[:, None] * rows).sum(axis=0) / w.sum()
 
 
+def _document_chunks(
+    raw_text: str, config: ChunkingConfig, company_id: str
+) -> list[TokenSequence]:
+    """Chunks of one description. The empty-after-cleaning case is a data
+    error, not a zero vector: every row in an embedding matrix must come from
+    actual text."""
+    chunks = prepare_chunks(raw_text, config, source_id=company_id)
+    if not chunks:
+        raise DataValidationError(
+            f"document {company_id!r} has no tokens after cleaning"
+        )
+    return chunks
+
+
+def _embed_group(
+    group: Sequence[tuple[str, list[TokenSequence]]],
+    provider: EmbeddingProvider,
+    length_weighted: bool,
+) -> list[np.ndarray]:
+    """Embed the chunks of consecutive documents in one ``embed_chunks``
+    call and pool each document's rows; one vector per (id, chunks) pair."""
+    chunks = [c for _, doc_chunks in group for c in doc_chunks]
+    first, last = group[0][0], group[-1][0]
+    where = (f"document {first!r}" if len(group) == 1
+             else f"documents {first!r} to {last!r}")
+    try:
+        rows = provider.embed_chunks(chunks)
+    except ProviderError:
+        raise
+    except Exception as e:
+        raise ProviderError(
+            f"provider {provider.provider_id!r} failed on {where}: {e}"
+        ) from e
+    if rows.shape != (len(chunks), provider.dimension):
+        raise ProviderError(
+            f"provider {provider.provider_id!r} returned shape {rows.shape} for "
+            f"{len(chunks)} chunks of {where}, declared dimension {provider.dimension}"
+        )
+    vectors = []
+    start = 0
+    for _, doc_chunks in group:
+        end = start + len(doc_chunks)
+        weights = [len(c.tokens) for c in doc_chunks] if length_weighted else None
+        vectors.append(pool_chunk_embeddings(rows[start:end], weights))
+        start = end
+    return vectors
+
+
 def embed_document(
     raw_text: str,
     provider: EmbeddingProvider,
@@ -57,30 +105,10 @@ def embed_document(
     company_id: str = "",
     length_weighted: bool = False,
 ) -> DocumentEmbedding:
-    """Clean, chunk, embed each chunk, and mean-pool.
-
-    The empty-after-cleaning case is a data error, not a zero vector: every
-    row in an embedding matrix must come from actual text.
-    """
-    chunks = prepare_chunks(raw_text, config, source_id=company_id)
-    if not chunks:
-        raise DataValidationError(
-            f"document {company_id!r} has no tokens after cleaning"
-        )
-    try:
-        chunk_vectors = provider.embed_chunks(chunks)
-    except ProviderError:
-        raise
-    except Exception as e:
-        raise ProviderError(
-            f"provider {provider.provider_id!r} failed on document {company_id!r}: {e}"
-        ) from e
-    weights = [len(c.tokens) for c in chunks] if length_weighted else None
-    return DocumentEmbedding(
-        company_id=company_id,
-        vector=pool_chunk_embeddings(chunk_vectors, weights),
-        n_chunks=len(chunks),
-    )
+    """Clean, chunk, embed each chunk, and mean-pool one document."""
+    chunks = _document_chunks(raw_text, config, company_id)
+    (vector,) = _embed_group([(company_id, chunks)], provider, length_weighted)
+    return DocumentEmbedding(company_id=company_id, vector=vector, n_chunks=len(chunks))
 
 
 @dataclass
@@ -141,6 +169,24 @@ class EmbeddingMatrix:
         )
 
 
+def _document_groups(
+    corpus: Corpus, ids: Sequence[str], config: ChunkingConfig
+) -> Iterator[list[tuple[str, list[TokenSequence]]]]:
+    """Consecutive documents, chunked as they are reached, in groups of at
+    most ``MAX_TEXTS_PER_REQUEST`` chunks; a longer document is a group alone."""
+    group: list[tuple[str, list[TokenSequence]]] = []
+    n_chunks = 0
+    for company_id in ids:
+        chunks = _document_chunks(corpus.get(company_id).description, config, company_id)
+        if group and n_chunks + len(chunks) > MAX_TEXTS_PER_REQUEST:
+            yield group
+            group, n_chunks = [], 0
+        group.append((company_id, chunks))
+        n_chunks += len(chunks)
+    if group:
+        yield group
+
+
 def embed_corpus(
     corpus: Corpus,
     provider: EmbeddingProvider,
@@ -148,21 +194,20 @@ def embed_corpus(
     ids: Sequence[str] | None = None,
     length_weighted: bool = False,
 ) -> EmbeddingMatrix:
-    """Embed every company description; rows follow the corpus id order."""
+    """Embed every company description; rows follow the corpus id order.
+
+    The chunks of consecutive documents go to the provider together, so a
+    remote provider makes one request per group instead of one per document.
+    """
     wanted = list(ids) if ids is not None else corpus.ids()
     vectors = np.zeros((len(wanted), provider.dimension), dtype=np.float64)
+    row = 0
     total_chunks = 0
-    for i, company_id in enumerate(wanted):
-        record = corpus.get(company_id)
-        doc = embed_document(record.description, provider, config, company_id,
-                             length_weighted=length_weighted)
-        if doc.vector.shape[0] != provider.dimension:
-            raise ProviderError(
-                f"provider {provider.provider_id!r} returned dimension "
-                f"{doc.vector.shape[0]}, declared {provider.dimension}"
-            )
-        vectors[i] = doc.vector
-        total_chunks += doc.n_chunks
+    for group in _document_groups(corpus, wanted, config):
+        for vector in _embed_group(group, provider, length_weighted):
+            vectors[row] = vector
+            row += 1
+        total_chunks += sum(len(chunks) for _, chunks in group)
     logger.info(
         "embedded %d documents (%d chunks) with provider=%s budget=%d",
         len(wanted), total_chunks, provider.provider_id, config.context_budget,

@@ -9,8 +9,10 @@ protocol is a single JSON POST:
     request  {"provider_id": str, "texts": [str, ...]}
     response {"dimension": int, "embeddings": [[float, ...], ...]}
 
-Any non-200 status is a failure. An auth token can be injected from an
-environment variable; it is sent as a Bearer header and never logged.
+A request carries at most ``MAX_TEXTS_PER_REQUEST`` texts. Any non-200
+status is a failure; transport errors, 408, 429 and 5xx are retried. An
+auth token can be injected from an environment variable; it is sent as a
+Bearer header and never logged.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .errors import (
     ProviderError,
@@ -37,15 +38,8 @@ from .textprep import TokenSequence
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class EmbeddingProviderSpec:
-    """Declared provider configuration; dimension may be None for providers
-    that resolve it at fit time (plain TF-IDF)."""
-
-    provider_id: str
-    dimension: int | None = None
-    params: dict = field(default_factory=dict)
+# Most texts one remote request carries; embed_corpus groups documents up to it.
+MAX_TEXTS_PER_REQUEST = 64
 
 
 class EmbeddingProvider:
@@ -210,15 +204,18 @@ def remote_embed(
     retries: int = 2,
     backoff: float = 0.25,
     auth_env: str | None = None,
-    session: requests.Session | None = None,
 ) -> list[np.ndarray]:
     """POST texts to {endpoint}/embed and return one vector per text, in order.
 
-    Transport failures and non-200 statuses are retried up to ``retries``
-    times with exponential backoff; protocol violations (malformed body,
-    count mismatch, dimension mismatch) are raised immediately as
-    RemoteProtocolError with a machine-readable ``reason``.
+    Transport failures and 408, 429 and 5xx statuses are retried up to
+    ``retries`` times with exponential backoff; any other non-200 status is
+    raised at once. Protocol violations (malformed body, count mismatch,
+    dimension mismatch) are raised immediately as RemoteProtocolError with a
+    machine-readable ``reason``.
     """
+    # imported here so that commands which never embed remotely skip its cost
+    import requests
+
     if not texts:
         raise ValueError("remote_embed needs at least one text")
     url = endpoint.rstrip("/") + "/embed"
@@ -227,7 +224,6 @@ def remote_embed(
         token = os.environ.get(auth_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-    post = session.post if session is not None else requests.post
     payload = {"provider_id": provider_id, "texts": list(texts)}
 
     last_error: Exception | None = None
@@ -240,16 +236,18 @@ def remote_embed(
             )
             time.sleep(delay)
         try:
-            response = post(url, json=payload, headers=headers, timeout=timeout)
+            response = requests.post(url, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as e:
             last_error = RemoteTransportError(f"POST {url} failed: {e}")
             continue
-        if response.status_code != 200:
+        status = response.status_code
+        if status != 200:
             last_error = RemoteStatusError(
-                f"POST {url} returned status {response.status_code}",
-                status=response.status_code,
+                f"POST {url} returned status {status}", status=status
             )
-            continue
+            if status in (408, 429) or 500 <= status <= 599:
+                continue
+            raise last_error
         return _parse_embed_response(response, len(texts), url)
     assert last_error is not None
     raise last_error
@@ -294,7 +292,8 @@ def _parse_embed_response(response, n_texts: int, url: str) -> list[np.ndarray]:
 
 
 class RemoteProvider(EmbeddingProvider):
-    """Embeds chunks through the generic remote protocol, one POST per document."""
+    """Embeds chunks through the generic remote protocol, at most
+    ``MAX_TEXTS_PER_REQUEST`` chunks per POST."""
 
     def __init__(
         self,
@@ -305,7 +304,6 @@ class RemoteProvider(EmbeddingProvider):
         retries: int = 2,
         backoff: float = 0.25,
         auth_env: str | None = None,
-        session: requests.Session | None = None,
     ):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
@@ -316,22 +314,23 @@ class RemoteProvider(EmbeddingProvider):
         self.retries = retries
         self.backoff = backoff
         self.auth_env = auth_env
-        self.session = session
 
     def embed_chunk(self, chunk: TokenSequence) -> np.ndarray:
         return self.embed_chunks([chunk])[0]
 
     def embed_chunks(self, chunks: Sequence[TokenSequence]) -> np.ndarray:
-        vectors = remote_embed(
-            self.endpoint,
-            self.provider_id,
-            [c.text() for c in chunks],
-            timeout=self.timeout,
-            retries=self.retries,
-            backoff=self.backoff,
-            auth_env=self.auth_env,
-            session=self.session,
-        )
+        texts = [c.text() for c in chunks]
+        vectors: list[np.ndarray] = []
+        for start in range(0, len(texts), MAX_TEXTS_PER_REQUEST):
+            vectors.extend(remote_embed(
+                self.endpoint,
+                self.provider_id,
+                texts[start : start + MAX_TEXTS_PER_REQUEST],
+                timeout=self.timeout,
+                retries=self.retries,
+                backoff=self.backoff,
+                auth_env=self.auth_env,
+            ))
         out = np.vstack(vectors)
         if out.shape[1] != self.dimension:
             raise RemoteProtocolError(

@@ -145,3 +145,52 @@ def test_export_jsonl_lists_every_row(tmp_path):
     assert rec["company_id"] == "a"
     assert rec["provider_id"] == "prov"
     assert np.allclose(rec["vector"], mat.row("a").astype(np.float64))
+
+
+@pytest.mark.parametrize("fail_on_write", [1, 2])
+def test_interrupted_save_keeps_old_cache(tmp_path, monkeypatch, fail_on_write):
+    import companysim.cache as cache_module
+
+    path = tmp_path / "emb.bin"
+    old = _matrix(["a", "b"], seed=1)
+    save_cache(old, path)
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+
+    real_open = open
+    opened = []
+
+    class _DiskFull:
+        """The ``fail_on_write``-th file opened keeps half of its first
+        write, then fails."""
+
+        def __init__(self, *args, **kwargs):
+            self.f = real_open(*args, **kwargs)
+            opened.append(self)
+            self.fail = len(opened) == fail_on_write
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            if self.fail:
+                data = bytes(data)
+                self.f.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+            return self.f.write(data)
+
+        def writelines(self, parts):
+            for part in parts:
+                self.write(part)
+
+    monkeypatch.setattr(cache_module, "open", _DiskFull, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_cache(_matrix(["a", "b", "c"], seed=2), path)
+    monkeypatch.undo()
+
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+    loaded = load_cache(path)
+    assert loaded.ids == old.ids
+    assert np.array_equal(loaded.matrix, old.matrix)

@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from companysim.corpus import Corpus
 from companysim.embeddings import (
     EmbeddingMatrix,
     embed_corpus,
     embed_document,
     pool_chunk_embeddings,
 )
-from companysim.errors import DataValidationError
-from companysim.providers import HashBowProvider
-from companysim.textprep import ChunkingConfig
+from companysim.errors import DataValidationError, ProviderError
+from companysim.providers import MAX_TEXTS_PER_REQUEST, HashBowProvider, TfidfProvider
+from companysim.textprep import ChunkingConfig, clean_text, prepare_chunks, tokenize
 
 
 def test_pooling_is_arithmetic_mean():
@@ -111,3 +114,85 @@ def test_matrix_rejects_misaligned_or_duplicate_ids():
         EmbeddingMatrix(["a"], np.zeros((2, 3), dtype=np.float32), "p", 512)
     with pytest.raises(ValueError):
         EmbeddingMatrix(["a", "a"], np.zeros((2, 3), dtype=np.float32), "p", 512)
+
+
+def _stacked_documents(corpus, provider, config, length_weighted):
+    return np.vstack([
+        embed_document(corpus.get(i).description, provider, config, i,
+                       length_weighted=length_weighted).vector
+        for i in corpus.ids()
+    ]).astype(np.float32)
+
+
+def _tfidf(corpus):
+    tokens = [tokenize(clean_text(r.description), r.company_id) for r in corpus]
+    return TfidfProvider.fit(tokens, max_features=32)
+
+
+@pytest.mark.parametrize("length_weighted", [False, True])
+@pytest.mark.parametrize("make_provider", [
+    lambda corpus: HashBowProvider(16, seed=3),
+    _tfidf,
+], ids=["hash-bow", "tfidf"])
+def test_embed_corpus_rows_equal_per_document_embedding(
+    varied_corpus, varied_chunking, make_provider, length_weighted
+):
+    counts = [len(prepare_chunks(r.description, varied_chunking)) for r in varied_corpus]
+    assert set(counts) == {1, 2, 3, 4, 5, 70}
+    assert max(counts) > MAX_TEXTS_PER_REQUEST
+    provider = make_provider(varied_corpus)
+    matrix = embed_corpus(varied_corpus, provider, varied_chunking,
+                          length_weighted=length_weighted)
+    expected = _stacked_documents(varied_corpus, provider, varied_chunking,
+                                  length_weighted)
+    assert np.array_equal(matrix.matrix, expected)
+
+
+class _RecordingProvider(HashBowProvider):
+    """Hash-BOW that logs the source ids of each ``embed_chunks`` call and
+    raises a plain exception on call number ``fail_on``."""
+
+    def __init__(self, fail_on=None):
+        super().__init__(16, seed=3)
+        self.calls = []
+        self.fail_on = fail_on
+
+    def embed_chunks(self, chunks):
+        self.calls.append([c.source_id for c in chunks])
+        if len(self.calls) == self.fail_on:
+            raise RuntimeError("boom")
+        return super().embed_chunks(chunks)
+
+
+def test_embed_corpus_groups_whole_consecutive_documents(varied_corpus, varied_chunking):
+    provider = _RecordingProvider()
+    embed_corpus(varied_corpus, provider, varied_chunking)
+    ids = varied_corpus.ids()
+    seen = []
+    for call in provider.calls:
+        docs = list(dict.fromkeys(call))
+        assert len(call) <= MAX_TEXTS_PER_REQUEST or len(docs) == 1
+        seen.extend(docs)
+    assert seen == ids  # every document exactly once, in order, never split
+    assert 1 < len(provider.calls) < len(ids)
+
+
+def test_group_failure_names_first_and_last_company(varied_corpus, varied_chunking):
+    provider = _RecordingProvider(fail_on=3)
+    with pytest.raises(ProviderError) as exc:
+        embed_corpus(varied_corpus, provider, varied_chunking)
+    group = list(dict.fromkeys(provider.calls[2]))
+    assert len(group) > 1
+    message = str(exc.value)
+    assert f"documents {group[0]!r} to {group[-1]!r}" in message
+    assert "boom" in message
+    assert isinstance(exc.value.__cause__, RuntimeError)
+
+
+def test_embed_corpus_rejects_empty_document_by_id(varied_corpus, varied_chunking):
+    records = list(varied_corpus.records)
+    bad = records[4].company_id
+    records[4] = dataclasses.replace(records[4], description="\u2603 \u2603")
+    corpus = Corpus(records, varied_corpus.hierarchy)
+    with pytest.raises(DataValidationError, match=repr(bad)):
+        embed_corpus(corpus, HashBowProvider(16, seed=3), varied_chunking)

@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -6,13 +7,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from companysim.embeddings import embed_corpus, embed_document
 from companysim.errors import (
     RemoteProtocolError,
     RemoteStatusError,
     RemoteTransportError,
 )
-from companysim.providers import RemoteProvider, remote_embed
-from companysim.textprep import TokenSequence
+from companysim.providers import MAX_TEXTS_PER_REQUEST, RemoteProvider, remote_embed
+from companysim.textprep import TokenSequence, prepare_chunks
 
 
 def vector_for(text):
@@ -143,6 +145,23 @@ def test_retry_then_success_on_server_error(stub):
     assert len(stub.log) == 2
 
 
+@pytest.mark.parametrize("status", [408, 429])
+def test_retry_on_timeout_and_rate_limit_statuses(stub, status):
+    stub.script(("status", status), ("ok",))
+    vectors = remote_embed(stub.url, "m", ["hello"], retries=2, backoff=0.01)
+    assert vectors[0].tolist() == vector_for("hello")
+    assert len(stub.log) == 2
+
+
+@pytest.mark.parametrize("status", [400, 401])
+def test_client_errors_are_not_retried(stub, status):
+    stub.script(("status", status), ("ok",))
+    with pytest.raises(RemoteStatusError) as exc:
+        remote_embed(stub.url, "m", ["a"], retries=2, backoff=0.01)
+    assert exc.value.status == status
+    assert len(stub.log) == 1
+
+
 def test_status_error_after_exhausted_retries(stub):
     stub.script(("status", 503), ("status", 503), ("status", 503))
     with pytest.raises(RemoteStatusError) as exc:
@@ -192,3 +211,47 @@ def test_remote_provider_checks_declared_dimension(stub):
     with pytest.raises(RemoteProtocolError) as exc:
         provider.embed_chunks([TokenSequence(["alpha"], "d1")])
     assert exc.value.reason == "dimension_mismatch"
+
+
+def _predicted_requests(chunk_counts):
+    """Requests made by grouping whole consecutive documents up to the cap,
+    with a longer document split into requests of at most the cap."""
+    requests, pending = 0, 0
+    for n in chunk_counts:
+        if pending and pending + n > MAX_TEXTS_PER_REQUEST:
+            requests += math.ceil(pending / MAX_TEXTS_PER_REQUEST)
+            pending = 0
+        pending += n
+    return requests + math.ceil(pending / MAX_TEXTS_PER_REQUEST)
+
+
+@pytest.mark.parametrize("length_weighted", [False, True])
+def test_embed_corpus_batches_documents_bit_exactly(
+    stub, varied_corpus, varied_chunking, length_weighted
+):
+    provider = RemoteProvider(stub.url, "stub-model", dimension=3)
+    matrix = embed_corpus(varied_corpus, provider, varied_chunking,
+                          length_weighted=length_weighted)
+    chunks = [prepare_chunks(r.description, varied_chunking) for r in varied_corpus]
+    sent = [entry["body"]["texts"] for entry in stub.log]
+    assert all(len(texts) <= MAX_TEXTS_PER_REQUEST for texts in sent)
+    assert len(sent) == _predicted_requests([len(c) for c in chunks])
+    assert [t for texts in sent for t in texts] == [c.text() for doc in chunks for c in doc]
+
+    expected = np.vstack([
+        embed_document(varied_corpus.get(i).description, provider, varied_chunking, i,
+                       length_weighted=length_weighted).vector
+        for i in varied_corpus.ids()
+    ]).astype(np.float32)
+    assert np.array_equal(matrix.matrix, expected)
+
+
+def test_embed_corpus_retries_a_failed_group(stub, varied_corpus, varied_chunking):
+    provider = RemoteProvider(stub.url, "stub-model", dimension=3, backoff=0.01)
+    clean = embed_corpus(varied_corpus, provider, varied_chunking)
+    n_clean = len(stub.log)
+    stub.script(("ok",), ("status", 503))
+    retried = embed_corpus(varied_corpus, provider, varied_chunking)
+    assert len(stub.log) - n_clean == n_clean + 1
+    assert stub.log[n_clean + 1]["body"] == stub.log[n_clean + 2]["body"]
+    assert np.array_equal(retried.matrix, clean.matrix)
