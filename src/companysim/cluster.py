@@ -477,9 +477,6 @@ class ClusterAssignment:
         ):
             raise ValueError("labels out of range for declared n_clusters")
 
-    def label_of(self, company_id: str) -> int:
-        return int(self.labels[self.ids.index(company_id)])
-
     def as_mapping(self) -> dict[str, int]:
         return {i: int(l) for i, l in zip(self.ids, self.labels)}
 
@@ -499,26 +496,6 @@ def random_cluster_assignment(
         method="random",
         meta={"seed": seed},
     )
-
-
-def kmeans_sweep(
-    X: np.ndarray,
-    counts: Sequence[int],
-    seed: int = 0,
-    true_labels: Sequence | None = None,
-    n_init: int = 4,
-) -> list[dict]:
-    """Inertia (and agreement scores when true labels are given) across
-    candidate cluster counts."""
-    out = []
-    for count in counts:
-        result = kmeans(X, count, seed=seed, n_init=n_init)
-        entry: dict = {"n_clusters": int(count), "inertia": result.inertia}
-        if true_labels is not None:
-            quality = cluster_quality(true_labels, result.labels.tolist())
-            entry.update(quality.to_dict())
-        out.append(entry)
-    return out
 
 
 DEFAULT_SWEEP_COUNTS = (11, 25, 66, 100)

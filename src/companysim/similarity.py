@@ -12,6 +12,7 @@ regime changes do not blur the comparison.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -206,14 +207,37 @@ def _check_duplicates(
         )
 
 
+class _CsvFields(dict):
+    """text -> the field as ``csv.writer(lineterminator="\\n")`` writes it,
+    found once per text by that writer. Its line terminator must be the
+    file's: it decides whether ``\\r`` and ``\\n`` get quoted."""
+
+    def __init__(self):
+        self._buf = io.StringIO()
+        self._writer = csv.writer(self._buf, lineterminator="\n")
+
+    def __missing__(self, text: str) -> str:
+        self._buf.seek(0)
+        self._buf.truncate()
+        # with a second, empty field an empty text stays unquoted, as in the
+        # file's rows; then strip that field's ",\n"
+        self._writer.writerow([text, ""])
+        field = self[text] = self._buf.getvalue()[:-2]
+        return field
+
+
 def save_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
+    """Rows ``company_id,date,repr(value)``, byte for byte as ``csv.writer``
+    writes them (a float's repr never needs quoting), one write per company."""
+    fields = _CsvFields()
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(RETURNS_HEADER)
+        f.write(",".join(RETURNS_HEADER) + "\n")
         for company_id in panel.companies():
             obs = panel.series[company_id]
-            for date in sorted(obs):
-                writer.writerow([company_id, date, repr(obs[date])])
+            prefix = fields[company_id] + ","
+            f.write("".join([
+                f"{prefix}{fields[date]},{obs[date]!r}\n" for date in sorted(obs)
+            ]))
 
 
 # ---------------------------------------------------------------------------

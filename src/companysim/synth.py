@@ -208,6 +208,7 @@ def make_synthetic_corpus(
             rng.choice(FILLER_VOCAB, size=n_filler),
         ])
         rng.shuffle(words)
+        words = words.tolist()  # joining numpy str_ items is ~2x slower
         sentences = [
             " ".join(words[j:j + 12]) + "."
             for j in range(0, len(words), 12)
@@ -277,8 +278,8 @@ def make_synthetic_returns(
         + idio
     )
     series = {
-        company_id: {date: float(returns[d, j]) for d, date in enumerate(dates)}
-        for j, company_id in enumerate(ids)
+        company_id: dict(zip(dates, column))
+        for company_id, column in zip(ids, returns.T.tolist())
     }
     return ReturnPanel(series)
 

@@ -18,7 +18,6 @@ import string
 from dataclasses import dataclass, field
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-_WS_RE = re.compile(r"\s+")
 _PUNCT = frozenset(string.punctuation)
 
 
@@ -67,10 +66,17 @@ def clean_text(raw: str) -> str:
 
     Idempotent; never increases byte length.
     """
-    text = _URL_RE.sub(" ", raw)
-    text = text.encode("ascii", "ignore").decode("ascii")
-    text = text.lower()
-    return _WS_RE.sub(" ", text).strip()
+    text = raw
+    # Every _URL_RE match holds "://" or "www." once lowercased: only W and w
+    # fold to w, and the pattern's one non-ASCII fold (long s, U+017F, to s)
+    # can only stand before "://".
+    if "://" in raw or "www." in raw.lower():
+        text = _URL_RE.sub(" ", raw)
+    if not text.isascii():
+        text = text.encode("ascii", "ignore").decode("ascii")
+    # on ASCII, str.split and re's \s split on the same characters
+    # (\x1c-\x1f included), so this equals collapsing \s+ and stripping
+    return " ".join(text.lower().split())
 
 
 def tokenize(cleaned: str, source_id: str = "") -> TokenSequence:
@@ -78,18 +84,15 @@ def tokenize(cleaned: str, source_id: str = "") -> TokenSequence:
     into separate tokens. Interior punctuation (hyphens, decimals) stays."""
     tokens: list[str] = []
     for word in cleaned.split():
-        lead: list[str] = []
-        while word and word[0] in _PUNCT:
-            lead.append(word[0])
-            word = word[1:]
-        trail: list[str] = []
-        while word and word[-1] in _PUNCT:
-            trail.append(word[-1])
-            word = word[:-1]
-        tokens.extend(lead)
-        if word:
+        if word[0] not in _PUNCT and word[-1] not in _PUNCT:
             tokens.append(word)
-        tokens.extend(reversed(trail))
+            continue
+        rest = word.lstrip(string.punctuation)
+        core = rest.rstrip(string.punctuation)
+        tokens.extend(word[: len(word) - len(rest)])
+        if core:
+            tokens.append(core)
+        tokens.extend(rest[len(core):])
     return TokenSequence(tokens, source_id)
 
 

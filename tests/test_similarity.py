@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -539,3 +540,48 @@ def test_loaded_panel_is_dense_and_sorted(tmp_path):
     assert panel.series == {"a": {"2020-01-02": -0.25},
                             "b": {"2020-01-02": 0.125, "2020-01-03": 0.5}}
     assert panel.years() == [2020]
+
+
+def _reference_save_returns_csv(panel, path):
+    """The plain csv.writer form of the returns file, one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["company_id", "date", "return"])
+        for company_id in panel.companies():
+            obs = panel.series[company_id]
+            for date in sorted(obs):
+                writer.writerow([company_id, date, repr(obs[date])])
+
+
+def test_returns_csv_writer_bytes_match_csv_writer(tmp_path):
+    # ids and dates that need quoting, or look like they might
+    odd = ["a,b", 'say "hi"', "cr\rlf", "line\nbreak", "two words", " lead",
+           "", "plain", '"', ",", "\r\n", "tab\there", "é", "'q'"]
+    values = [0.1, -0.0, 1e300, float("nan"), -1e-300, 5e-324, float("inf"), 1.0]
+    rng = np.random.default_rng(4)
+    for trial in range(30):
+        ids = rng.choice(odd, size=rng.integers(1, len(odd)), replace=False)
+        series = {}
+        for company_id in ids:
+            dates = rng.choice(odd + ["2020-01-02"], size=rng.integers(0, 6),
+                               replace=False)
+            series[str(company_id)] = {
+                str(date): values[int(rng.integers(len(values)))] for date in dates
+            }
+        panel = ReturnPanel(series)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_returns_csv(panel, got)
+        _reference_save_returns_csv(panel, want)
+        assert got.read_bytes() == want.read_bytes(), series
+
+
+def test_returns_csv_writer_bytes_match_on_loaded_panel(tmp_path):
+    rng = np.random.default_rng(2)
+    _, panel = _random_universe(rng, 6, n_days=30)
+    first = tmp_path / "first.csv"
+    save_returns_csv(panel, first)
+    loaded = load_returns_csv(first)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_returns_csv(loaded, got)
+    _reference_save_returns_csv(loaded, want)
+    assert got.read_bytes() == want.read_bytes() == first.read_bytes()

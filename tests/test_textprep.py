@@ -1,3 +1,6 @@
+import re
+import string
+
 import numpy as np
 import pytest
 
@@ -112,3 +115,93 @@ def test_prepare_chunks_end_to_end():
 
 def test_prepare_chunks_empty_text():
     assert prepare_chunks("   ", ChunkingConfig()) == []
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the straightforward regex and peel-one-character-at-a-time forms
+# of clean_text and tokenize. The library versions must agree on every str.
+
+_REF_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_REF_WS_RE = re.compile(r"\s+")
+_REF_PUNCT = frozenset(string.punctuation)
+
+
+def reference_clean_text(raw: str) -> str:
+    text = _REF_URL_RE.sub(" ", raw)
+    text = text.encode("ascii", "ignore").decode("ascii")
+    text = text.lower()
+    return _REF_WS_RE.sub(" ", text).strip()
+
+
+def reference_tokenize(cleaned: str) -> list[str]:
+    tokens: list[str] = []
+    for word in cleaned.split():
+        lead: list[str] = []
+        while word and word[0] in _REF_PUNCT:
+            lead.append(word[0])
+            word = word[1:]
+        trail: list[str] = []
+        while word and word[-1] in _REF_PUNCT:
+            trail.append(word[-1])
+            word = word[:-1]
+        tokens.extend(lead)
+        if word:
+            tokens.append(word)
+        tokens.extend(reversed(trail))
+    return tokens
+
+
+# URL prefixes in every case the pattern folds (long s included), near
+# misses, every ASCII whitespace character, no-break space, non-ASCII
+# letters (one lowercasing to two characters), punctuation-only words.
+_FUZZ_PIECES = [
+    "http://", "HTTPS://", "Www.", "www.", "WWW.", "httpſ://", "hTtPs://",
+    "http:/", "ww.", "://", "wwW", ".", "ftp://",
+    "\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", " ",
+    "\xa0", "\u2003", "\u3000",
+    "é", "Ö", "ß", "İ", "ſ", "K", "日本", "™",
+    "--", "...", "(", ")", "!?", "'", '"', "-", "%", ",",
+    "Acme", "corp", "3.5", "mid-word", "A", "z", "example.com/a?b=1",
+]
+
+
+def _fuzz_strings(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    yield ""
+    for _ in range(n):
+        picks = rng.integers(0, len(_FUZZ_PIECES), size=rng.integers(0, 14))
+        yield "".join(_FUZZ_PIECES[i] for i in picks)
+
+
+def test_clean_text_matches_reference_oracle():
+    for raw in _fuzz_strings(11, 20000):
+        assert clean_text(raw) == reference_clean_text(raw), repr(raw)
+
+
+def test_tokenize_matches_reference_oracle():
+    for raw in _fuzz_strings(12, 20000):
+        # raw strings too: tokenize is public and takes any str
+        assert tokenize(raw).tokens == reference_tokenize(raw), repr(raw)
+        cleaned = reference_clean_text(raw)
+        assert tokenize(cleaned).tokens == reference_tokenize(cleaned), repr(raw)
+
+
+def test_clean_text_url_edge_cases():
+    cases = {
+        "see httpſ://x.y now": "see now",
+        "see HTTPS://x.y now": "see now",
+        "a Www.b.c d": "a d",
+        "wwW.x y": "y",
+        "ww.x y": "ww.x y",
+        "http:/x y": "http:/x y",
+        "\x1cA\x1fb\xa0c": "a bc",
+        "": "",
+    }
+    for raw, expected in cases.items():
+        assert clean_text(raw) == expected == reference_clean_text(raw)
+
+
+def test_tokenize_punctuation_only_and_mixed_words():
+    assert tokenize("-- ...x!? (a) ''").tokens == [
+        "-", "-", ".", ".", ".", "x", "!", "?", "(", "a", ")", "'", "'",
+    ]
