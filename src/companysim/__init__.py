@@ -30,7 +30,6 @@ from .cluster import (
     agglomerative,
     cluster_quality,
     cluster_sweep,
-    feature_agglomeration,
     kmeans,
     pca,
     random_cluster_assignment,
@@ -95,7 +94,6 @@ from .similarity import (
     CorrelationReport,
     ReturnPanel,
     avg_peer_correlation,
-    cosine_similarity,
     gics_baseline_correlation,
     load_returns_csv,
     pairwise_return_correlation,

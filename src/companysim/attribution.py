@@ -14,7 +14,6 @@ cross-sectional R^2 over months.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -224,12 +223,6 @@ def attribution_metric(
         degenerate_months=degenerate,
         fits=fits,
     )
-
-
-def save_attribution_report(report: AttributionReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
 
 
 def save_attribution_csv(report: AttributionReport, path: str | Path) -> None:

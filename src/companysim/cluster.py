@@ -64,14 +64,28 @@ def pca(X: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return scores, Vt[:n_components], ratio
 
 
-def _unit_rows_array(X: np.ndarray) -> np.ndarray:
+def _unit_rows(X: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
+    """Rows scaled to unit euclidean norm, as float64. A zero row raises
+    ``ZeroVectorError`` naming its id, or its row index when ``ids`` is
+    None."""
     X = np.asarray(X, dtype=np.float64)
     norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
-        raise ZeroVectorError(
-            f"rows {np.flatnonzero(norms == 0.0)[:5].tolist()} have zero norm"
-        )
+    zero = np.flatnonzero(norms == 0.0)[:5].tolist()
+    if zero:
+        names = zero if ids is None else [ids[i] for i in zero]
+        raise ZeroVectorError(f"zero rows {names}")
     return X / norms[:, None]
+
+
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances between the rows of A and of B, as
+    ``|a|^2 - 2 a.b + |b|^2`` clipped at zero, computed in place on the
+    product ``A @ B.T``."""
+    dist2 = A @ B.T
+    dist2 *= 2.0
+    np.subtract(np.sum(A**2, axis=1)[:, None], dist2, out=dist2)
+    dist2 += np.sum(B**2, axis=1)[None, :]
+    return np.clip(dist2, 0.0, None, out=dist2)
 
 
 def knn_affinity(X: np.ndarray, n_neighbors: int) -> np.ndarray:
@@ -80,7 +94,7 @@ def knn_affinity(X: np.ndarray, n_neighbors: int) -> np.ndarray:
     Negative similarities are clipped to zero; the directed kNN graph is
     symmetrized with an elementwise max so the matrix stays an affinity.
     """
-    unit = _unit_rows_array(X)
+    unit = _unit_rows(X)
     n = unit.shape[0]
     if not 1 <= n_neighbors < n:
         raise ConfigError(
@@ -186,12 +200,7 @@ def _lloyd(
     history: list[float] = []
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        dist2 = (
-            np.sum(X**2, axis=1)[:, None]
-            - 2.0 * (X @ centers.T)
-            + np.sum(centers**2, axis=1)[None, :]
-        )
-        np.clip(dist2, 0.0, None, out=dist2)
+        dist2 = _sq_dists(X, centers)
         new_labels = np.argmin(dist2, axis=1)
         min_dist2 = dist2[np.arange(X.shape[0]), new_labels]
         # Re-seed any emptied cluster from the point farthest from its center,
@@ -256,25 +265,35 @@ _LINKAGES = ("average", "complete", "ward")
 
 
 def _initial_distances(X: np.ndarray, linkage: str, metric: str) -> np.ndarray:
-    if linkage == "ward":
-        if metric != "euclidean":
-            raise ConfigError("ward linkage requires the euclidean metric")
-        diff2 = (
-            np.sum(X**2, axis=1)[:, None]
-            - 2.0 * (X @ X.T)
-            + np.sum(X**2, axis=1)[None, :]
-        )
-        return np.clip(diff2, 0.0, None)
+    """Pairwise linkage distances (squared for ward) with +inf on the
+    diagonal. The lower triangle is copied from the upper one in place, so
+    the matrix is exactly symmetric."""
+    if linkage == "ward" and metric != "euclidean":
+        raise ConfigError("ward linkage requires the euclidean metric")
     if metric == "euclidean":
-        diff2 = (
-            np.sum(X**2, axis=1)[:, None]
-            - 2.0 * (X @ X.T)
-            + np.sum(X**2, axis=1)[None, :]
-        )
-        return np.sqrt(np.clip(diff2, 0.0, None))
-    if metric == "cosine":
-        return 1.0 - _unit_rows_array(X) @ _unit_rows_array(X).T
-    raise ConfigError(f"unknown metric {metric!r}")
+        dist = _sq_dists(X, X)
+        if linkage != "ward":
+            np.sqrt(dist, out=dist)
+    elif metric == "cosine":
+        # two distinct operands: BLAS's symmetric product (taken for U @ U.T)
+        # can differ from the general one in the last bit
+        dist = _unit_rows(X) @ _unit_rows(X).T
+        np.subtract(1.0, dist, out=dist)
+    else:
+        raise ConfigError(f"unknown metric {metric!r}")
+    for i in range(dist.shape[0]):
+        dist[i + 1:, i] = dist[i, i + 1:]
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def _cut(merges: Sequence[tuple[int, int, float]], n: int, k: int) -> np.ndarray:
+    """Labels of ``n`` rows after the first ``n - k`` merges, numbered by
+    each cluster's smallest member."""
+    slots = np.arange(n)
+    for i, j, _ in merges[:n - k]:
+        slots[slots == j] = i
+    return np.unique(slots, return_inverse=True)[1]
 
 
 def agglomerative(
@@ -287,9 +306,17 @@ def agglomerative(
 
     Returns (labels, merges) where merges record, in order, the two merged
     clusters (named by their smallest original row index) and the merge
-    cost. Ward costs are in the squared-distance domain. Cost ties break
-    toward the smallest index pair. Labels are numbered by each final
-    cluster's smallest member index.
+    cost. Ward costs are in the squared-distance domain. Labels are
+    numbered by each final cluster's smallest member index.
+
+    Each step merges the globally closest pair, the first minimum of the
+    distance matrix in row-major order: cost ties break toward the
+    smallest index pair, because the matrix is exactly symmetric (its
+    lower triangle is a copy of the upper). A merged cluster keeps the
+    matrix slot of its smallest member, which is therefore its name; the
+    Lance-Williams update rewrites that slot's row and column, and the
+    other slot's row and column become +inf. Memory is one n x n float64
+    matrix, O(n^2); time is one O(n^2) scan per merge, O(n^3) in all.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -298,72 +325,30 @@ def agglomerative(
     if not 1 <= n_clusters <= n:
         raise ConfigError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     dist = _initial_distances(X, linkage, metric)
-    np.fill_diagonal(dist, np.inf)
-    active = list(range(n))
-    sizes = {i: 1 for i in range(n)}
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    sizes = np.ones(n, dtype=np.int64)
     merges: list[tuple[int, int, float]] = []
-
-    while len(active) > n_clusters:
-        best_pair = None
-        best_cost = np.inf
-        for a_pos, i in enumerate(active):
-            for j in active[a_pos + 1:]:
-                cost = dist[i, j]
-                if cost < best_cost:
-                    best_cost = cost
-                    best_pair = (i, j)
-        assert best_pair is not None
-        i, j = best_pair
-        merges.append((min(members[i]), min(members[j]), float(best_cost)))
+    for _ in range(n - n_clusters):
+        i, j = divmod(int(np.argmin(dist)), n)
+        cost = dist[i, j]
+        if not np.isfinite(cost):
+            raise ComputationError(f"non-finite linkage distance {cost}")
         ni, nj = sizes[i], sizes[j]
-        for k in active:
-            if k in (i, j):
-                continue
-            if linkage == "average":
-                updated = (ni * dist[k, i] + nj * dist[k, j]) / (ni + nj)
-            elif linkage == "complete":
-                updated = max(dist[k, i], dist[k, j])
-            else:  # ward on squared distances
-                nk = sizes[k]
-                updated = (
-                    (ni + nk) * dist[k, i]
-                    + (nj + nk) * dist[k, j]
-                    - nk * dist[i, j]
-                ) / (ni + nj + nk)
-            dist[i, k] = dist[k, i] = updated
-        dist[j, :] = np.inf
+        if linkage == "average":
+            row = (ni * dist[i] + nj * dist[j]) / (ni + nj)
+        elif linkage == "complete":
+            row = np.maximum(dist[i], dist[j])
+        else:  # ward on squared distances
+            row = (
+                (ni + sizes) * dist[i] + (nj + sizes) * dist[j] - sizes * cost
+            ) / (ni + nj + sizes)
+        row[i] = np.inf
+        dist[i] = row
+        dist[:, i] = row
+        dist[j] = np.inf
         dist[:, j] = np.inf
         sizes[i] = ni + nj
-        members[i].extend(members[j])
-        del sizes[j], members[j]
-        active.remove(j)
-
-    ordered = sorted(active, key=lambda c: min(members[c]))
-    labels = np.empty(n, dtype=np.int64)
-    for label, cluster in enumerate(ordered):
-        for row in members[cluster]:
-            labels[row] = label
-    return labels, merges
-
-
-def feature_agglomeration(
-    X: np.ndarray,
-    n_features_out: int,
-    linkage: str = "average",
-    metric: str = "euclidean",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce width by merging similar columns and averaging each group.
-
-    Returns (reduced, feature_labels); output columns are ordered by each
-    group's smallest original column index.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    feature_labels, _ = agglomerative(X.T, n_features_out, linkage, metric)
-    reduced = np.empty((X.shape[0], n_features_out), dtype=np.float64)
-    for label in range(n_features_out):
-        reduced[:, label] = X[:, feature_labels == label].mean(axis=1)
-    return reduced, feature_labels
+        merges.append((i, j, float(cost)))
+    return _cut(merges, n, n_clusters), merges
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +517,11 @@ def cluster_sweep(
         except RankDeficiencyError:
             continue
         for method in methods:
+            if method == "agglomerative":
+                # one merge history, cut at each count
+                valid = [count for count in cluster_counts if count <= X.shape[0]]
+                if valid:
+                    _, merges = agglomerative(reduced, min(valid))
             for count in cluster_counts:
                 if count > X.shape[0]:
                     continue
@@ -539,7 +529,7 @@ def cluster_sweep(
                     labels = kmeans(reduced, count, seed=seed,
                                     n_init=n_init).labels
                 elif method == "agglomerative":
-                    labels, _ = agglomerative(reduced, count)
+                    labels = _cut(merges, X.shape[0], count)
                 elif method == "spectral":
                     try:
                         labels = spectral_cluster(

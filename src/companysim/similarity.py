@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
 import re
@@ -26,6 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .cluster import _unit_rows
 from .embeddings import EmbeddingMatrix
 from .errors import (
     DataValidationError,
@@ -244,16 +244,6 @@ def save_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
 # Core math
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVectorError("cosine similarity undefined for zero vectors")
-    return float(a @ b) / (norm_a * norm_b)
-
-
 def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -364,15 +354,6 @@ def _pair_correlations(
     return rho
 
 
-def _unit_rows(matrix: EmbeddingMatrix) -> np.ndarray:
-    rows = matrix.matrix.astype(np.float64)
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0.0):
-        bad = [matrix.ids[i] for i in np.flatnonzero(norms == 0.0)]
-        raise ZeroVectorError(f"zero embedding rows for {bad[:5]}")
-    return rows / norms[:, None]
-
-
 def top_k_peers(
     matrix: EmbeddingMatrix, k: int
 ) -> dict[str, list[tuple[str, float]]]:
@@ -383,7 +364,7 @@ def top_k_peers(
     are one matrix-vector product."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    unit = _unit_rows(matrix)
+    unit = _unit_rows(matrix.matrix, matrix.ids)
     ids = matrix.ids
     rank = np.empty(len(ids), dtype=np.int64)
     rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
@@ -556,12 +537,6 @@ def gics_baseline_correlation(
     return _score_peer_sets(peer_sets, panel, use_years, min_overlap, k=None)
 
 
-def save_correlation_report(report: CorrelationReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Sector outlier scores
 
@@ -579,7 +554,7 @@ def sector_outlier_scores(
     sectors = sorted({sector_labels[i] for i in ids})
     if len(sectors) < 2:
         raise DataValidationError("outlier scores need at least 2 sectors")
-    unit = _unit_rows(matrix)
+    unit = _unit_rows(matrix.matrix, matrix.ids)
     centroids = {}
     for sector in sectors:
         rows = [matrix.index(i) for i in ids if sector_labels[i] == sector]

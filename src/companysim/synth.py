@@ -199,13 +199,21 @@ def make_synthetic_corpus(
     n_industry = max(1, round(words_per_description * INDUSTRY_SHARE))
     n_sector = max(1, round(words_per_description * SECTOR_SHARE))
     n_filler = max(1, words_per_description - n_industry - n_sector)
+    # vocabularies as arrays once; rng.choice would convert a list per call
+    industry_vocab = {
+        industry: np.array(words)
+        for vocabularies in SECTOR_INDUSTRIES.values()
+        for industry, words in vocabularies.items()
+    }
+    sector_vocab = {sector: np.array(words) for sector, words in SECTOR_VOCAB.items()}
+    filler_vocab = np.array(FILLER_VOCAB)
     records = []
     for i in range(n_companies):
         sector, industry = industries[i % len(industries)]
         words = np.concatenate([
-            rng.choice(SECTOR_INDUSTRIES[sector][industry], size=n_industry),
-            rng.choice(SECTOR_VOCAB[sector], size=n_sector),
-            rng.choice(FILLER_VOCAB, size=n_filler),
+            rng.choice(industry_vocab[industry], size=n_industry),
+            rng.choice(sector_vocab[sector], size=n_sector),
+            rng.choice(filler_vocab, size=n_filler),
         ])
         rng.shuffle(words)
         words = words.tolist()  # joining numpy str_ items is ~2x slower

@@ -5,10 +5,11 @@ import pytest
 
 from companysim.cluster import (
     ClusterAssignment,
+    _cut,
+    _initial_distances,
     agglomerative,
     cluster_quality,
     cluster_sweep,
-    feature_agglomeration,
     kmeans,
     knn_affinity,
     pca,
@@ -18,7 +19,12 @@ from companysim.cluster import (
     spectral_cluster,
     spectral_embedding,
 )
-from companysim.errors import ConfigError, RankDeficiencyError
+from companysim.errors import (
+    ComputationError,
+    ConfigError,
+    RankDeficiencyError,
+    ZeroVectorError,
+)
 
 
 def _blobs(rng, centers, per=20, scale=0.3):
@@ -211,17 +217,147 @@ def test_agglomerative_ward_requires_euclidean():
         agglomerative(np.zeros((4, 2)), 2, linkage="ward", metric="cosine")
 
 
-def test_feature_agglomeration_merges_duplicate_columns():
-    rng = np.random.default_rng(20)
-    base = rng.normal(size=(30, 2))
-    X = np.hstack([base[:, [0]], base[:, [0]], base[:, [1]], base[:, [1]]])
-    X += 1e-6 * rng.normal(size=X.shape)
-    reduced, feature_labels = feature_agglomeration(X, 2)
-    assert reduced.shape == (30, 2)
-    assert feature_labels[0] == feature_labels[1]
-    assert feature_labels[2] == feature_labels[3]
-    assert feature_labels[0] != feature_labels[2]
-    assert np.allclose(reduced[:, 0], X[:, :2].mean(axis=1))
+# Reference: the pair-search loop agglomerative used to be, kept verbatim,
+# fed the distance matrix whose lower triangle is copied from its upper one.
+
+
+def _reference_distances(X, linkage, metric):
+    def unit_rows(X):
+        return X / np.linalg.norm(X, axis=1)[:, None]
+
+    if linkage == "ward":
+        diff2 = (
+            np.sum(X**2, axis=1)[:, None]
+            - 2.0 * (X @ X.T)
+            + np.sum(X**2, axis=1)[None, :]
+        )
+        dist = np.clip(diff2, 0.0, None)
+    elif metric == "euclidean":
+        diff2 = (
+            np.sum(X**2, axis=1)[:, None]
+            - 2.0 * (X @ X.T)
+            + np.sum(X**2, axis=1)[None, :]
+        )
+        dist = np.sqrt(np.clip(diff2, 0.0, None))
+    else:
+        dist = 1.0 - unit_rows(X) @ unit_rows(X).T
+    lower = np.tril_indices(X.shape[0], -1)
+    dist[lower] = dist.T[lower]
+    return dist
+
+
+def _reference_agglomerative(X, n_clusters, linkage, metric):
+    n = X.shape[0]
+    dist = _reference_distances(X, linkage, metric)
+    np.fill_diagonal(dist, np.inf)
+    active = list(range(n))
+    sizes = {i: 1 for i in range(n)}
+    members = {i: [i] for i in range(n)}
+    merges = []
+
+    while len(active) > n_clusters:
+        best_pair = None
+        best_cost = np.inf
+        for a_pos, i in enumerate(active):
+            for j in active[a_pos + 1:]:
+                cost = dist[i, j]
+                if cost < best_cost:
+                    best_cost = cost
+                    best_pair = (i, j)
+        assert best_pair is not None
+        i, j = best_pair
+        merges.append((min(members[i]), min(members[j]), float(best_cost)))
+        ni, nj = sizes[i], sizes[j]
+        for k in active:
+            if k in (i, j):
+                continue
+            if linkage == "average":
+                updated = (ni * dist[k, i] + nj * dist[k, j]) / (ni + nj)
+            elif linkage == "complete":
+                updated = max(dist[k, i], dist[k, j])
+            else:  # ward on squared distances
+                nk = sizes[k]
+                updated = (
+                    (ni + nk) * dist[k, i]
+                    + (nj + nk) * dist[k, j]
+                    - nk * dist[i, j]
+                ) / (ni + nj + nk)
+            dist[i, k] = dist[k, i] = updated
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
+        sizes[i] = ni + nj
+        members[i].extend(members[j])
+        del sizes[j], members[j]
+        active.remove(j)
+
+    ordered = sorted(active, key=lambda c: min(members[c]))
+    labels = np.empty(n, dtype=np.int64)
+    for label, cluster in enumerate(ordered):
+        for row in members[cluster]:
+            labels[row] = label
+    return labels, merges
+
+
+_LINKAGE_METRICS = [
+    ("average", "euclidean"), ("average", "cosine"),
+    ("complete", "euclidean"), ("complete", "cosine"),
+    ("ward", "euclidean"),
+]
+
+
+def _oracle_inputs(rng):
+    """Seeded inputs: gaussian rows, and small integer grids whose
+    duplicate points and equal distances make many exact cost ties."""
+    for _ in range(8):
+        n = int(rng.integers(2, 30))
+        yield rng.normal(size=(n, int(rng.integers(1, 6))))
+        grid = rng.integers(1, 4, size=(n, int(rng.integers(1, 4))))
+        yield grid.astype(np.float64)
+
+
+@pytest.mark.parametrize("linkage,metric", _LINKAGE_METRICS)
+def test_agglomerative_equals_reference_loop(linkage, metric):
+    rng = np.random.default_rng(31)
+    for X in _oracle_inputs(rng):
+        reference = _reference_distances(X, linkage, metric)
+        np.fill_diagonal(reference, np.inf)
+        assert np.array_equal(_initial_distances(X, linkage, metric), reference)
+        n_clusters = int(rng.integers(1, X.shape[0] + 1))
+        labels, merges = agglomerative(X, n_clusters, linkage, metric)
+        ref_labels, ref_merges = _reference_agglomerative(
+            X, n_clusters, linkage, metric
+        )
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, ref_labels)
+        assert merges == ref_merges
+
+
+@pytest.mark.parametrize("linkage,metric", _LINKAGE_METRICS)
+def test_cut_of_one_history_equals_fresh_runs(linkage, metric):
+    rng = np.random.default_rng(32)
+    for X in _oracle_inputs(rng):
+        n = X.shape[0]
+        _, merges = agglomerative(X, 1, linkage, metric)
+        for k in sorted({1, 2, n // 3 + 1, n // 2 + 1, n}):
+            labels, fresh = agglomerative(X, k, linkage, metric)
+            assert merges[:n - k] == fresh
+            assert np.array_equal(_cut(merges, n, k), labels)
+
+
+def test_agglomerative_ties_merge_smallest_pair_first():
+    # four copies of one point: every pair costs 0, so the merges chain
+    # into slot 0 in index order; the far point joins last
+    X = np.array([[0.0], [5.0], [0.0], [0.0], [0.0]])
+    _, merges = agglomerative(X, 1, linkage="complete")
+    assert [(i, j) for i, j, _ in merges] == [(0, 2), (0, 3), (0, 4), (0, 1)]
+    labels, _ = agglomerative(X, 2, linkage="complete")
+    assert labels.tolist() == [0, 1, 0, 0, 0]
+
+
+def test_agglomerative_rejects_non_finite_distances():
+    X = np.array([[0.0, 1.0], [np.nan, 1.0], [2.0, 2.0]])
+    with pytest.raises(ComputationError):
+        agglomerative(X, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +372,14 @@ def test_knn_affinity_symmetric_nonnegative():
     assert np.all(W >= 0)
     assert np.all(np.diag(W) == 0)
     assert np.all((W > 0).sum(axis=1) >= 5)
+
+
+def test_zero_row_raises_from_knn_affinity_and_cosine_linkage():
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ZeroVectorError, match=r"\[2\]"):
+        knn_affinity(X, 2)
+    with pytest.raises(ZeroVectorError, match=r"\[2\]"):
+        agglomerative(X, 2, metric="cosine")
 
 
 def test_spectral_embedding_constant_first_eigenvector_dropped():
@@ -342,6 +486,28 @@ def test_cluster_sweep_grid_and_skips():
     # well-separated blobs at the true count should agree almost perfectly
     best = [r for r in rows if r["method"] == "kmeans" and r["n_clusters"] == 3]
     assert all(r["v_measure"] > 0.95 for r in best)
+
+
+def test_cluster_sweep_agglomerative_rows_equal_per_count_runs():
+    rng = np.random.default_rng(12)
+    X, labels = _blobs(rng, [[8.0, 1.0, 1.0, 1.0], [1.0, 8.0, 1.0, 1.0],
+                             [1.0, 1.0, 8.0, 1.0]], per=10, scale=2.0)
+    counts = (25, 3, 7, 100, 12)
+    rows = cluster_sweep(X, labels, methods=("agglomerative",),
+                         cluster_counts=counts, reduced_dims=(2, 3))
+    expected = []
+    for r in (2, 3):
+        reduced, _, _ = pca(X, r)
+        for count in counts[:3] + counts[4:]:
+            fresh, _ = agglomerative(reduced, count)
+            q = cluster_quality(labels, fresh.tolist())
+            expected.append(("agglomerative", count, r, q.homogeneity,
+                             q.completeness, q.v_measure))
+    assert [
+        (row["method"], row["n_clusters"], row["reduced_dim"],
+         row["homogeneity"], row["completeness"], row["v_measure"])
+        for row in rows
+    ] == expected
 
 
 def test_cluster_sweep_validates_alignment():

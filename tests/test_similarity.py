@@ -15,7 +15,6 @@ from companysim.errors import (
 from companysim.similarity import (
     ReturnPanel,
     avg_peer_correlation,
-    cosine_similarity,
     gics_baseline_correlation,
     load_returns_csv,
     pairwise_return_correlation,
@@ -117,11 +116,17 @@ def _random_universe(rng, n_companies, n_days=80, dim=5, year=2021):
 # Unit tests
 
 
-def test_cosine_similarity_basics():
-    assert math.isclose(cosine_similarity([1, 0], [0, 1]), 0.0, abs_tol=1e-15)
-    assert math.isclose(cosine_similarity([1, 1], [2, 2]), 1.0, rel_tol=1e-12)
-    with pytest.raises(ZeroVectorError):
-        cosine_similarity([0, 0], [1, 2])
+def test_zero_embedding_row_raises_naming_the_company():
+    matrix = EmbeddingMatrix(
+        ids=["a", "b", "c"],
+        matrix=np.array([[1, 0], [0, 0], [0, 1]], dtype=np.float32),
+        provider_id="t",
+        context_budget=512,
+    )
+    with pytest.raises(ZeroVectorError, match="'b'"):
+        top_k_peers(matrix, 1)
+    with pytest.raises(ZeroVectorError, match="'b'"):
+        sector_outlier_scores(matrix, {"a": "x", "b": "x", "c": "y"})
 
 
 def test_pearson_correlation_against_numpy():
