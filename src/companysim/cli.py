@@ -52,6 +52,7 @@ from .cluster import (
 )
 from .config import RunConfig, config_hash, load_config
 from .corpus import (
+    GICS_LEVELS,
     Corpus,
     CompanyRecord,
     GicsHierarchy,
@@ -82,9 +83,7 @@ from .textprep import ChunkingConfig, clean_text, tokenize, truncate
 
 logger = logging.getLogger(__name__)
 
-LABELS_HEADER = [
-    "company_id", "name", "sector", "industry_group", "industry", "sub_industry",
-]
+LABELS_HEADER = ["company_id", "name", *GICS_LEVELS]
 
 
 def _chunking(cfg: RunConfig) -> ChunkingConfig:
@@ -138,6 +137,15 @@ def _write_json(payload: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")
+
+
+def _has_gics_inputs(args) -> bool:
+    """Whether ``--corpus`` and ``--hierarchy`` were both given; either one
+    alone is a ConfigError naming the missing flag."""
+    for given, missing in (("corpus", "hierarchy"), ("hierarchy", "corpus")):
+        if getattr(args, given) and not getattr(args, missing):
+            raise ConfigError(f"--{given} needs --{missing}")
+    return bool(args.corpus)
 
 
 def _say(args, message: str) -> None:
@@ -285,6 +293,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
 
 
 def cmd_peers(args, cfg: RunConfig) -> int:
+    with_gics = _has_gics_inputs(args)
     matrix = cache_io.load_cache(args.cache)
     panel = load_returns_csv(args.returns)
     years = list(cfg.peers.years) if cfg.peers.years is not None else None
@@ -298,7 +307,7 @@ def cmd_peers(args, cfg: RunConfig) -> int:
         "baseline": None,
         "margin": None,
     }
-    if args.corpus and args.hierarchy:
+    if with_gics:
         corpus = load_corpus(args.corpus, args.hierarchy)
         level_labels = corpus.gics_labels(cfg.peers.baseline_level)
         labels = {i: level_labels[i] for i in corpus.ids() if i in matrix}
@@ -353,6 +362,9 @@ def _reduced_features(matrix: EmbeddingMatrix, cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_cluster(args, cfg: RunConfig) -> int:
+    with_gics = _has_gics_inputs(args)
+    if args.sweep_out and not with_gics:
+        raise ConfigError("--sweep-out needs --corpus and --hierarchy")
     matrix = cache_io.load_cache(args.cache)
     c = cfg.cluster
     X = _reduced_features(matrix, cfg)
@@ -393,8 +405,7 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
         "meta": {k: v for k, v in meta.items() if v is not None},
         "quality": None,
     }
-    level_labels: dict[str, str] | None = None
-    if args.corpus and args.hierarchy:
+    if with_gics:
         corpus = load_corpus(args.corpus, args.hierarchy)
         level_labels = corpus.gics_labels(args.labels_level)
         aligned = [level_labels[i] for i in matrix.ids if i in level_labels]
@@ -407,8 +418,6 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
     if args.quality_out:
         _write_json(quality_payload, args.quality_out)
     if args.sweep_out:
-        if level_labels is None:
-            raise ConfigError("--sweep-out needs --corpus and --hierarchy")
         keep = [i for i in matrix.ids if i in level_labels]
         sub = matrix.subset(keep)
         rows = cluster_sweep(
@@ -644,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None)
     p.add_argument("--hierarchy", default=None)
     p.add_argument("--labels-level", default="sector",
-                   choices=["sector", "industry_group", "industry", "sub_industry"])
+                   choices=GICS_LEVELS)
     p.add_argument("--sweep-out", default=None,
                    help="CSV grid over methods, cluster counts, and PCA dims "
                         "(needs --corpus/--hierarchy)")

@@ -578,7 +578,7 @@ def save_assignment(assignment: ClusterAssignment, path: str | Path) -> None:
 
 
 def load_assignment(path: str | Path, method: str = "loaded") -> ClusterAssignment:
-    ids: list[str] = []
+    first_line: dict[str, int] = {}
     labels: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -598,12 +598,17 @@ def load_assignment(path: str | Path, method: str = "loaded") -> ClusterAssignme
                 ) from None
             if label < 0:
                 raise DataValidationError(f"line {line_no}: negative cluster label")
-            ids.append(row[0])
+            if row[0] in first_line:
+                raise DataValidationError(
+                    f"line {line_no}: duplicate company id {row[0]!r} "
+                    f"(first seen on line {first_line[row[0]]})"
+                )
+            first_line[row[0]] = line_no
             labels.append(label)
-    if not ids:
+    if not labels:
         raise DataValidationError(f"no assignments in {path}")
     return ClusterAssignment(
-        ids=ids,
+        ids=list(first_line),
         labels=np.array(labels, dtype=np.int64),
         n_clusters=max(labels) + 1,
         method=method,

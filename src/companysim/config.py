@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .corpus import GICS_LEVELS
 from .errors import ConfigError
 
-GICS_LEVEL_CHOICES = ("sector", "industry_group", "industry", "sub_industry")
 PROVIDER_CHOICES = ("hash-bow", "tfidf", "tfidf-rp", "remote")
 CONTEXT_BUDGET_CHOICES = (512, 1024, 1536)
 
@@ -96,8 +96,8 @@ class ClassifyConfig:
 
     def __post_init__(self) -> None:
         _require_int_fields(self, "classify")
-        _require(self.level in GICS_LEVEL_CHOICES,
-                 f"classify.level must be one of {GICS_LEVEL_CHOICES}")
+        _require(self.level in GICS_LEVELS,
+                 f"classify.level must be one of {GICS_LEVELS}")
         _require(self.l2_penalty >= 0, "classify.l2_penalty must be >= 0")
         _require(self.max_iter >= 1, "classify.max_iter must be >= 1")
         _require(self.tol > 0, "classify.tol must be > 0")
@@ -116,8 +116,8 @@ class PeersConfig:
         _require_int_fields(self, "peers")
         _require(self.k >= 1, "peers.k must be >= 1")
         _require(self.min_overlap >= 2, "peers.min_overlap must be >= 2")
-        _require(self.baseline_level in GICS_LEVEL_CHOICES,
-                 f"peers.baseline_level must be one of {GICS_LEVEL_CHOICES}")
+        _require(self.baseline_level in GICS_LEVELS,
+                 f"peers.baseline_level must be one of {GICS_LEVELS}")
         if self.years is not None:
             _require(isinstance(self.years, (list, tuple))
                      and all(_is_int(y) for y in self.years),

@@ -140,7 +140,7 @@ class GicsHierarchy:
         expect_sector = self._group_parent[gics.industry_group]
         if gics.sector != expect_sector:
             raise HierarchyError(
-                f"industry {gics.industry!r} belongs to sector "
+                f"industry_group {gics.industry_group!r} belongs to sector "
                 f"{expect_sector!r}, not {gics.sector!r}"
             )
 
@@ -151,7 +151,6 @@ class Corpus:
 
     records: list[CompanyRecord]
     hierarchy: GicsHierarchy
-    fiscal_year: int = 0
 
     def __post_init__(self):
         self.records = sorted(self.records, key=lambda r: r.company_id)
@@ -183,7 +182,6 @@ class Corpus:
         return Corpus(
             [r for r in self.records if r.company_id in wanted],
             self.hierarchy,
-            self.fiscal_year,
         )
 
 
@@ -205,7 +203,6 @@ class PairExample:
 def load_corpus(
     path: str | Path,
     hierarchy_path: str | Path,
-    fiscal_year: int = 0,
     min_description_chars: int = 1,
 ) -> Corpus:
     """Load and validate a JSONL corpus against a hierarchy table.
@@ -268,7 +265,7 @@ def load_corpus(
                     raw_filing_path=raw.get("raw_filing_path"),
                 )
             )
-    return Corpus(records, hierarchy, fiscal_year)
+    return Corpus(records, hierarchy)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -20,7 +20,10 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
+from operator import add
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,14 +49,30 @@ class ReturnPanel:
 
     ``ids`` and ``dates`` are sorted; ``values[i, j]`` is company ``i``'s
     return on ``dates[j]`` where ``mask[i, j]`` is set, and 0.0 elsewhere.
-    ``series`` holds the same data keyed company -> date -> value. Each
-    form is derived from the other only when it is first read: the
-    loader's panel has no ``series`` until asked, and a panel built from
-    ``series`` (kept, not copied) no arrays.
+    These four are the panel's only state. ``ReturnPanel(series)`` copies
+    a company -> date -> value mapping into them, so later edits to the
+    mapping do not reach the panel; ``from_arrays`` takes them as they
+    are. ``series`` is a read-only company -> date -> value view of the
+    observed cells, built from the arrays when first read.
     """
 
     def __init__(self, series: Mapping[str, Mapping[str, float]]):
-        self.series = series
+        ids = sorted(series)
+        rows = [series[company_id] for company_id in ids]
+        dates = sorted(set().union(*rows))
+        column = dict(zip(dates, range(len(dates))))
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        r = np.repeat(np.arange(len(ids)), counts)
+        c = np.fromiter(map(column.__getitem__, chain.from_iterable(rows)),
+                        dtype=np.int64, count=r.size)
+        values = np.zeros((len(ids), len(dates)))
+        values[r, c] = np.fromiter(
+            chain.from_iterable([obs.values() for obs in rows]),
+            dtype=np.float64, count=r.size,
+        )
+        mask = np.zeros(values.shape, dtype=bool)
+        mask[r, c] = True
+        self.ids, self.dates, self.values, self.mask = ids, dates, values, mask
 
     @classmethod
     def from_arrays(
@@ -64,46 +83,17 @@ class ReturnPanel:
         mask: np.ndarray,
     ) -> "ReturnPanel":
         panel = cls.__new__(cls)
-        panel.ids, panel.dates, panel._grid = ids, dates, (values, mask)
+        panel.ids, panel.dates, panel.values, panel.mask = ids, dates, values, mask
         return panel
 
     @cached_property
-    def series(self) -> dict[str, dict[str, float]]:
-        out = {}
-        for i, company_id in enumerate(self.ids):
-            row = self.values[i].tolist()
-            out[company_id] = {
-                self.dates[j]: row[j] for j in np.flatnonzero(self.mask[i]).tolist()
-            }
-        return out
-
-    @cached_property
-    def ids(self) -> list[str]:
-        return sorted(self.series)
-
-    @cached_property
-    def dates(self) -> list[str]:
-        return sorted({date for obs in self.series.values() for date in obs})
-
-    @cached_property
-    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
-        column = {date: j for j, date in enumerate(self.dates)}
-        values = np.zeros((len(self.ids), len(self.dates)))
-        mask = np.zeros(values.shape, dtype=bool)
-        for i, company_id in enumerate(self.ids):
-            obs = self.series[company_id]
-            cols = [column[date] for date in obs]
-            values[i, cols] = list(obs.values())
-            mask[i, cols] = True
-        return values, mask
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._grid[0]
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self._grid[1]
+    def series(self) -> Mapping[str, Mapping[str, float]]:
+        view = {}
+        for company_id, row, seen in zip(self.ids, self.values, self.mask):
+            view[company_id] = MappingProxyType(
+                dict(zip(compress(self.dates, seen.tolist()), row[seen].tolist()))
+            )
+        return MappingProxyType(view)
 
     def companies(self) -> list[str]:
         return list(self.ids)
@@ -207,37 +197,37 @@ def _check_duplicates(
         )
 
 
-class _CsvFields(dict):
-    """text -> the field as ``csv.writer(lineterminator="\\n")`` writes it,
-    found once per text by that writer. Its line terminator must be the
-    file's: it decides whether ``\\r`` and ``\\n`` get quoted."""
-
-    def __init__(self):
-        self._buf = io.StringIO()
-        self._writer = csv.writer(self._buf, lineterminator="\n")
-
-    def __missing__(self, text: str) -> str:
-        self._buf.seek(0)
-        self._buf.truncate()
+def _csv_fields(texts: Sequence[str]) -> list[str]:
+    """Each text as ``csv.writer(lineterminator="\\n")`` writes it as a
+    field. That line terminator must be the file's: it decides whether
+    ``\\r`` and ``\\n`` get quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
         # with a second, empty field an empty text stays unquoted, as in the
         # file's rows; then strip that field's ",\n"
-        self._writer.writerow([text, ""])
-        field = self[text] = self._buf.getvalue()[:-2]
-        return field
+        writer.writerow([text, ""])
+        fields.append(buf.getvalue()[:-2])
+    return fields
 
 
 def save_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
-    """Rows ``company_id,date,repr(value)``, byte for byte as ``csv.writer``
-    writes them (a float's repr never needs quoting), one write per company."""
-    fields = _CsvFields()
+    """Rows ``company_id,date,repr(value)`` for the observed cells, byte for
+    byte as ``csv.writer`` writes them (a float's repr never needs quoting),
+    one write per company."""
+    dates = [field + "," for field in _csv_fields(panel.dates)]
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(RETURNS_HEADER) + "\n")
-        for company_id in panel.companies():
-            obs = panel.series[company_id]
-            prefix = fields[company_id] + ","
-            f.write("".join([
-                f"{prefix}{fields[date]},{obs[date]!r}\n" for date in sorted(obs)
-            ]))
+        for prefix, row, seen in zip(_csv_fields(panel.ids), panel.values, panel.mask):
+            cells = list(map(
+                add, compress(dates, seen.tolist()), map(repr, row[seen].tolist())
+            ))
+            if cells:
+                prefix += ","
+                f.write(prefix + ("\n" + prefix).join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -285,11 +285,9 @@ def make_synthetic_returns(
         + industry_factor[:, industry_idx]
         + idio
     )
-    series = {
-        company_id: dict(zip(dates, column))
-        for company_id, column in zip(ids, returns.T.tolist())
-    }
-    return ReturnPanel(series)
+    values = np.ascontiguousarray(returns.T)
+    return ReturnPanel.from_arrays(
+        ids, dates, values, np.ones(values.shape, dtype=bool))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -229,6 +229,34 @@ def test_exit_code_data_error_on_bad_returns(workspace, tmp_path):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("command", ["peers", "cluster"])
+@pytest.mark.parametrize("given,missing", [("corpus", "hierarchy"),
+                                           ("hierarchy", "corpus")])
+def test_gics_inputs_need_each_other(workspace, tmp_path, caplog, command,
+                                     given, missing):
+    cache = tmp_path / "emb.bin"
+    run("embed", "--corpus", workspace / "corpus.jsonl",
+        "--hierarchy", workspace / "hierarchy.csv", "--out", cache)
+    inputs = {"corpus": "corpus.jsonl", "hierarchy": "hierarchy.csv"}
+    extra = {"peers": ["--returns", workspace / "returns.csv"],
+             "cluster": ["--quality-out", tmp_path / "q.json"]}
+    assert run(command, "--cache", cache, *extra[command],
+               f"--{given}", workspace / inputs[given],
+               "--out", tmp_path / "out") == 1
+    assert f"--{given} needs --{missing}" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_attribute_rejects_a_repeated_company(workspace, tmp_path, caplog):
+    assignment = tmp_path / "clusters.csv"
+    assignment.write_text("company_id,cluster\nC0000,0\nC0001,1\nC0000,1\n")
+    assert run("attribute", "--assignment", assignment,
+               "--returns", workspace / "returns.csv",
+               "--out", tmp_path / "attr.json") == 2
+    assert "line 4: duplicate company id 'C0000' (first seen on line 2)" in caplog.text
+    assert not (tmp_path / "attr.json").exists()
+
+
 def test_peers_top_out_lists_the_scored_peers(workspace, tmp_path):
     cache = tmp_path / "emb.bin"
     run("embed", "--corpus", workspace / "corpus.jsonl",

@@ -12,6 +12,7 @@ from companysim.cluster import (
     cluster_sweep,
     kmeans,
     knn_affinity,
+    load_assignment,
     pca,
     random_cluster_assignment,
     reduce_dims,
@@ -22,6 +23,7 @@ from companysim.cluster import (
 from companysim.errors import (
     ComputationError,
     ConfigError,
+    DataValidationError,
     RankDeficiencyError,
     ZeroVectorError,
 )
@@ -458,6 +460,18 @@ def test_assignment_validates_labels():
         ClusterAssignment(["a", "b"], np.array([0, 5]), 2, "m")
     with pytest.raises(ValueError):
         ClusterAssignment(["a"], np.array([0, 1]), 2, "m")
+
+
+def test_load_assignment_rejects_a_repeated_company(tmp_path):
+    path = tmp_path / "clusters.csv"
+    path.write_text("company_id,cluster\na,0\nb,1\nc,1\nb,0\n")
+    with pytest.raises(DataValidationError,
+                       match="line 5: duplicate company id 'b' \\(first seen on line 3\\)"):
+        load_assignment(path)
+    path.write_text("company_id,cluster\na,0\nb,1\nc,1\n")
+    loaded = load_assignment(path)
+    assert loaded.ids == ["a", "b", "c"]
+    assert loaded.labels.tolist() == [0, 1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,20 @@ def test_hierarchy_validate_labels_chain(small_corpus):
         h.validate_labels(GicsLabels("Energy", "Energy Group", "Oil Drilling", "Nope"))
 
 
+def test_hierarchy_mismatch_names_the_level_that_disagrees():
+    h = GicsHierarchy([("Energy", "Energy Group", "Oil Drilling", "Oil Core")])
+    with pytest.raises(HierarchyError, match=(
+            "sub_industry 'Oil Core' belongs to industry 'Oil Drilling', not 'X'")):
+        h.validate_labels(GicsLabels("Energy", "Energy Group", "X", "Oil Core"))
+    with pytest.raises(HierarchyError, match=(
+            "industry 'Oil Drilling' belongs to industry_group 'Energy Group', "
+            "not 'X'")):
+        h.validate_labels(GicsLabels("Energy", "X", "Oil Drilling", "Oil Core"))
+    with pytest.raises(HierarchyError, match=(
+            "industry_group 'Energy Group' belongs to sector 'Energy', not 'X'")):
+        h.validate_labels(GicsLabels("X", "Energy Group", "Oil Drilling", "Oil Core"))
+
+
 def test_hierarchy_csv_round_trip(tmp_path):
     h = synthetic_hierarchy()
     path = tmp_path / "h.csv"

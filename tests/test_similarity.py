@@ -547,6 +547,55 @@ def test_loaded_panel_is_dense_and_sorted(tmp_path):
     assert panel.years() == [2020]
 
 
+def test_panel_copies_its_mapping_into_the_arrays():
+    rng = np.random.default_rng(6)
+    series = _gappy_series(rng, 8, min_overlap=20)
+    panel = ReturnPanel(series)
+    ids = sorted(series)
+    dates = sorted({date for obs in series.values() for date in obs})
+    assert panel.ids == ids
+    assert panel.dates == dates
+    for i, company_id in enumerate(ids):
+        for j, date in enumerate(dates):
+            assert panel.mask[i, j] == (date in series[company_id])
+            assert panel.values[i, j] == series[company_id].get(date, 0.0)
+    values, mask = panel.values.copy(), panel.mask.copy()
+    before = {company_id: dict(obs) for company_id, obs in series.items()}
+    series["edge_a"][dates[0]] = 9.0
+    del series["flat"][dates[1]]
+    series["late"] = {dates[2]: 1.0}
+    assert np.array_equal(panel.values, values)
+    assert np.array_equal(panel.mask, mask)
+    assert panel.series == before
+    rebuilt = ReturnPanel(panel.series)
+    assert rebuilt.ids == panel.ids and rebuilt.dates == panel.dates
+    assert np.array_equal(rebuilt.values, values)
+    assert np.array_equal(rebuilt.mask, mask)
+
+
+def test_panel_series_is_a_read_only_view():
+    panel = ReturnPanel({"a": {"2020-01-02": 0.5}})
+    with pytest.raises(TypeError):
+        panel.series["a"]["2020-01-02"] = 1.0
+    with pytest.raises(TypeError):
+        panel.series["b"] = {}
+    assert panel.values.tolist() == [[0.5]]
+
+
+def test_numpy_scalar_returns_round_trip_through_the_csv(tmp_path):
+    panel = ReturnPanel({
+        "a": {"2020-01-02": np.float64(0.1), "2020-01-03": np.float32(0.1)},
+        "b": {"2020-01-03": np.float64(-5e-324), "2020-01-06": np.int64(2)},
+    })
+    path = tmp_path / "r.csv"
+    save_returns_csv(panel, path)
+    loaded = load_returns_csv(path)
+    assert loaded.ids == panel.ids
+    assert loaded.dates == panel.dates
+    assert np.array_equal(loaded.values, panel.values)
+    assert np.array_equal(loaded.mask, panel.mask)
+
+
 def _reference_save_returns_csv(panel, path):
     """The plain csv.writer form of the returns file, one row at a time."""
     with open(path, "w", encoding="utf-8", newline="") as f:
