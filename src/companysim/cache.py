@@ -119,6 +119,13 @@ def load_cache(path: str | Path) -> EmbeddingMatrix:
         raise CacheFormatError(
             f"id sidecar has {len(ids)} ids but cache declares {count} rows"
         )
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise CacheFormatError(
+            f"{bad.size} rows hold NaN or infinite values, first "
+            f"{ids[bad[0]]!r} (row {bad[0]})"
+        )
     return EmbeddingMatrix(
         ids=ids,
         matrix=rows.copy(),

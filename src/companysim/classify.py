@@ -50,6 +50,41 @@ def softmax_probs(X: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
     return np.exp(_log_softmax(X @ weights + bias))
 
 
+def _log_probs(params: np.ndarray, X: np.ndarray, n_classes: int) -> np.ndarray:
+    weights, bias = unpack_params(params, X.shape[1], n_classes)
+    return _log_softmax(X @ weights + bias)
+
+
+def _objective_from(
+    log_probs: np.ndarray,
+    params: np.ndarray,
+    X: np.ndarray,
+    y_index: np.ndarray,
+    n_classes: int,
+    l2_penalty: float,
+) -> float:
+    weights, _ = unpack_params(params, X.shape[1], n_classes)
+    nll = -float(np.mean(log_probs[np.arange(X.shape[0]), y_index]))
+    return nll + 0.5 * l2_penalty * float(np.sum(weights * weights))
+
+
+def _gradient_from(
+    log_probs: np.ndarray,
+    params: np.ndarray,
+    X: np.ndarray,
+    y_index: np.ndarray,
+    n_classes: int,
+    l2_penalty: float,
+) -> np.ndarray:
+    weights, _ = unpack_params(params, X.shape[1], n_classes)
+    probs = np.exp(log_probs)
+    probs[np.arange(X.shape[0]), y_index] -= 1.0
+    probs /= X.shape[0]
+    grad_weights = X.T @ probs + l2_penalty * weights
+    grad_bias = probs.sum(axis=0)
+    return pack_params(grad_weights, grad_bias)
+
+
 def objective(
     params: np.ndarray,
     X: np.ndarray,
@@ -58,10 +93,10 @@ def objective(
     l2_penalty: float,
 ) -> float:
     """Mean cross-entropy plus (l2/2)*||weights||^2; bias is not penalized."""
-    weights, bias = unpack_params(params, X.shape[1], n_classes)
-    log_probs = _log_softmax(X @ weights + bias)
-    nll = -float(np.mean(log_probs[np.arange(X.shape[0]), y_index]))
-    return nll + 0.5 * l2_penalty * float(np.sum(weights * weights))
+    return _objective_from(
+        _log_probs(params, X, n_classes), params, X, y_index, n_classes,
+        l2_penalty,
+    )
 
 
 def gradient(
@@ -71,13 +106,10 @@ def gradient(
     n_classes: int,
     l2_penalty: float,
 ) -> np.ndarray:
-    weights, bias = unpack_params(params, X.shape[1], n_classes)
-    probs = softmax_probs(X, weights, bias)
-    probs[np.arange(X.shape[0]), y_index] -= 1.0
-    probs /= X.shape[0]
-    grad_weights = X.T @ probs + l2_penalty * weights
-    grad_bias = probs.sum(axis=0)
-    return pack_params(grad_weights, grad_bias)
+    return _gradient_from(
+        _log_probs(params, X, n_classes), params, X, y_index, n_classes,
+        l2_penalty,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +166,18 @@ def fit_classifier(
     n_features, n_classes = X.shape[1], len(classes)
     params = np.zeros(n_features * n_classes + n_classes, dtype=np.float64)
 
+    # The log-softmax at the accepted point serves both the objective and
+    # the next gradient: the accepted candidate is the next iterate.
+    terms = (Xs, y_index, n_classes, l2_penalty)
     history: list[float] = []
     converged = False
     step = 1.0
-    value = objective(params, Xs, y_index, n_classes, l2_penalty)
+    log_probs = _log_probs(params, Xs, n_classes)
+    value = _objective_from(log_probs, params, *terms)
     history.append(value)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        grad = gradient(params, Xs, y_index, n_classes, l2_penalty)
+        grad = _gradient_from(log_probs, params, *terms)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= tol:
             converged = True
@@ -152,7 +188,8 @@ def fit_classifier(
         step = min(step * 2.0, 1e4)
         while True:
             candidate = params - step * grad
-            new_value = objective(candidate, Xs, y_index, n_classes, l2_penalty)
+            candidate_log_probs = _log_probs(candidate, Xs, n_classes)
+            new_value = _objective_from(candidate_log_probs, candidate, *terms)
             if new_value <= value - 1e-4 * step * descent:
                 break
             step *= 0.5
@@ -162,14 +199,13 @@ def fit_classifier(
             logger.warning("line search stalled at iteration %d", n_iter)
             n_iter -= 1
             break
-        params = params - step * grad
-        value = new_value
+        params, log_probs, value = candidate, candidate_log_probs, new_value
         history.append(value)
     else:
         n_iter = max_iter
     if not converged:
         final_grad = float(np.max(np.abs(
-            gradient(params, Xs, y_index, n_classes, l2_penalty))))
+            _gradient_from(log_probs, params, *terms))))
         converged = final_grad <= tol
 
     weights, bias = unpack_params(params, n_features, n_classes)

@@ -88,11 +88,28 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.clip(dist2, 0.0, None, out=dist2)
 
 
+def _symmetrize(A: np.ndarray, combine) -> None:
+    """Set ``A[i, j]`` and ``A[j, i]`` to ``combine(A[i, j], A[j, i])`` in
+    place, one block pair at a time, so the only temporaries are blocks.
+    ``combine`` must not depend on the order of its arguments."""
+    n, block = A.shape[0], 256
+    for lo in range(0, n, block):
+        for lo2 in range(lo, n, block):
+            upper = A[lo:lo + block, lo2:lo2 + block]
+            lower = A[lo2:lo2 + block, lo:lo + block]
+            merged = combine(upper, lower.T)
+            upper[...] = merged
+            lower[...] = merged.T
+
+
 def knn_affinity(X: np.ndarray, n_neighbors: int) -> np.ndarray:
     """Symmetric k-nearest-neighbor affinity from cosine similarity.
 
     Negative similarities are clipped to zero; the directed kNN graph is
     symmetrized with an elementwise max so the matrix stays an affinity.
+    Each row keeps its ``n_neighbors`` largest similarities (its own zero
+    diagonal included); among equal values the smallest column indices win.
+    Memory is the n x n result plus one partitioned copy of it.
     """
     unit = _unit_rows(X)
     n = unit.shape[0]
@@ -100,14 +117,43 @@ def knn_affinity(X: np.ndarray, n_neighbors: int) -> np.ndarray:
         raise ConfigError(
             f"n_neighbors must be in [1, {n - 1}], got {n_neighbors}"
         )
-    sims = np.clip(unit @ unit.T, 0.0, None)
+    sims = unit @ unit.T
+    np.clip(sims, 0.0, None, out=sims)
     np.fill_diagonal(sims, 0.0)
-    directed = np.zeros_like(sims)
-    for i in range(n):
-        order = np.lexsort((np.arange(n), -sims[i]))
-        keep = order[:n_neighbors]
-        directed[i, keep] = sims[i, keep]
-    return np.maximum(directed, directed.T)
+    kth = np.partition(sims, n - n_neighbors, axis=1)[:, n - n_neighbors].copy()
+    below = sims < kth[:, None]
+    n_kept = n - np.count_nonzero(below, axis=1)
+    sims[below] = 0.0
+    del below
+    # rows with more ties at their k-th value than places left for them
+    for i in np.flatnonzero(n_kept > n_neighbors):
+        row = sims[i]
+        ties = np.flatnonzero(row == kth[i])
+        places = n_neighbors - (n_kept[i] - ties.size)
+        row[ties[places:]] = 0.0
+    _symmetrize(sims, np.maximum)
+    return sims
+
+
+def _normalized_laplacian(W: np.ndarray) -> np.ndarray:
+    """``I - D^-1/2 W D^-1/2``, symmetrized as ``(L + L.T) / 2``, built in
+    W's own buffer (W is overwritten and returned)."""
+    degrees = W.sum(axis=1)
+    if np.any(degrees == 0.0):
+        isolated = np.flatnonzero(degrees == 0.0)[:5].tolist()
+        raise ComputationError(
+            f"affinity graph has isolated rows {isolated}; "
+            "increase n_neighbors or check for degenerate embeddings"
+        )
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    W *= inv_sqrt[:, None]
+    W *= inv_sqrt[None, :]
+    diagonal = 1.0 - W.diagonal()
+    # 0.0 - p rather than -p: an absent edge stays +0.0, as in I - P
+    np.subtract(0.0, W, out=W)
+    np.fill_diagonal(W, diagonal)
+    _symmetrize(W, lambda a, b: (a + b) / 2.0)
+    return W
 
 
 def spectral_embedding(
@@ -119,20 +165,20 @@ def spectral_embedding(
     """Eigenvectors of the symmetric normalized Laplacian of the kNN graph,
     smallest eigenvalues first. ``drop_first`` skips the near-constant
     leading eigenvector, which is the usual choice when the embedding is a
-    feature map rather than a clustering input.
+    feature map rather than a clustering input. Each column's sign makes
+    its largest-magnitude entry positive.
+
+    A kNN graph with c connected components has a c-dimensional null space
+    (eigenvalue 0, spanned by the components' indicator vectors), so when
+    the graph is disconnected the leading columns are an arbitrary basis of
+    that null space, not a canonical layout.
+
+    Memory is one n x n float64 matrix (the affinity, turned into the
+    Laplacian in place) plus what ``np.linalg.eigh`` needs: its n x n
+    eigenvectors and LAPACK's workspace.
     """
-    W = knn_affinity(X, n_neighbors)
-    degrees = W.sum(axis=1)
-    if np.any(degrees == 0.0):
-        isolated = np.flatnonzero(degrees == 0.0)[:5].tolist()
-        raise ComputationError(
-            f"affinity graph has isolated rows {isolated}; "
-            "increase n_neighbors or check for degenerate embeddings"
-        )
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    laplacian = np.eye(W.shape[0]) - (inv_sqrt[:, None] * W) * inv_sqrt[None, :]
-    laplacian = (laplacian + laplacian.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(laplacian)
+    laplacian = _normalized_laplacian(knn_affinity(X, n_neighbors))
+    _, eigvecs = np.linalg.eigh(laplacian)
     start = 1 if drop_first else 0
     if start + n_components > eigvecs.shape[1]:
         raise RankDeficiencyError(
@@ -195,36 +241,40 @@ def _kmeanspp_init(X: np.ndarray, n_clusters: int, rng: np.random.Generator) -> 
 def _lloyd(
     X: np.ndarray, centers: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
-    n_clusters = centers.shape[0]
-    labels = np.full(X.shape[0], -1, dtype=np.int64)
+    n, n_clusters = X.shape[0], centers.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         dist2 = _sq_dists(X, centers)
         new_labels = np.argmin(dist2, axis=1)
-        min_dist2 = dist2[np.arange(X.shape[0]), new_labels]
-        # Re-seed any emptied cluster from the point farthest from its center,
-        # so the requested cluster count survives.
-        reseeded = False
-        used = set()
-        for c in range(n_clusters):
-            if np.any(new_labels == c):
-                continue
-            order = np.argsort(-min_dist2, kind="stable")
-            pick = next(int(i) for i in order if int(i) not in used)
-            used.add(pick)
-            centers[c] = X[pick]
-            new_labels[pick] = c
-            min_dist2[pick] = 0.0
-            reseeded = True
+        min_dist2 = dist2[np.arange(n), new_labels]
+        counts = np.bincount(new_labels, minlength=n_clusters)
+        # Re-seed each emptied cluster, in cluster order, from the farthest
+        # point not yet picked, so the requested cluster count survives. A
+        # re-seed that empties a later cluster gets that one re-seeded too;
+        # an earlier one stays empty this round and keeps its center.
+        reseeded = not counts.all()
+        if reseeded:
+            farthest = iter(np.argsort(-min_dist2, kind="stable").tolist())
+            for c in range(n_clusters):
+                if counts[c]:
+                    continue
+                pick = next(farthest)
+                counts[new_labels[pick]] -= 1
+                counts[c] += 1
+                centers[c] = X[pick]
+                new_labels[pick] = c
+                min_dist2[pick] = 0.0
         history.append(float(min_dist2.sum()))
         if not reseeded and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(n_clusters):
-            members = labels == c
-            if np.any(members):
-                centers[c] = X[members].mean(axis=0)
+        # each cluster's members are one contiguous slice, in row order
+        grouped = X[np.argsort(labels, kind="stable")]
+        ends = np.cumsum(counts)
+        for c in np.flatnonzero(counts):
+            centers[c] = grouped[ends[c] - counts[c]:ends[c]].mean(axis=0)
     return labels, centers, history[-1], n_iter, history
 
 
@@ -366,6 +416,13 @@ def spectral_cluster(
     Laplacian eigenvectors (including the trivial one), normalize rows to
     the unit sphere, and k-means the result."""
     rows = spectral_embedding(X, n_clusters, n_neighbors, drop_first=False)
+    return _sphere_kmeans(rows, n_clusters, seed, n_init)
+
+
+def _sphere_kmeans(
+    rows: np.ndarray, n_clusters: int, seed: int, n_init: int
+) -> KMeansResult:
+    """k-means of ``rows`` scaled to unit norm (zero rows stay zero)."""
     norms = np.linalg.norm(rows, axis=1)
     norms[norms == 0.0] = 1.0
     return kmeans(rows / norms[:, None], n_clusters, seed=seed, n_init=n_init)
@@ -516,28 +573,29 @@ def cluster_sweep(
             reduced, _, _ = pca(X, r)
         except RankDeficiencyError:
             continue
+        valid = [count for count in cluster_counts if count <= X.shape[0]]
         for method in methods:
-            if method == "agglomerative":
-                # one merge history, cut at each count
-                valid = [count for count in cluster_counts if count <= X.shape[0]]
-                if valid:
-                    _, merges = agglomerative(reduced, min(valid))
-            for count in cluster_counts:
-                if count > X.shape[0]:
+            # one merge history, cut at each count
+            if method == "agglomerative" and valid:
+                _, merges = agglomerative(reduced, min(valid))
+            # one embedding; each count takes its leading columns
+            if method == "spectral" and valid:
+                try:
+                    embedded = spectral_embedding(
+                        reduced, max(valid), n_neighbors, drop_first=False
+                    )
+                except ComputationError:
                     continue
+            for count in valid:
                 if method == "kmeans":
                     labels = kmeans(reduced, count, seed=seed,
                                     n_init=n_init).labels
                 elif method == "agglomerative":
                     labels = _cut(merges, X.shape[0], count)
                 elif method == "spectral":
-                    try:
-                        labels = spectral_cluster(
-                            reduced, count, n_neighbors=n_neighbors,
-                            seed=seed, n_init=n_init,
-                        ).labels
-                    except ComputationError:
-                        continue
+                    labels = _sphere_kmeans(
+                        embedded[:, :count], count, seed, n_init
+                    ).labels
                 else:
                     raise ConfigError(f"unknown sweep method {method!r}")
                 quality = cluster_quality(

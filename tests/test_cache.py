@@ -88,6 +88,17 @@ def test_missing_or_mismatched_sidecar(tmp_path):
         load_cache(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected_naming_the_first(tmp_path, bad):
+    mat = _matrix(["a", "b", "c", "d"])
+    mat.matrix[2, 1] = bad
+    mat.matrix[3, 0] = bad
+    path = tmp_path / "emb.bin"
+    save_cache(mat, path)
+    with pytest.raises(CacheFormatError, match=r"2 rows .* first 'c' \(row 2\)"):
+        load_cache(path)
+
+
 def test_append_merges_new_rows(tmp_path):
     path = tmp_path / "emb.bin"
     first = _matrix(["a", "b"], seed=1)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from companysim.classify import (
     predict_proba,
     save_model,
     score_predictions,
+    unpack_params,
 )
 from companysim.errors import DataValidationError
 
@@ -43,6 +46,94 @@ def test_gradient_matches_finite_differences():
         numeric = _finite_difference(params, X, y, k, l2)
         denom = max(np.linalg.norm(numeric), 1e-12)
         assert np.linalg.norm(analytic - numeric) / denom <= 1e-5
+
+
+# The fit loop that ``fit_classifier`` replaced, kept verbatim: it calls
+# ``objective`` at each candidate and ``gradient`` again at the accepted one.
+def _reference_fit(X, labels, l2_penalty, max_iter, tol):
+    classes = sorted(set(labels))
+    class_index = {c: i for i, c in enumerate(classes)}
+    y_index = np.array([class_index[label] for label in labels], dtype=np.int64)
+
+    feature_mean = X.mean(axis=0)
+    feature_std = X.std(axis=0)
+    feature_std = np.where(feature_std == 0.0, 1.0, feature_std)
+    Xs = (X - feature_mean) / feature_std
+
+    n_features, n_classes = X.shape[1], len(classes)
+    params = np.zeros(n_features * n_classes + n_classes, dtype=np.float64)
+
+    history: list[float] = []
+    converged = False
+    step = 1.0
+    value = objective(params, Xs, y_index, n_classes, l2_penalty)
+    history.append(value)
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        grad = gradient(params, Xs, y_index, n_classes, l2_penalty)
+        grad_norm = float(np.max(np.abs(grad)))
+        if grad_norm <= tol:
+            converged = True
+            n_iter -= 1
+            break
+        # Backtracking line search with the Armijo sufficient-decrease test.
+        descent = float(grad @ grad)
+        step = min(step * 2.0, 1e4)
+        while True:
+            candidate = params - step * grad
+            new_value = objective(candidate, Xs, y_index, n_classes, l2_penalty)
+            if new_value <= value - 1e-4 * step * descent:
+                break
+            step *= 0.5
+            if step < 1e-14:
+                break
+        if step < 1e-14:
+            n_iter -= 1
+            break
+        params = params - step * grad
+        value = new_value
+        history.append(value)
+    else:
+        n_iter = max_iter
+    if not converged:
+        final_grad = float(np.max(np.abs(
+            gradient(params, Xs, y_index, n_classes, l2_penalty))))
+        converged = final_grad <= tol
+    weights, bias = unpack_params(params, n_features, n_classes)
+    return weights, bias, n_iter, converged, value, history
+
+
+@pytest.mark.parametrize("l2, max_iter, tol, path", [
+    (0.1, 5000, 1e-6, "converged"),
+    (0.01, 8, 1e-9, "max_iter"),
+    (0.0, 5000, 1e-4, "converged"),
+    (3e14, 500, 0.0, "stalled"),
+])
+def test_fit_equals_reference_loop(caplog, l2, max_iter, tol, path):
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        n, d = int(rng.integers(20, 60)), int(rng.integers(2, 6))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.5, 5.0, size=d)
+        # unbalanced classes, so the bias gradient is not zero at the start
+        labels = [str(min(i % 5, 2)) for i in range(n)]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="companysim.classify"):
+            model = fit_classifier(X, labels, l2_penalty=l2,
+                                   max_iter=max_iter, tol=tol)
+        weights, bias, n_iter, converged, value, history = _reference_fit(
+            X, labels, l2, max_iter, tol)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.bias, bias)
+        assert (model.n_iter, model.converged, model.final_objective) == (
+            n_iter, converged, value)
+        assert model.objective_history == history
+        stalled = "line search stalled" in caplog.text
+        assert stalled == (path == "stalled")
+        assert converged == (path == "converged")
+        if path == "max_iter":
+            assert n_iter == max_iter
+        if path == "stalled":
+            assert 0 < n_iter < max_iter
 
 
 def test_objective_decreases_monotonically():

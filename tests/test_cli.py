@@ -4,7 +4,7 @@ import json
 import pytest
 
 from companysim import synth
-from companysim.cache import load_cache
+from companysim.cache import load_cache, save_cache
 from companysim.cli import main
 from companysim.similarity import top_k_peers
 
@@ -288,6 +288,24 @@ def test_exit_code_data_errors(workspace, tmp_path):
     assert run("ingest", "--filings-dir", tmp_path, "--labels", bad_labels,
                "--hierarchy", workspace / "hierarchy.csv",
                "--out", tmp_path / "c.jsonl") == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("cluster", "--out", "assign.csv"),
+    ("project", "--method", "spectral", "--out", "coords.csv"),
+    ("project", "--method", "pca", "--out", "coords.csv"),
+])
+def test_non_finite_cache_is_a_data_error(workspace, tmp_path, caplog, command):
+    cache = tmp_path / "emb.bin"
+    assert run("embed", "--corpus", workspace / "corpus.jsonl",
+               "--hierarchy", workspace / "hierarchy.csv", "--out", cache) == 0
+    matrix = load_cache(cache)
+    matrix.matrix[5, 0] = float("nan")
+    save_cache(matrix, cache)
+    name, *rest = command
+    assert run(name, "--cache", cache, *rest[:-1], tmp_path / rest[-1]) == 2
+    assert f"first {matrix.ids[5]!r} (row 5)" in caplog.text
+    assert not (tmp_path / rest[-1]).exists()
 
 
 def test_exit_code_provider_errors(workspace, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,11 @@ from companysim.cluster import (
     ClusterAssignment,
     _cut,
     _initial_distances,
+    _kmeanspp_init,
+    _lloyd,
+    _normalized_laplacian,
+    _sq_dists,
+    _unit_rows,
     agglomerative,
     cluster_quality,
     cluster_sweep,
@@ -140,6 +146,80 @@ def test_kmeans_k_equals_n_and_duplicates():
     assert result.inertia <= 1e-12
     with pytest.raises(ConfigError):
         kmeans(X, 5)
+
+
+# The per-cluster-mask Lloyd loop that ``_lloyd`` replaced, kept verbatim.
+def _reference_lloyd(X, centers, max_iter):
+    n_clusters = centers.shape[0]
+    labels = np.full(X.shape[0], -1, dtype=np.int64)
+    history: list[float] = []
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        dist2 = _sq_dists(X, centers)
+        new_labels = np.argmin(dist2, axis=1)
+        min_dist2 = dist2[np.arange(X.shape[0]), new_labels]
+        # Re-seed any emptied cluster from the point farthest from its center,
+        # so the requested cluster count survives.
+        reseeded = False
+        used = set()
+        for c in range(n_clusters):
+            if np.any(new_labels == c):
+                continue
+            order = np.argsort(-min_dist2, kind="stable")
+            pick = next(int(i) for i in order if int(i) not in used)
+            used.add(pick)
+            centers[c] = X[pick]
+            new_labels[pick] = c
+            min_dist2[pick] = 0.0
+            reseeded = True
+        history.append(float(min_dist2.sum()))
+        if not reseeded and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(n_clusters):
+            members = labels == c
+            if np.any(members):
+                centers[c] = X[members].mean(axis=0)
+    return labels, centers, history[-1], n_iter, history
+
+
+def _assert_lloyd_equals_reference(X, centers, max_iter=300):
+    got = _lloyd(X, centers.copy(), max_iter)
+    want = _reference_lloyd(X, centers.copy(), max_iter)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("centers", [
+    # the re-seed of cluster 2 takes the lone member of cluster 1, which
+    # stays empty this round and keeps its center
+    [[0.0], [50.0], [1000.0]],
+    # the re-seed of cluster 0 empties cluster 1, which is re-seeded next
+    [[1000.0], [50.0], [0.0]],
+])
+def test_lloyd_reseed_that_empties_a_cluster_matches_reference(centers):
+    X = np.array([[0.0], [0.1], [100.0], [0.05]])
+    _assert_lloyd_equals_reference(X, np.array(centers))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lloyd_equals_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(8, 60)), int(rng.integers(1, 6))
+    if seed % 3 == 0:
+        X = rng.normal(size=(n, d))
+    elif seed % 3 == 1:  # integer grid: duplicate rows and distance ties
+        X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    else:  # a few distinct rows, each repeated
+        X = rng.normal(size=(4, d))[rng.integers(0, 4, size=n)]
+    k = int(rng.integers(1, n + 1))
+    # k-means++ starts, then starts far from the data that empty clusters
+    _assert_lloyd_equals_reference(X, _kmeanspp_init(X, k, rng))
+    far = X[rng.integers(0, n, size=k)] + 50.0 * rng.normal(size=(k, d))
+    far[0] = X[0]
+    _assert_lloyd_equals_reference(X, far)
+    _assert_lloyd_equals_reference(X, far, max_iter=2)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +456,86 @@ def test_knn_affinity_symmetric_nonnegative():
     assert np.all((W > 0).sum(axis=1) >= 5)
 
 
+# The per-row-lexsort kNN graph and the Laplacian expression that
+# ``knn_affinity`` and ``_normalized_laplacian`` replaced, kept verbatim.
+def _reference_knn_affinity(X, n_neighbors):
+    unit = _unit_rows(X)
+    n = unit.shape[0]
+    sims = np.clip(unit @ unit.T, 0.0, None)
+    np.fill_diagonal(sims, 0.0)
+    directed = np.zeros_like(sims)
+    for i in range(n):
+        order = np.lexsort((np.arange(n), -sims[i]))
+        keep = order[:n_neighbors]
+        directed[i, keep] = sims[i, keep]
+    return np.maximum(directed, directed.T)
+
+
+def _reference_laplacian(W):
+    degrees = W.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    laplacian = np.eye(W.shape[0]) - (inv_sqrt[:, None] * W) * inv_sqrt[None, :]
+    return (laplacian + laplacian.T) / 2.0
+
+
+def _knn_inputs(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(5, 300)), int(rng.integers(2, 8))
+    kind = seed % 4
+    if kind == 0:
+        X = rng.normal(size=(n, d))
+    elif kind == 1:  # integer grid: many equal similarities
+        X = rng.integers(-1, 3, size=(n, d)).astype(np.float64)
+        X[np.linalg.norm(X, axis=1) == 0.0, 0] = 1.0
+    elif kind == 2:  # duplicate rows
+        X = rng.normal(size=(6, d))[rng.integers(0, 6, size=n)]
+    else:  # nonnegative and orthogonal rows: fewer than k positive sims
+        X = np.zeros((n, d))
+        X[np.arange(n), rng.integers(0, d, size=n)] = rng.integers(1, 3, size=n)
+    return X, int(rng.integers(1, n))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_knn_affinity_and_laplacian_equal_reference(seed):
+    X, k = _knn_inputs(seed)
+    W = knn_affinity(X, k)
+    want = _reference_knn_affinity(X, k)
+    assert np.array_equal(W, want)
+    assert not np.signbit(W).any()
+    if np.all(want.sum(axis=1) > 0.0):
+        L = _normalized_laplacian(W)
+        assert np.array_equal(L, _reference_laplacian(want))
+        assert np.array_equal(np.signbit(L), np.signbit(_reference_laplacian(want)))
+
+
+@pytest.mark.parametrize("drop_first", [True, False])
+def test_spectral_embedding_equals_reference(drop_first):
+    rng = np.random.default_rng(24)
+    X, _ = _blobs(rng, [[8, 1, 1], [1, 8, 1], [1, 1, 8]], per=20, scale=1.0)
+    _, eigvecs = np.linalg.eigh(_reference_laplacian(_reference_knn_affinity(X, 7)))
+    start = 1 if drop_first else 0
+    want = eigvecs[:, start:start + 4].copy()
+    for i in range(want.shape[1]):
+        j = int(np.argmax(np.abs(want[:, i])))
+        if want[j, i] < 0:
+            want[:, i] = -want[:, i]
+    assert np.array_equal(spectral_embedding(X, 4, 7, drop_first), want)
+
+
+@pytest.mark.parametrize("kernel", [knn_affinity, spectral_embedding])
+def test_spectral_kernels_trace_under_two_and_a_quarter_matrices(kernel):
+    n = 600
+    rng = np.random.default_rng(25)
+    X, _ = _blobs(rng, [[8, 1, 1], [1, 8, 1], [1, 1, 8]], per=n // 3)
+    tracemalloc.start()
+    try:
+        kernel(X, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * n * 8
+
+
 def test_zero_row_raises_from_knn_affinity_and_cosine_linkage():
     X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ZeroVectorError, match=r"\[2\]"):
@@ -516,6 +676,29 @@ def test_cluster_sweep_agglomerative_rows_equal_per_count_runs():
             fresh, _ = agglomerative(reduced, count)
             q = cluster_quality(labels, fresh.tolist())
             expected.append(("agglomerative", count, r, q.homogeneity,
+                             q.completeness, q.v_measure))
+    assert [
+        (row["method"], row["n_clusters"], row["reduced_dim"],
+         row["homogeneity"], row["completeness"], row["v_measure"])
+        for row in rows
+    ] == expected
+
+
+def test_cluster_sweep_spectral_rows_equal_per_count_runs():
+    rng = np.random.default_rng(13)
+    X, labels = _blobs(rng, [[8.0, 1.0, 1.0, 1.0], [1.0, 8.0, 1.0, 1.0],
+                             [1.0, 1.0, 8.0, 1.0]], per=10, scale=2.0)
+    counts = (12, 3, 100, 7)
+    rows = cluster_sweep(X, labels, methods=("spectral",),
+                         cluster_counts=counts, reduced_dims=(2, 3),
+                         n_neighbors=6)
+    expected = []
+    for r in (2, 3):
+        reduced, _, _ = pca(X, r)
+        for count in (12, 3, 7):
+            fresh = spectral_cluster(reduced, count, n_neighbors=6).labels
+            q = cluster_quality(labels, fresh.tolist())
+            expected.append(("spectral", count, r, q.homogeneity,
                              q.completeness, q.v_measure))
     assert [
         (row["method"], row["n_clusters"], row["reduced_dim"],
