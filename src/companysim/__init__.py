@@ -11,7 +11,7 @@ from .attribution import (
     monthly_cumulative_returns,
     save_attribution_csv,
 )
-from .cache import append_cache, export_jsonl, load_cache, save_cache, sync_cache
+from .cache import export_jsonl, load_cache, save_cache, sync_cache
 from .classify import (
     ClassificationReport,
     LogisticModel,

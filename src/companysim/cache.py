@@ -66,6 +66,13 @@ def save_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
     provider_bytes = matrix.provider_id.encode("utf-8")
     if len(provider_bytes) > 0xFFFF:
         raise ValueError("provider_id too long to encode")
+    for company_id in matrix.ids:
+        # the sidecar holds one id per line, and loading skips blank lines
+        if not company_id or "\n" in company_id or "\r" in company_id:
+            raise CacheFormatError(
+                f"cannot cache id {company_id!r}: an id must be non-empty "
+                f"and hold no line break"
+            )
     header = (
         MAGIC
         + struct.pack("<I", VERSION)
@@ -104,10 +111,18 @@ def load_cache(path: str | Path) -> EmbeddingMatrix:
         )
         if dimension < 1:
             raise CacheFormatError(f"invalid dimension {dimension}")
-        payload = _read_exact(f, 4 * dimension * count, "embedding rows")
-        trailing = f.read(1)
-        if trailing:
+        # checked before reading, so a corrupt header never asks for more
+        # memory than the file holds
+        size = 4 * dimension * count
+        remaining = os.fstat(f.fileno()).st_size - f.tell()
+        if size > remaining:
+            raise CacheFormatError(
+                f"truncated cache file: {count} rows of dimension {dimension} "
+                f"need {size} bytes, {remaining} remain"
+            )
+        if size < remaining:
             raise CacheFormatError("trailing bytes after embedding rows")
+        payload = _read_exact(f, size, "embedding rows")
     rows = np.frombuffer(payload, dtype="<f4").reshape(count, dimension)
 
     ids_file = _ids_path(path)
@@ -134,57 +149,15 @@ def load_cache(path: str | Path) -> EmbeddingMatrix:
     )
 
 
-def append_cache(matrix: EmbeddingMatrix, path: str | Path) -> EmbeddingMatrix:
-    """Merge new rows into an existing cache file (or create it).
-
-    Provider, budget, and dimension must match; duplicate ids must carry
-    identical rows, otherwise the append is rejected.
-    """
-    path = Path(path)
-    if not path.exists():
-        save_cache(matrix, path)
-        return matrix
-    existing = load_cache(path)
-    if existing.provider_id != matrix.provider_id:
-        raise CacheFormatError(
-            f"cache provider {existing.provider_id!r} != {matrix.provider_id!r}"
-        )
-    if existing.context_budget != matrix.context_budget:
-        raise CacheFormatError(
-            f"cache context budget {existing.context_budget} != {matrix.context_budget}"
-        )
-    if existing.dimension != matrix.dimension:
-        raise CacheFormatError(
-            f"cache dimension {existing.dimension} != {matrix.dimension}"
-        )
-    ids = list(existing.ids)
-    rows = [existing.matrix]
-    for company_id in matrix.ids:
-        if company_id in existing:
-            if not np.array_equal(existing.row(company_id), matrix.row(company_id)):
-                raise CacheFormatError(
-                    f"id {company_id!r} already cached with different values"
-                )
-            continue
-        ids.append(company_id)
-        rows.append(matrix.row(company_id)[None, :])
-    merged = EmbeddingMatrix(
-        ids=ids,
-        matrix=np.vstack(rows),
-        provider_id=existing.provider_id,
-        context_budget=existing.context_budget,
-    )
-    save_cache(merged, path)
-    return merged
-
-
 def sync_cache(
     path: str | Path,
     wanted_ids: Sequence[str],
     embed_missing: Callable[[list[str]], EmbeddingMatrix],
 ) -> EmbeddingMatrix:
     """Resumable embedding: load what exists, embed only the missing ids,
-    append, and return the matrix restricted to ``wanted_ids`` in order."""
+    append their rows after the cached ones and save, and return the matrix
+    restricted to ``wanted_ids`` in order. The fresh rows must match the
+    cache's provider, context budget and dimension."""
     path = Path(path)
     cached: EmbeddingMatrix | None = load_cache(path) if path.exists() else None
     missing = [
@@ -196,7 +169,22 @@ def sync_cache(
         logger.info("cache %s: embedding %d missing of %d wanted",
                     path, len(missing), len(wanted_ids))
         fresh = embed_missing(missing)
-        cached = append_cache(fresh, path)
+        if cached is not None:
+            for what, old, new in (
+                ("provider", cached.provider_id, fresh.provider_id),
+                ("context budget", cached.context_budget, fresh.context_budget),
+                ("dimension", cached.dimension, fresh.dimension),
+            ):
+                if old != new:
+                    raise CacheFormatError(f"cache {what} {old!r} != {new!r}")
+            fresh = EmbeddingMatrix(
+                ids=cached.ids + fresh.ids,
+                matrix=np.vstack([cached.matrix, fresh.matrix]),
+                provider_id=cached.provider_id,
+                context_budget=cached.context_budget,
+            )
+        save_cache(fresh, path)
+        cached = fresh
     assert cached is not None
     return cached.subset(wanted_ids)
 

@@ -19,6 +19,7 @@ import csv
 import json
 import logging
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -63,7 +64,7 @@ from .corpus import (
     save_pairs,
     stratified_split,
 )
-from .embeddings import EmbeddingMatrix, embed_corpus
+from .embeddings import EmbeddingMatrix, corpus_documents, embed_corpus
 from .errors import (
     CompanySimError,
     ComputationError,
@@ -79,7 +80,7 @@ from .similarity import (
     load_returns_csv,
     sector_outlier_scores,
 )
-from .textprep import ChunkingConfig, clean_text, tokenize, truncate
+from .textprep import ChunkingConfig, TokenSequence
 
 logger = logging.getLogger(__name__)
 
@@ -95,31 +96,12 @@ def _chunking(cfg: RunConfig) -> ChunkingConfig:
     )
 
 
-def _corpus_token_sequences(corpus: Corpus, chunking: ChunkingConfig):
-    budget = chunking.effective_budget()
-    return [
-        truncate(tokenize(clean_text(corpus.get(i).description), i), budget)
-        for i in corpus.ids()
-    ]
-
-
-def _build_provider(cfg: RunConfig, corpus: Corpus | None):
+def _build_provider(cfg: RunConfig, prepared: dict[str, list[TokenSequence]]):
+    """The configured provider; a TF-IDF provider is fitted on ``prepared``,
+    the chunks of every document."""
     e = cfg.embedding
     if e.provider == "hash-bow":
         return HashBowProvider(e.dimension, seed=e.hash_seed)
-    if e.provider in ("tfidf", "tfidf-rp"):
-        if corpus is None:
-            raise ConfigError(
-                f"provider {e.provider!r} must be fitted; pass --corpus"
-            )
-        tokens = _corpus_token_sequences(corpus, _chunking(cfg))
-        projection = e.dimension if e.provider == "tfidf-rp" else None
-        return TfidfProvider.fit(
-            tokens,
-            max_features=e.max_features,
-            projection_dim=projection,
-            seed=e.projection_seed,
-        )
     if e.provider == "remote":
         return RemoteProvider(
             endpoint=e.endpoint,
@@ -130,7 +112,18 @@ def _build_provider(cfg: RunConfig, corpus: Corpus | None):
             backoff=e.backoff,
             auth_env=e.auth_env,
         )
-    raise ConfigError(f"unknown provider {e.provider!r}")
+    if len(prepared) < 2:
+        raise DataValidationError(
+            f"provider {e.provider!r} is fitted on the corpus and needs at "
+            f"least 2 documents, got {len(prepared)}"
+        )
+    projection = e.dimension if e.provider == "tfidf-rp" else None
+    return TfidfProvider.fit(
+        [chain.from_iterable(chunks) for chunks in prepared.values()],
+        max_features=e.max_features,
+        projection_dim=projection,
+        seed=e.projection_seed,
+    )
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -210,19 +203,24 @@ def cmd_pairs(args, cfg: RunConfig) -> int:
 
 def cmd_embed(args, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus, args.hierarchy)
-    provider = _build_provider(cfg, corpus)
     chunking = _chunking(cfg)
-    weighted = cfg.embedding.length_weighted
+    # A TF-IDF fit reads every document before any is embedded, so their
+    # chunks are prepared once, up front, for the fit and the embedding.
+    # Other providers prepare each document as it is embedded.
+    fitted = cfg.embedding.provider in ("tfidf", "tfidf-rp")
+    prepared = dict(corpus_documents(corpus, chunking)) if fitted else {}
+    provider = _build_provider(cfg, prepared)
+
+    def embed(ids: list[str]) -> EmbeddingMatrix:
+        documents = ([(i, prepared[i]) for i in ids] if fitted
+                     else corpus_documents(corpus, chunking, ids))
+        return embed_corpus(documents, provider, chunking,
+                            length_weighted=cfg.embedding.length_weighted)
+
     if args.resume:
-        matrix = cache_io.sync_cache(
-            args.out,
-            corpus.ids(),
-            lambda missing: embed_corpus(
-                corpus, provider, chunking, ids=missing, length_weighted=weighted
-            ),
-        )
+        matrix = cache_io.sync_cache(args.out, corpus.ids(), embed)
     else:
-        matrix = embed_corpus(corpus, provider, chunking, length_weighted=weighted)
+        matrix = embed(corpus.ids())
         cache_io.save_cache(matrix, args.out)
     if args.export_jsonl:
         cache_io.export_jsonl(matrix, args.export_jsonl)

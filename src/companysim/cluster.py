@@ -177,6 +177,8 @@ def spectral_embedding(
     Laplacian in place) plus what ``np.linalg.eigh`` needs: its n x n
     eigenvectors and LAPACK's workspace.
     """
+    if n_components < 1:
+        raise ConfigError(f"n_components must be >= 1, got {n_components}")
     laplacian = _normalized_laplacian(knn_affinity(X, n_neighbors))
     _, eigvecs = np.linalg.eigh(laplacian)
     start = 1 if drop_first else 0

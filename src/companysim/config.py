@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -37,13 +38,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require_int_fields(section, name: str) -> None:
-    """Every field declared ``int`` holds an integer; a range check alone
-    would let 2.5 or true through."""
+def _is_number(value) -> bool:
+    """A finite JSON number: an integer, or a float that is not NaN or
+    infinite (Python's json reads ``Infinity`` and ``NaN``)."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _require_number_fields(section, name: str) -> None:
+    """Every field declared ``int`` holds an integer and every field
+    declared ``float`` a finite number; a range check alone would let 2.5,
+    true or Infinity through."""
     for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
         if f.type == "int":
-            _require(_is_int(getattr(section, f.name)),
-                     f"{name}.{f.name} must be an integer")
+            _require(_is_int(value), f"{name}.{f.name} must be an integer")
+        elif f.type in ("float", "float | None") and value is not None:
+            _require(_is_number(value), f"{name}.{f.name} must be a finite number")
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,7 @@ class EmbeddingConfig:
     auth_env: str | None = None
 
     def __post_init__(self) -> None:
-        _require_int_fields(self, "embedding")
+        _require_number_fields(self, "embedding")
         _require(self.provider in PROVIDER_CHOICES,
                  f"embedding.provider must be one of {PROVIDER_CHOICES}")
         _require(self.context_budget in CONTEXT_BUDGET_CHOICES,
@@ -95,7 +105,7 @@ class ClassifyConfig:
     test_fraction: float = 0.2
 
     def __post_init__(self) -> None:
-        _require_int_fields(self, "classify")
+        _require_number_fields(self, "classify")
         _require(self.level in GICS_LEVELS,
                  f"classify.level must be one of {GICS_LEVELS}")
         _require(self.l2_penalty >= 0, "classify.l2_penalty must be >= 0")
@@ -113,7 +123,7 @@ class PeersConfig:
     baseline_level: str = "sector"
 
     def __post_init__(self) -> None:
-        _require_int_fields(self, "peers")
+        _require_number_fields(self, "peers")
         _require(self.k >= 1, "peers.k must be >= 1")
         _require(self.min_overlap >= 2, "peers.min_overlap must be >= 2")
         _require(self.baseline_level in GICS_LEVELS,
@@ -137,7 +147,7 @@ class ClusterConfig:
     reduce_components: int = 50
 
     def __post_init__(self) -> None:
-        _require_int_fields(self, "cluster")
+        _require_number_fields(self, "cluster")
         _require(self.method in ("kmeans", "agglomerative", "spectral", "random"),
                  "cluster.method must be kmeans, agglomerative, spectral, or random")
         _require(self.n_clusters >= 1, "cluster.n_clusters must be >= 1")
@@ -160,7 +170,7 @@ class AttributionConfig:
     min_companies: int = 2
 
     def __post_init__(self) -> None:
-        _require_int_fields(self, "attribution")
+        _require_number_fields(self, "attribution")
         _require(self.min_month_obs >= 1,
                  "attribution.min_month_obs must be >= 1")
         if self.winsorize is not None:

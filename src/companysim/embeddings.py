@@ -169,15 +169,25 @@ class EmbeddingMatrix:
         )
 
 
+def corpus_documents(
+    corpus: Corpus, config: ChunkingConfig, ids: Iterable[str] | None = None
+) -> Iterator[tuple[str, list[TokenSequence]]]:
+    """``(company_id, chunks)`` for each id (default: every company, in
+    corpus order), each description prepared as it is reached."""
+    for company_id in corpus.ids() if ids is None else ids:
+        yield company_id, _document_chunks(
+            corpus.get(company_id).description, config, company_id
+        )
+
+
 def _document_groups(
-    corpus: Corpus, ids: Sequence[str], config: ChunkingConfig
+    documents: Iterable[tuple[str, list[TokenSequence]]],
 ) -> Iterator[list[tuple[str, list[TokenSequence]]]]:
-    """Consecutive documents, chunked as they are reached, in groups of at
-    most ``MAX_TEXTS_PER_REQUEST`` chunks; a longer document is a group alone."""
+    """Consecutive documents in groups of at most ``MAX_TEXTS_PER_REQUEST``
+    chunks; a longer document is a group alone."""
     group: list[tuple[str, list[TokenSequence]]] = []
     n_chunks = 0
-    for company_id in ids:
-        chunks = _document_chunks(corpus.get(company_id).description, config, company_id)
+    for company_id, chunks in documents:
         if group and n_chunks + len(chunks) > MAX_TEXTS_PER_REQUEST:
             yield group
             group, n_chunks = [], 0
@@ -188,33 +198,31 @@ def _document_groups(
 
 
 def embed_corpus(
-    corpus: Corpus,
+    documents: Iterable[tuple[str, list[TokenSequence]]],
     provider: EmbeddingProvider,
     config: ChunkingConfig,
-    ids: Sequence[str] | None = None,
     length_weighted: bool = False,
 ) -> EmbeddingMatrix:
-    """Embed every company description; rows follow the corpus id order.
+    """Embed ``(company_id, chunks)`` documents (see ``corpus_documents``)
+    chunked with ``config``; rows follow the documents' order.
 
     The chunks of consecutive documents go to the provider together, so a
     remote provider makes one request per group instead of one per document.
     """
-    wanted = list(ids) if ids is not None else corpus.ids()
-    vectors = np.zeros((len(wanted), provider.dimension), dtype=np.float64)
-    row = 0
+    ids: list[str] = []
+    vectors: list[np.ndarray] = []
     total_chunks = 0
-    for group in _document_groups(corpus, wanted, config):
-        for vector in _embed_group(group, provider, length_weighted):
-            vectors[row] = vector
-            row += 1
+    for group in _document_groups(documents):
+        ids.extend(company_id for company_id, _ in group)
+        vectors.extend(_embed_group(group, provider, length_weighted))
         total_chunks += sum(len(chunks) for _, chunks in group)
     logger.info(
         "embedded %d documents (%d chunks) with provider=%s budget=%d",
-        len(wanted), total_chunks, provider.provider_id, config.context_budget,
+        len(ids), total_chunks, provider.provider_id, config.context_budget,
     )
     return EmbeddingMatrix(
-        ids=wanted,
-        matrix=vectors.astype(np.float32),
+        ids=ids,
+        matrix=np.array(vectors, dtype=np.float32).reshape(len(ids), provider.dimension),
         provider_id=provider.provider_id,
         context_budget=config.context_budget,
     )

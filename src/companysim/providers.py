@@ -24,12 +24,11 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
-    ProviderError,
     RemoteProtocolError,
     RemoteStatusError,
     RemoteTransportError,
@@ -49,22 +48,9 @@ class EmbeddingProvider:
     provider_id: str
     dimension: int
 
-    def embed_chunk(self, chunk: TokenSequence) -> np.ndarray:
-        raise NotImplementedError
-
     def embed_chunks(self, chunks: Sequence[TokenSequence]) -> np.ndarray:
-        """Embed chunks one by one; failures are re-raised with the chunk index."""
-        rows = []
-        for i, chunk in enumerate(chunks):
-            try:
-                rows.append(np.asarray(self.embed_chunk(chunk), dtype=np.float64))
-            except ProviderError:
-                raise
-            except Exception as e:
-                raise ProviderError(
-                    f"provider {self.provider_id!r} failed on chunk {i}: {e}"
-                ) from e
-        return np.vstack(rows) if rows else np.zeros((0, self.dimension))
+        """One float64 row of ``dimension`` values per chunk, in order."""
+        raise NotImplementedError
 
 
 def _sign_hash(token: str, seed: int) -> tuple[int, float]:
@@ -96,8 +82,9 @@ class HashBowProvider(EmbeddingProvider):
         self.dimension = dimension
         self.seed = seed
 
-    def embed_chunk(self, chunk: TokenSequence) -> np.ndarray:
-        return hash_bow_embed(chunk, self.dimension, self.seed)
+    def embed_chunks(self, chunks: Sequence[TokenSequence]) -> np.ndarray:
+        rows = [hash_bow_embed(c, self.dimension, self.seed) for c in chunks]
+        return np.array(rows).reshape(len(chunks), self.dimension)
 
 
 @dataclass
@@ -109,10 +96,14 @@ class TfidfModel:
     n_docs: int
 
 
-def tfidf_fit(corpus_tokens: Sequence[TokenSequence], max_features: int) -> TfidfModel:
+def tfidf_fit(corpus_tokens: Sequence[Iterable[str]], max_features: int) -> TfidfModel:
     """Fit on document frequencies: the vocabulary keeps the ``max_features``
     most frequent tokens (ties broken lexicographically) with
     idf(t) = ln((1 + N) / (1 + df(t))) + 1.
+
+    Each document is any iterable of its tokens, read once: only which
+    tokens it holds counts, so a document's chunks give the same fit as its
+    truncated token sequence.
     """
     if len(corpus_tokens) == 0:
         raise ValueError("tfidf_fit needs a non-empty corpus")
@@ -122,7 +113,7 @@ def tfidf_fit(corpus_tokens: Sequence[TokenSequence], max_features: int) -> Tfid
         raise ValueError(f"max_features must be >= 1, got {max_features}")
     df: dict[str, int] = {}
     for doc in corpus_tokens:
-        for token in set(doc.tokens):
+        for token in set(doc):
             df[token] = df.get(token, 0) + 1
     selected = sorted(df, key=lambda t: (-df[t], t))[:max_features]
     vocabulary = {token: i for i, token in enumerate(sorted(selected))}
@@ -182,7 +173,7 @@ class TfidfProvider(EmbeddingProvider):
     @classmethod
     def fit(
         cls,
-        corpus_tokens: Sequence[TokenSequence],
+        corpus_tokens: Sequence[Iterable[str]],
         max_features: int = 4096,
         projection_dim: int | None = None,
         seed: int = 0,
@@ -192,8 +183,9 @@ class TfidfProvider(EmbeddingProvider):
         projection = (projection_dim, seed) if projection_dim else None
         return cls(model, projection, provider_id)
 
-    def embed_chunk(self, chunk: TokenSequence) -> np.ndarray:
-        return tfidf_embed(self.model, chunk, self.projection)
+    def embed_chunks(self, chunks: Sequence[TokenSequence]) -> np.ndarray:
+        rows = [tfidf_embed(self.model, c, self.projection) for c in chunks]
+        return np.array(rows).reshape(len(chunks), self.dimension)
 
 
 def remote_embed(
@@ -314,9 +306,6 @@ class RemoteProvider(EmbeddingProvider):
         self.retries = retries
         self.backoff = backoff
         self.auth_env = auth_env
-
-    def embed_chunk(self, chunk: TokenSequence) -> np.ndarray:
-        return self.embed_chunks([chunk])[0]
 
     def embed_chunks(self, chunks: Sequence[TokenSequence]) -> np.ndarray:
         texts = [c.text() for c in chunks]

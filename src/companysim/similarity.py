@@ -40,7 +40,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_MIN_OVERLAP = 60
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 RETURNS_HEADER = ["company_id", "date", "return"]
 
 
@@ -133,7 +133,7 @@ def load_returns_csv(path: str | Path) -> ReturnPanel:
                 company_id, date, raw_value = row
                 col = date_index.get(date)
                 if col is None:
-                    if not _DATE_RE.match(date):
+                    if not _DATE_RE.fullmatch(date):
                         raise DataValidationError(
                             f"line {line_no}: bad date {date!r}, expected YYYY-MM-DD"
                         )

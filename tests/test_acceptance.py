@@ -38,7 +38,7 @@ from companysim.cluster import (
     spectral_cluster,
 )
 from companysim.corpus import generate_finetune_pairs, stratified_split
-from companysim.embeddings import EmbeddingMatrix, embed_corpus
+from companysim.embeddings import EmbeddingMatrix, corpus_documents, embed_corpus
 from companysim.errors import (
     RemoteProtocolError,
     RemoteTransportError,
@@ -82,7 +82,7 @@ def _tfidf_matrix(corpus, budget=512):
         for i in corpus.ids()
     ]
     provider = TfidfProvider.fit(tokens)
-    return embed_corpus(corpus, provider, chunking)
+    return embed_corpus(corpus_documents(corpus, chunking), provider, chunking)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from companysim.cache import (
-    append_cache,
     export_jsonl,
     load_cache,
     save_cache,
@@ -88,6 +89,60 @@ def test_missing_or_mismatched_sidecar(tmp_path):
         load_cache(path)
 
 
+@pytest.mark.parametrize("dimension,count", [
+    (0xFFFFFFFF, 0xFFFFFFFF),  # 4 * dim * count overflows a C ssize_t
+    (1024, 1_000_000),         # a plausible 4 GB that the file does not hold
+    (6, 3),                    # one row more than the file holds
+])
+def test_header_row_count_is_checked_against_the_file_size(
+    tmp_path, monkeypatch, dimension, count
+):
+    import companysim.cache as cache_module
+
+    path = tmp_path / "emb.bin"
+    save_cache(_matrix(["a", "b"]), path)
+    data = bytearray(path.read_bytes())
+    # dimension and count are the 8 bytes before the two rows of 6 floats
+    tail = 4 * 6 * 2 + 8
+    data[-tail:-tail + 8] = struct.pack("<II", dimension, count)
+    path.write_bytes(bytes(data))
+    (tmp_path / "emb.bin.ids").write_text("".join(f"{i}\n" for i in range(3)))
+
+    reads = []
+    real_open = open
+
+    class _Recording:
+        def __init__(self, *args, **kwargs):
+            self.f = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def read(self, n=-1):
+            reads.append(n)
+            return self.f.read(n)
+
+    monkeypatch.setattr(cache_module, "open", _Recording, raising=False)
+    with pytest.raises(CacheFormatError,
+                       match=f"{count} rows of dimension {dimension} need"):
+        load_cache(path)
+    assert max(reads) <= len(data)
+
+
+@pytest.mark.parametrize("bad_id", ["x\ny", "x\r", "\n", ""])
+def test_ids_that_cannot_round_trip_are_rejected(tmp_path, bad_id):
+    path = tmp_path / "emb.bin"
+    with pytest.raises(CacheFormatError, match=re.escape(repr(bad_id))):
+        save_cache(_matrix(["a", bad_id, "b"]), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rows_rejected_naming_the_first(tmp_path, bad):
     mat = _matrix(["a", "b", "c", "d"])
@@ -99,33 +154,39 @@ def test_non_finite_rows_rejected_naming_the_first(tmp_path, bad):
         load_cache(path)
 
 
-def test_append_merges_new_rows(tmp_path):
+def test_sync_cache_appends_missing_rows_after_cached_ones(tmp_path):
     path = tmp_path / "emb.bin"
     first = _matrix(["a", "b"], seed=1)
     save_cache(first, path)
-    second = _matrix(["b", "c", "d"], seed=2)
-    # duplicate id must carry identical values to be accepted
-    rows = second.matrix.copy()
-    rows[0] = first.row("b")
-    second = EmbeddingMatrix(second.ids, rows, "prov", 512)
-    merged = append_cache(second, path)
-    assert merged.ids == ["a", "b", "c", "d"]
+    fresh = _matrix(["c", "d"], seed=2)
+    result = sync_cache(path, ["b", "c", "a", "d"], lambda ids: fresh.subset(ids))
+    assert result.ids == ["b", "c", "a", "d"]
     reloaded = load_cache(path)
     assert reloaded.ids == ["a", "b", "c", "d"]
-    assert np.array_equal(reloaded.row("c"), second.row("c"))
+    assert np.array_equal(reloaded.matrix[:2], first.matrix)
+    assert np.array_equal(reloaded.matrix[2:], fresh.matrix)
+    assert np.array_equal(result.matrix, reloaded.subset(result.ids).matrix)
 
 
-def test_append_rejects_conflicts(tmp_path):
+def test_sync_cache_creates_a_missing_cache(tmp_path):
+    path = tmp_path / "emb.bin"
+    result = sync_cache(path, ["b", "a"], lambda ids: _matrix(ids, seed=3))
+    assert result.ids == ["b", "a"]
+    assert load_cache(path).ids == ["b", "a"]
+
+
+@pytest.mark.parametrize("changed,message", [
+    ({"provider": "other"}, "cache provider 'prov' != 'other'"),
+    ({"budget": 1024}, "cache context budget 512 != 1024"),
+    ({"dim": 9}, "cache dimension 6 != 9"),
+])
+def test_sync_cache_rejects_conflicting_rows(tmp_path, changed, message):
     path = tmp_path / "emb.bin"
     save_cache(_matrix(["a"], seed=1), path)
-    with pytest.raises(CacheFormatError, match="provider"):
-        append_cache(_matrix(["b"], provider="other"), path)
-    with pytest.raises(CacheFormatError, match="budget"):
-        append_cache(_matrix(["b"], budget=1024), path)
-    with pytest.raises(CacheFormatError, match="dimension"):
-        append_cache(_matrix(["b"], dim=9), path)
-    with pytest.raises(CacheFormatError, match="different values"):
-        append_cache(_matrix(["a"], seed=99), path)
+    before = path.read_bytes(), (tmp_path / "emb.bin.ids").read_bytes()
+    with pytest.raises(CacheFormatError, match=message):
+        sync_cache(path, ["a", "b"], lambda ids: _matrix(ids, **changed))
+    assert (path.read_bytes(), (tmp_path / "emb.bin.ids").read_bytes()) == before
 
 
 def test_sync_cache_embeds_only_missing(tmp_path):

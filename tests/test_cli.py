@@ -1,9 +1,11 @@
 import csv
 import json
+import sys
 
 import pytest
 
-from companysim import synth
+from companysim import cache as cache_module
+from companysim import synth, textprep
 from companysim.cache import load_cache, save_cache
 from companysim.cli import main
 from companysim.similarity import top_k_peers
@@ -168,6 +170,72 @@ def test_embed_resume_reuses_cache(workspace, tmp_path, capsys):
     assert set(row) >= {"company_id", "vector"}
 
 
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every companysim module that
+    binds it; returns the list that grows by one per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, m in list(sys.modules.items()):
+        if key.split(".")[0] == "companysim" and getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("provider", ["tfidf", "tfidf-rp"])
+def test_tfidf_embed_tokenizes_each_document_once(workspace, tmp_path,
+                                                  monkeypatch, provider):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"embedding": {"provider": provider, "dimension": 16}}))
+    tokenized = _count_calls(monkeypatch, textprep, "tokenize")
+    assert run("--config", cfg, "embed", "--corpus", workspace / "corpus.jsonl",
+               "--hierarchy", workspace / "hierarchy.csv",
+               "--out", tmp_path / "emb.bin") == 0
+    assert len(tokenized) == 48
+
+
+def test_resume_loads_the_cache_once_and_prepares_only_missing(
+    workspace, tmp_path, monkeypatch
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"embedding": {"provider": "hash-bow", "dimension": 16}}))
+    lines = (workspace / "corpus.jsonl").read_text().splitlines(keepends=True)
+    first = tmp_path / "first.jsonl"
+    first.write_text("".join(lines[:30]))
+    args = ("--hierarchy", workspace / "hierarchy.csv", "--out")
+    fresh = tmp_path / "fresh.bin"
+    assert run("--config", cfg, "embed", "--corpus", workspace / "corpus.jsonl",
+               *args, fresh) == 0
+    resumed = tmp_path / "resumed.bin"
+    assert run("--config", cfg, "embed", "--corpus", first, *args, resumed) == 0
+
+    loads = _count_calls(monkeypatch, cache_module, "load_cache")
+    prepared = _count_calls(monkeypatch, textprep, "prepare_chunks")
+    assert run("--config", cfg, "embed", "--corpus", workspace / "corpus.jsonl",
+               *args, resumed, "--resume") == 0
+    assert len(loads) == 1
+    assert len(prepared) == 18
+    # hash-bow rows depend on their own document only
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "resumed.bin.ids").read_bytes() == (
+        tmp_path / "fresh.bin.ids").read_bytes()
+
+
+def test_tfidf_on_one_document_is_a_data_error(workspace, tmp_path, caplog):
+    one = tmp_path / "one.jsonl"
+    one.write_text((workspace / "corpus.jsonl").read_text().splitlines()[0] + "\n")
+    assert run("embed", "--corpus", one, "--hierarchy", workspace / "hierarchy.csv",
+               "--out", tmp_path / "emb.bin") == 2
+    assert "provider 'tfidf' is fitted on the corpus and needs at least 2 " \
+           "documents, got 1" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "emb.bin").exists()
+
+
 def test_ingest_extracts_sections(workspace, tmp_path):
     filings = tmp_path / "filings"
     filings.mkdir()
@@ -306,6 +374,18 @@ def test_non_finite_cache_is_a_data_error(workspace, tmp_path, caplog, command):
     assert run(name, "--cache", cache, *rest[:-1], tmp_path / rest[-1]) == 2
     assert f"first {matrix.ids[5]!r} (row 5)" in caplog.text
     assert not (tmp_path / rest[-1]).exists()
+
+
+def test_project_rejects_non_positive_components(workspace, tmp_path, caplog):
+    cache = tmp_path / "emb.bin"
+    assert run("embed", "--corpus", workspace / "corpus.jsonl",
+               "--hierarchy", workspace / "hierarchy.csv", "--out", cache) == 0
+    for method in ("pca", "spectral"):
+        out = tmp_path / f"{method}.csv"
+        assert run("project", "--cache", cache, "--method", method,
+                   "--components", "-3", "--out", out) == 1
+        assert not out.exists()
+    assert caplog.text.count("n_components must be >= 1, got -3") == 2
 
 
 def test_exit_code_provider_errors(workspace, tmp_path):

@@ -544,6 +544,13 @@ def test_zero_row_raises_from_knn_affinity_and_cosine_linkage():
         agglomerative(X, 2, metric="cosine")
 
 
+@pytest.mark.parametrize("n_components", [0, -3])
+def test_spectral_embedding_rejects_non_positive_components(n_components):
+    X = np.random.default_rng(21).normal(size=(12, 4)) + 3.0
+    with pytest.raises(ConfigError, match=f"got {n_components}"):
+        spectral_embedding(X, n_components, n_neighbors=4)
+
+
 def test_spectral_embedding_constant_first_eigenvector_dropped():
     rng = np.random.default_rng(22)
     X, _ = _blobs(rng, [[0, 0], [6, 6]], per=15)

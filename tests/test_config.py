@@ -62,6 +62,17 @@ def test_unknown_section_key_rejected():
     {"embedding": {"window": True}},
     {"classify": {"max_iter": 10.5}},
     {"attribution": {"min_month_obs": 1.5}},
+    # float fields take finite numbers only: no bool, Infinity or NaN
+    {"embedding": {"backoff": float("inf")}},
+    {"embedding": {"timeout": float("inf")}},
+    {"embedding": {"tokens_per_word": float("inf")}},
+    {"embedding": {"tokens_per_word": float("nan")}},
+    {"embedding": {"timeout": True}},
+    {"classify": {"l2_penalty": True}},
+    {"classify": {"tol": False}},
+    {"classify": {"test_fraction": "0.2"}},
+    {"attribution": {"winsorize": True}},
+    {"attribution": {"winsorize": float("-inf")}},
 ])
 def test_invalid_values_rejected(patch):
     with pytest.raises(ConfigError):
@@ -111,3 +122,15 @@ def test_load_config_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+def test_float_fields_need_finite_numbers(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text('{"embedding": {"backoff": Infinity}}')
+    with pytest.raises(ConfigError, match="embedding.backoff must be a finite number"):
+        load_config(p)
+    # a JSON integer is a number
+    cfg = config_from_dict({"embedding": {"timeout": 10, "backoff": 0},
+                            "classify": {"l2_penalty": 2}})
+    assert (cfg.embedding.timeout, cfg.embedding.backoff) == (10, 0)
+    assert cfg.classify.l2_penalty == 2

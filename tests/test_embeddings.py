@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -6,13 +7,25 @@ import pytest
 from companysim.corpus import Corpus
 from companysim.embeddings import (
     EmbeddingMatrix,
+    corpus_documents,
     embed_corpus,
     embed_document,
     pool_chunk_embeddings,
 )
 from companysim.errors import DataValidationError, ProviderError
-from companysim.providers import MAX_TEXTS_PER_REQUEST, HashBowProvider, TfidfProvider
-from companysim.textprep import ChunkingConfig, clean_text, prepare_chunks, tokenize
+from companysim.providers import (
+    MAX_TEXTS_PER_REQUEST,
+    HashBowProvider,
+    TfidfProvider,
+    tfidf_fit,
+)
+from companysim.textprep import (
+    ChunkingConfig,
+    clean_text,
+    prepare_chunks,
+    tokenize,
+    truncate,
+)
 
 
 def test_pooling_is_arithmetic_mean():
@@ -54,7 +67,7 @@ def test_embed_document_matches_manual_pooling():
     from companysim.textprep import prepare_chunks
 
     chunks = prepare_chunks(text, cfg, "X")
-    manual = np.mean([provider.embed_chunk(c) for c in chunks], axis=0)
+    manual = np.mean([provider.embed_chunks([c])[0] for c in chunks], axis=0)
     assert np.allclose(doc.vector, manual, atol=1e-15)
 
 
@@ -68,7 +81,7 @@ def test_embed_document_length_weighted_downweights_short_tail():
     from companysim.textprep import prepare_chunks
 
     chunks = prepare_chunks(text, cfg, "X")
-    vecs = np.array([provider.embed_chunk(c) for c in chunks])
+    vecs = np.array([provider.embed_chunks([c])[0] for c in chunks])
     manual = (4.0 * vecs[0] + 2.0 * vecs[1]) / 6.0
     assert np.allclose(weighted.vector, manual, atol=1e-15)
     assert not np.allclose(weighted.vector, plain.vector)
@@ -83,7 +96,7 @@ def test_embed_document_rejects_empty_text():
 def test_embed_corpus_aligned_with_ids(small_corpus):
     provider = HashBowProvider(64, seed=1)
     cfg = ChunkingConfig(window=64, context_budget=128)
-    matrix = embed_corpus(small_corpus, provider, cfg)
+    matrix = embed_corpus(corpus_documents(small_corpus, cfg), provider, cfg)
     assert matrix.ids == small_corpus.ids()
     assert matrix.matrix.shape == (len(small_corpus), 64)
     assert matrix.matrix.dtype == np.float32
@@ -129,6 +142,23 @@ def _tfidf(corpus):
     return TfidfProvider.fit(tokens, max_features=32)
 
 
+def test_tfidf_fit_on_chunks_equals_fit_on_truncated_tokens(small_corpus):
+    # a budget below every description's length, so truncation drops tokens
+    config = ChunkingConfig(window=7, context_budget=40, tokens_per_word=1.3)
+    truncated = [
+        truncate(tokenize(clean_text(r.description), r.company_id),
+                 config.effective_budget())
+        for r in small_corpus
+    ]
+    assert all(len(t) == config.effective_budget() for t in truncated)
+    chunked = [chain.from_iterable(chunks)
+               for _, chunks in corpus_documents(small_corpus, config)]
+    want, got = tfidf_fit(truncated, 64), tfidf_fit(chunked, 64)
+    assert got.vocabulary == want.vocabulary
+    assert np.array_equal(got.idf, want.idf)
+    assert got.n_docs == want.n_docs == len(small_corpus)
+
+
 @pytest.mark.parametrize("length_weighted", [False, True])
 @pytest.mark.parametrize("make_provider", [
     lambda corpus: HashBowProvider(16, seed=3),
@@ -141,7 +171,8 @@ def test_embed_corpus_rows_equal_per_document_embedding(
     assert set(counts) == {1, 2, 3, 4, 5, 70}
     assert max(counts) > MAX_TEXTS_PER_REQUEST
     provider = make_provider(varied_corpus)
-    matrix = embed_corpus(varied_corpus, provider, varied_chunking,
+    matrix = embed_corpus(corpus_documents(varied_corpus, varied_chunking),
+                          provider, varied_chunking,
                           length_weighted=length_weighted)
     expected = _stacked_documents(varied_corpus, provider, varied_chunking,
                                   length_weighted)
@@ -166,7 +197,8 @@ class _RecordingProvider(HashBowProvider):
 
 def test_embed_corpus_groups_whole_consecutive_documents(varied_corpus, varied_chunking):
     provider = _RecordingProvider()
-    embed_corpus(varied_corpus, provider, varied_chunking)
+    embed_corpus(corpus_documents(varied_corpus, varied_chunking), provider,
+                 varied_chunking)
     ids = varied_corpus.ids()
     seen = []
     for call in provider.calls:
@@ -180,7 +212,8 @@ def test_embed_corpus_groups_whole_consecutive_documents(varied_corpus, varied_c
 def test_group_failure_names_first_and_last_company(varied_corpus, varied_chunking):
     provider = _RecordingProvider(fail_on=3)
     with pytest.raises(ProviderError) as exc:
-        embed_corpus(varied_corpus, provider, varied_chunking)
+        embed_corpus(corpus_documents(varied_corpus, varied_chunking), provider,
+                     varied_chunking)
     group = list(dict.fromkeys(provider.calls[2]))
     assert len(group) > 1
     message = str(exc.value)
@@ -195,4 +228,5 @@ def test_embed_corpus_rejects_empty_document_by_id(varied_corpus, varied_chunkin
     records[4] = dataclasses.replace(records[4], description="\u2603 \u2603")
     corpus = Corpus(records, varied_corpus.hierarchy)
     with pytest.raises(DataValidationError, match=repr(bad)):
-        embed_corpus(corpus, HashBowProvider(16, seed=3), varied_chunking)
+        embed_corpus(corpus_documents(corpus, varied_chunking),
+                     HashBowProvider(16, seed=3), varied_chunking)

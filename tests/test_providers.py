@@ -124,4 +124,4 @@ def test_embed_chunks_stacks_rows():
     chunks = [_seq("a", "b"), _seq("c"), _seq("d", "e", "f")]
     out = hb.embed_chunks(chunks)
     assert out.shape == (3, 16)
-    assert np.allclose(out[1], hb.embed_chunk(chunks[1]))
+    assert np.allclose(out[1], hb.embed_chunks([chunks[1]])[0])

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from companysim.embeddings import embed_corpus, embed_document
+from companysim.embeddings import corpus_documents, embed_corpus, embed_document
 from companysim.errors import (
     RemoteProtocolError,
     RemoteStatusError,
@@ -230,7 +230,8 @@ def test_embed_corpus_batches_documents_bit_exactly(
     stub, varied_corpus, varied_chunking, length_weighted
 ):
     provider = RemoteProvider(stub.url, "stub-model", dimension=3)
-    matrix = embed_corpus(varied_corpus, provider, varied_chunking,
+    matrix = embed_corpus(corpus_documents(varied_corpus, varied_chunking),
+                          provider, varied_chunking,
                           length_weighted=length_weighted)
     chunks = [prepare_chunks(r.description, varied_chunking) for r in varied_corpus]
     sent = [entry["body"]["texts"] for entry in stub.log]
@@ -248,10 +249,11 @@ def test_embed_corpus_batches_documents_bit_exactly(
 
 def test_embed_corpus_retries_a_failed_group(stub, varied_corpus, varied_chunking):
     provider = RemoteProvider(stub.url, "stub-model", dimension=3, backoff=0.01)
-    clean = embed_corpus(varied_corpus, provider, varied_chunking)
+    documents = list(corpus_documents(varied_corpus, varied_chunking))
+    clean = embed_corpus(documents, provider, varied_chunking)
     n_clean = len(stub.log)
     stub.script(("ok",), ("status", 503))
-    retried = embed_corpus(varied_corpus, provider, varied_chunking)
+    retried = embed_corpus(documents, provider, varied_chunking)
     assert len(stub.log) - n_clean == n_clean + 1
     assert stub.log[n_clean + 1]["body"] == stub.log[n_clean + 2]["body"]
     assert np.array_equal(retried.matrix, clean.matrix)

@@ -514,6 +514,12 @@ def test_top_k_peers_bit_identical_to_sorted_ranking():
     ("company_id,date,return\na,2020-01-02,0.1,x\n", "line 2: expected 3 columns"),
     ("company_id,date,return\na,2020-01-02,0.1\na,2020/01/03,0.1\n",
      "line 3: bad date"),
+    # a trailing newline or full-width digits would make a second column
+    # for the same day, hiding the duplicate observation
+    ('company_id,date,return\na,2020-01-02,0.1\na,"2020-01-02\n",0.2\n',
+     "line 3: bad date"),
+    ("company_id,date,return\na,2020-01-02,0.1\n"
+     "a,\uff12\uff10\uff12\uff10-\uff10\uff11-\uff10\uff12,0.2\n", "line 3: bad date"),
     ("company_id,date,return\n,2020-01-02,0.1\n", "line 2: empty company id"),
     ("company_id,date,return\na,2020-01-02,0.1\na,2020-01-03,\n",
      "line 3: bad return value"),
@@ -528,7 +534,7 @@ def test_top_k_peers_bit_identical_to_sorted_ranking():
 ])
 def test_returns_csv_rejects_bad_input_naming_the_line(tmp_path, body, message):
     path = tmp_path / "r.csv"
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8")
     with pytest.raises(DataValidationError, match=message):
         load_returns_csv(path)
 
