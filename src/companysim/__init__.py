@@ -53,10 +53,8 @@ from .corpus import (
     stratified_split,
 )
 from .embeddings import (
-    DocumentEmbedding,
     EmbeddingMatrix,
     embed_corpus,
-    embed_document,
     pool_chunk_embeddings,
 )
 from .errors import (

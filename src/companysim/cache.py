@@ -152,14 +152,25 @@ def load_cache(path: str | Path) -> EmbeddingMatrix:
 def sync_cache(
     path: str | Path,
     wanted_ids: Sequence[str],
-    embed_missing: Callable[[list[str]], EmbeddingMatrix],
+    update: Callable[[EmbeddingMatrix | None, list[str]], EmbeddingMatrix],
+    provider_id: str,
+    context_budget: int,
 ) -> EmbeddingMatrix:
-    """Resumable embedding: load what exists, embed only the missing ids,
-    append their rows after the cached ones and save, and return the matrix
-    restricted to ``wanted_ids`` in order. The fresh rows must match the
-    cache's provider, context budget and dimension."""
+    """Resumable embedding: the cache at ``path`` restricted to
+    ``wanted_ids``, in order. An existing cache must come from
+    ``provider_id`` at ``context_budget``, checked before anything is
+    embedded. When ids are missing, ``update(cached, missing)`` returns the
+    new cache to save (``cached`` is None without a cache): ``append_rows``
+    of the missing rows, or the rows of a fresh fit alone."""
     path = Path(path)
     cached: EmbeddingMatrix | None = load_cache(path) if path.exists() else None
+    if cached is not None:
+        for what, old, new in (
+            ("provider", cached.provider_id, provider_id),
+            ("context budget", cached.context_budget, context_budget),
+        ):
+            if old != new:
+                raise CacheFormatError(f"cache {what} {old!r} != {new!r}")
     missing = [
         company_id
         for company_id in wanted_ids
@@ -168,25 +179,27 @@ def sync_cache(
     if missing:
         logger.info("cache %s: embedding %d missing of %d wanted",
                     path, len(missing), len(wanted_ids))
-        fresh = embed_missing(missing)
-        if cached is not None:
-            for what, old, new in (
-                ("provider", cached.provider_id, fresh.provider_id),
-                ("context budget", cached.context_budget, fresh.context_budget),
-                ("dimension", cached.dimension, fresh.dimension),
-            ):
-                if old != new:
-                    raise CacheFormatError(f"cache {what} {old!r} != {new!r}")
-            fresh = EmbeddingMatrix(
-                ids=cached.ids + fresh.ids,
-                matrix=np.vstack([cached.matrix, fresh.matrix]),
-                provider_id=cached.provider_id,
-                context_budget=cached.context_budget,
-            )
-        save_cache(fresh, path)
-        cached = fresh
+        cached = update(cached, missing)
+        save_cache(cached, path)
     assert cached is not None
     return cached.subset(wanted_ids)
+
+
+def append_rows(cached: EmbeddingMatrix | None, fresh: EmbeddingMatrix) -> EmbeddingMatrix:
+    """``fresh``'s rows after ``cached``'s (``fresh`` alone without a
+    cache); the two must have the same dimension."""
+    if cached is None:
+        return fresh
+    if cached.dimension != fresh.dimension:
+        raise CacheFormatError(
+            f"cache dimension {cached.dimension!r} != {fresh.dimension!r}"
+        )
+    return EmbeddingMatrix(
+        ids=cached.ids + fresh.ids,
+        matrix=np.vstack([cached.matrix, fresh.matrix]),
+        provider_id=cached.provider_id,
+        context_budget=cached.context_budget,
+    )
 
 
 def export_jsonl(matrix: EmbeddingMatrix, path: str | Path) -> None:

@@ -46,10 +46,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def softmax_probs(X: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(X @ weights + bias))
-
-
 def _log_probs(params: np.ndarray, X: np.ndarray, n_classes: int) -> np.ndarray:
     weights, bias = unpack_params(params, X.shape[1], n_classes)
     return _log_softmax(X @ weights + bias)
@@ -231,7 +227,7 @@ def fit_classifier(
 def predict_proba(model: LogisticModel, X: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per input; rows sum to 1."""
     Xs = model.standardize(np.atleast_2d(X))
-    return softmax_probs(Xs, model.weights, model.bias)
+    return np.exp(_log_softmax(Xs @ model.weights + model.bias))
 
 
 def predict(model: LogisticModel, X: np.ndarray) -> list[str]:

@@ -54,10 +54,8 @@ from .cluster import (
 from .config import RunConfig, config_hash, load_config
 from .corpus import (
     GICS_LEVELS,
-    Corpus,
-    CompanyRecord,
     GicsHierarchy,
-    GicsLabels,
+    corpus_from_records,
     generate_finetune_pairs,
     load_corpus,
     save_corpus,
@@ -96,30 +94,39 @@ def _chunking(cfg: RunConfig) -> ChunkingConfig:
     )
 
 
-def _build_provider(cfg: RunConfig, prepared: dict[str, list[TokenSequence]]):
-    """The configured provider; a TF-IDF provider is fitted on ``prepared``,
-    the chunks of every document."""
+def _provider_identity(cfg: RunConfig) -> tuple[str, int]:
+    """The provider id and context budget the run's cache rows carry: a
+    remote provider's configured id, otherwise the provider's name."""
+    e = cfg.embedding
+    provider_id = e.remote_provider_id if e.provider == "remote" else e.provider
+    return provider_id, e.context_budget
+
+
+def _build_provider(cfg: RunConfig, documents: Sequence[tuple[str, list[TokenSequence]]]):
+    """The configured provider. A TF-IDF provider is fitted on ``documents``,
+    the ``(company_id, chunks)`` of every document; no other provider reads
+    them."""
     e = cfg.embedding
     if e.provider == "hash-bow":
         return HashBowProvider(e.dimension, seed=e.hash_seed)
     if e.provider == "remote":
         return RemoteProvider(
             endpoint=e.endpoint,
-            provider_id=e.remote_provider_id,
+            provider_id=_provider_identity(cfg)[0],
             dimension=e.dimension,
             timeout=e.timeout,
             retries=e.retries,
             backoff=e.backoff,
             auth_env=e.auth_env,
         )
-    if len(prepared) < 2:
+    if len(documents) < 2:
         raise DataValidationError(
             f"provider {e.provider!r} is fitted on the corpus and needs at "
-            f"least 2 documents, got {len(prepared)}"
+            f"least 2 documents, got {len(documents)}"
         )
     projection = e.dimension if e.provider == "tfidf-rp" else None
     return TfidfProvider.fit(
-        [chain.from_iterable(chunks) for chunks in prepared.values()],
+        [chain.from_iterable(chunks) for _, chunks in documents],
         max_features=e.max_features,
         projection_dim=projection,
         seed=e.projection_seed,
@@ -151,45 +158,47 @@ def _say(args, message: str) -> None:
 # Subcommands
 
 
+def _labelled_filings(labels, filings_dir: Path, mode: str, min_chars: int):
+    """``(line number, corpus record)`` for each row of the labels CSV, the
+    description read from ``<filings_dir>/<company_id>.txt``."""
+    reader = csv.reader(labels)
+    header = next(reader, None)
+    if header != LABELS_HEADER:
+        raise DataValidationError(
+            f"labels file must start with {','.join(LABELS_HEADER)!r}, "
+            f"got {header!r}"
+        )
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(LABELS_HEADER):
+            raise DataValidationError(
+                f"line {line_no}: expected {len(LABELS_HEADER)} columns"
+            )
+        company_id, name, *levels = row
+        filing_path = filings_dir / f"{company_id}.txt"
+        if not filing_path.exists():
+            raise DataValidationError(f"missing filing file {filing_path}")
+        raw = filing_path.read_text(encoding="utf-8")
+        yield line_no, {
+            "company_id": company_id,
+            "name": name,
+            "gics": dict(zip(GICS_LEVELS, levels)),
+            "description": (extract_item1(raw, min_chars=min_chars)
+                            if mode == "extract" else raw),
+            "raw_filing_path": str(filing_path),
+        }
+
+
 def cmd_ingest(args, cfg: RunConfig) -> int:
     hierarchy = GicsHierarchy.from_csv(args.hierarchy)
-    filings_dir = Path(args.filings_dir)
-    records = []
     with open(args.labels, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != LABELS_HEADER:
-            raise DataValidationError(
-                f"labels file must start with {','.join(LABELS_HEADER)!r}, "
-                f"got {header!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(LABELS_HEADER):
-                raise DataValidationError(
-                    f"line {line_no}: expected {len(LABELS_HEADER)} columns"
-                )
-            company_id, name = row[0], row[1]
-            gics = GicsLabels(*row[2:])
-            hierarchy.validate_labels(gics)
-            filing_path = filings_dir / f"{company_id}.txt"
-            if not filing_path.exists():
-                raise DataValidationError(f"missing filing file {filing_path}")
-            raw = filing_path.read_text(encoding="utf-8")
-            if args.mode == "extract":
-                description = extract_item1(raw, min_chars=args.min_chars)
-            else:
-                description = raw
-            records.append(CompanyRecord(
-                company_id=company_id,
-                name=name,
-                gics=gics,
-                description=description,
-                raw_filing_path=str(filing_path),
-            ))
-    corpus = Corpus(records, hierarchy)
+        # the records load_corpus accepts, so the next stage reads them back
+        corpus = corpus_from_records(
+            _labelled_filings(f, Path(args.filings_dir), args.mode, args.min_chars),
+            hierarchy,
+        )
     save_corpus(corpus, args.out)
-    logger.info("ingested %d companies into %s", len(records), args.out)
-    _say(args, f"ingested {len(records)} companies -> {args.out}")
+    logger.info("ingested %d companies into %s", len(corpus), args.out)
+    _say(args, f"ingested {len(corpus)} companies -> {args.out}")
     return 0
 
 
@@ -204,21 +213,28 @@ def cmd_pairs(args, cfg: RunConfig) -> int:
 def cmd_embed(args, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus, args.hierarchy)
     chunking = _chunking(cfg)
-    # A TF-IDF fit reads every document before any is embedded, so their
-    # chunks are prepared once, up front, for the fit and the embedding.
-    # Other providers prepare each document as it is embedded.
+    # A TF-IDF fit depends on every document it reads, so a fitted provider
+    # always embeds the whole corpus and a resume replaces its cache: one
+    # cache holds rows from one fit.
     fitted = cfg.embedding.provider in ("tfidf", "tfidf-rp")
-    prepared = dict(corpus_documents(corpus, chunking)) if fitted else {}
-    provider = _build_provider(cfg, prepared)
 
     def embed(ids: list[str]) -> EmbeddingMatrix:
-        documents = ([(i, prepared[i]) for i in ids] if fitted
-                     else corpus_documents(corpus, chunking, ids))
+        documents = corpus_documents(corpus, chunking, ids)
+        if fitted:
+            # prepared once, read by the fit and then by the embedding
+            documents = list(documents)
+        provider = _build_provider(cfg, documents)
         return embed_corpus(documents, provider, chunking,
                             length_weighted=cfg.embedding.length_weighted)
 
+    def update(cached: EmbeddingMatrix | None, missing: list[str]) -> EmbeddingMatrix:
+        if fitted:
+            return embed(corpus.ids())
+        return cache_io.append_rows(cached, embed(missing))
+
     if args.resume:
-        matrix = cache_io.sync_cache(args.out, corpus.ids(), embed)
+        matrix = cache_io.sync_cache(args.out, corpus.ids(), update,
+                                     *_provider_identity(cfg))
     else:
         matrix = embed(corpus.ids())
         cache_io.save_cache(matrix, args.out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -441,17 +441,24 @@ class ClusterQuality:
     v_measure: float
 
     def to_dict(self) -> dict:
-        return {
-            "homogeneity": self.homogeneity,
-            "completeness": self.completeness,
-            "v_measure": self.v_measure,
-        }
+        return asdict(self)
 
 
 def _entropy(counts: np.ndarray) -> float:
     total = counts.sum()
     probs = counts[counts > 0] / total
     return float(-(probs * np.log(probs)).sum())
+
+
+def _conditional_entropy(table: np.ndarray, n: float) -> float:
+    """H(row label | column label) of a contingency table of ``n`` items."""
+    h = 0.0
+    for col in range(table.shape[1]):
+        column = table[:, col]
+        col_total = column.sum()
+        if col_total > 0:
+            h += (col_total / n) * _entropy(column)
+    return h
 
 
 def cluster_quality(
@@ -476,18 +483,8 @@ def cluster_quality(
     h_true = _entropy(table.sum(axis=1))
     h_pred = _entropy(table.sum(axis=0))
 
-    h_true_given_pred = 0.0
-    for col in range(table.shape[1]):
-        column = table[:, col]
-        col_total = column.sum()
-        if col_total > 0:
-            h_true_given_pred += (col_total / n) * _entropy(column)
-    h_pred_given_true = 0.0
-    for row in range(table.shape[0]):
-        row_vals = table[row]
-        row_total = row_vals.sum()
-        if row_total > 0:
-            h_pred_given_true += (row_total / n) * _entropy(row_vals)
+    h_true_given_pred = _conditional_entropy(table, n)
+    h_pred_given_true = _conditional_entropy(table.T, n)
 
     homogeneity = 1.0 if h_true == 0.0 else 1.0 - h_true_given_pred / h_true
     completeness = 1.0 if h_pred == 0.0 else 1.0 - h_pred_given_true / h_pred

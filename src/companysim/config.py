@@ -44,16 +44,19 @@ def _is_number(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-def _require_number_fields(section, name: str) -> None:
-    """Every field declared ``int`` holds an integer and every field
-    declared ``float`` a finite number; a range check alone would let 2.5,
-    true or Infinity through."""
+def _require_field_types(section, name: str) -> None:
+    """Every field declared ``int`` holds an integer, every field declared
+    ``float`` a finite number and every field declared ``str`` a string; a
+    range check alone would let 2.5, true or Infinity through, and a number
+    where a string belongs would only fail once it is used."""
     for f in dataclasses.fields(section):
         value = getattr(section, f.name)
         if f.type == "int":
             _require(_is_int(value), f"{name}.{f.name} must be an integer")
         elif f.type in ("float", "float | None") and value is not None:
             _require(_is_number(value), f"{name}.{f.name} must be a finite number")
+        elif f.type in ("str", "str | None") and value is not None:
+            _require(isinstance(value, str), f"{name}.{f.name} must be a string")
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class EmbeddingConfig:
     auth_env: str | None = None
 
     def __post_init__(self) -> None:
-        _require_number_fields(self, "embedding")
+        _require_field_types(self, "embedding")
         _require(self.provider in PROVIDER_CHOICES,
                  f"embedding.provider must be one of {PROVIDER_CHOICES}")
         _require(self.context_budget in CONTEXT_BUDGET_CHOICES,
@@ -105,7 +108,7 @@ class ClassifyConfig:
     test_fraction: float = 0.2
 
     def __post_init__(self) -> None:
-        _require_number_fields(self, "classify")
+        _require_field_types(self, "classify")
         _require(self.level in GICS_LEVELS,
                  f"classify.level must be one of {GICS_LEVELS}")
         _require(self.l2_penalty >= 0, "classify.l2_penalty must be >= 0")
@@ -123,15 +126,17 @@ class PeersConfig:
     baseline_level: str = "sector"
 
     def __post_init__(self) -> None:
-        _require_number_fields(self, "peers")
+        _require_field_types(self, "peers")
         _require(self.k >= 1, "peers.k must be >= 1")
         _require(self.min_overlap >= 2, "peers.min_overlap must be >= 2")
         _require(self.baseline_level in GICS_LEVELS,
                  f"peers.baseline_level must be one of {GICS_LEVELS}")
         if self.years is not None:
-            _require(isinstance(self.years, (list, tuple))
-                     and all(_is_int(y) for y in self.years),
-                     "peers.years must be null or a list of integers")
+            _require(isinstance(self.years, (list, tuple)) and self.years
+                     and all(_is_int(y) for y in self.years)
+                     and len(set(self.years)) == len(self.years),
+                     "peers.years must be null or a non-empty list of "
+                     "distinct integers")
             object.__setattr__(self, "years", tuple(self.years))
 
 
@@ -147,7 +152,7 @@ class ClusterConfig:
     reduce_components: int = 50
 
     def __post_init__(self) -> None:
-        _require_number_fields(self, "cluster")
+        _require_field_types(self, "cluster")
         _require(self.method in ("kmeans", "agglomerative", "spectral", "random"),
                  "cluster.method must be kmeans, agglomerative, spectral, or random")
         _require(self.n_clusters >= 1, "cluster.n_clusters must be >= 1")
@@ -170,7 +175,7 @@ class AttributionConfig:
     min_companies: int = 2
 
     def __post_init__(self) -> None:
-        _require_number_fields(self, "attribution")
+        _require_field_types(self, "attribution")
         _require(self.min_month_obs >= 1,
                  "attribution.min_month_obs must be >= 1")
         if self.winsorize is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -26,6 +26,12 @@ from .textprep import clean_text
 logger = logging.getLogger(__name__)
 
 GICS_LEVELS = ("sector", "industry_group", "industry", "sub_industry")
+# (child level, parent level), leaf first: the order validate_labels checks
+_PARENT_LEVEL = (
+    ("sub_industry", "industry"),
+    ("industry", "industry_group"),
+    ("industry_group", "sector"),
+)
 
 _RECORD_KEYS = {"company_id", "name", "gics", "description", "raw_filing_path"}
 _REQUIRED_KEYS = {"company_id", "name", "gics", "description"}
@@ -58,7 +64,10 @@ class GicsLabels:
         missing = [level for level in GICS_LEVELS if level not in d]
         if missing:
             raise DataValidationError(f"gics object missing keys: {missing}")
-        return cls(*(str(d[level]) for level in GICS_LEVELS))
+        for level in GICS_LEVELS:
+            if not isinstance(d[level], str):
+                raise DataValidationError(f"GICS {level} must be a string")
+        return cls(*(d[level] for level in GICS_LEVELS))
 
 
 @dataclass(frozen=True)
@@ -79,21 +88,18 @@ class GicsHierarchy:
     rows: list[tuple[str, str, str, str]]
 
     def __post_init__(self):
-        self._sub_parent: dict[str, str] = {}
-        self._industry_parent: dict[str, str] = {}
-        self._group_parent: dict[str, str] = {}
+        # child level -> {child category: parent category}
+        self._parent: dict[str, dict[str, str]] = {child: {} for child, _ in _PARENT_LEVEL}
         for row in self.rows:
             if len(row) != 4 or not all(row):
                 raise HierarchyError(f"hierarchy row must have 4 non-empty fields, got {row!r}")
-            sector, group, industry, sub = row
-            for table, child, parent, level in (
-                (self._sub_parent, sub, industry, "sub_industry"),
-                (self._industry_parent, industry, group, "industry"),
-                (self._group_parent, group, sector, "industry_group"),
-            ):
+            category = dict(zip(GICS_LEVELS, row))
+            for child_level, parent_level in _PARENT_LEVEL:
+                table = self._parent[child_level]
+                child, parent = category[child_level], category[parent_level]
                 if child in table and table[child] != parent:
                     raise HierarchyError(
-                        f"{level} {child!r} mapped to both {table[child]!r} and {parent!r}"
+                        f"{child_level} {child!r} mapped to both {table[child]!r} and {parent!r}"
                     )
                 table[child] = parent
 
@@ -123,26 +129,16 @@ class GicsHierarchy:
 
     def validate_labels(self, gics: GicsLabels) -> None:
         """Raise HierarchyError unless the 4-tuple is consistent with the table."""
-        if gics.sub_industry not in self._sub_parent:
+        if gics.sub_industry not in self._parent["sub_industry"]:
             raise HierarchyError(f"unknown GICS sub_industry {gics.sub_industry!r}")
-        expect_industry = self._sub_parent[gics.sub_industry]
-        if gics.industry != expect_industry:
-            raise HierarchyError(
-                f"sub_industry {gics.sub_industry!r} belongs to industry "
-                f"{expect_industry!r}, not {gics.industry!r}"
-            )
-        expect_group = self._industry_parent[gics.industry]
-        if gics.industry_group != expect_group:
-            raise HierarchyError(
-                f"industry {gics.industry!r} belongs to industry_group "
-                f"{expect_group!r}, not {gics.industry_group!r}"
-            )
-        expect_sector = self._group_parent[gics.industry_group]
-        if gics.sector != expect_sector:
-            raise HierarchyError(
-                f"industry_group {gics.industry_group!r} belongs to sector "
-                f"{expect_sector!r}, not {gics.sector!r}"
-            )
+        for child_level, parent_level in _PARENT_LEVEL:
+            child, parent = gics.level(child_level), gics.level(parent_level)
+            expected = self._parent[child_level][child]
+            if parent != expected:
+                raise HierarchyError(
+                    f"{child_level} {child!r} belongs to {parent_level} "
+                    f"{expected!r}, not {parent!r}"
+                )
 
 
 @dataclass
@@ -200,72 +196,72 @@ class PairExample:
             raise DataValidationError(f"pair label must be 0 or 1, got {self.label!r}")
 
 
-def load_corpus(
-    path: str | Path,
-    hierarchy_path: str | Path,
-    min_description_chars: int = 1,
-) -> Corpus:
-    """Load and validate a JSONL corpus against a hierarchy table.
-
-    Rejects malformed records (with line number), duplicate company ids,
-    GICS labels inconsistent with the hierarchy, and descriptions that clean
-    down to fewer than ``min_description_chars`` characters.
-    """
-    hierarchy = GicsHierarchy.from_csv(hierarchy_path)
-    path = Path(path)
-    records: list[CompanyRecord] = []
+def corpus_from_records(records, hierarchy: GicsHierarchy) -> Corpus:
+    """The corpus of ``(line number, raw record)`` pairs. A record must be
+    an object with the record keys; company_id (non-empty and on no earlier
+    line), name, description and the GICS levels must be strings, and
+    raw_filing_path a string or null; the labels must fit the hierarchy and
+    the description must clean to at least one character. CorpusFormatError
+    names the line of the first record that breaks a rule."""
+    checked: list[CompanyRecord] = []
     first_line: dict[str, int] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"invalid JSON ({e.msg})", line=lineno) from None
-            if not isinstance(raw, dict):
-                raise CorpusFormatError("record must be a JSON object", line=lineno)
-            missing = _REQUIRED_KEYS - raw.keys()
-            if missing:
-                raise CorpusFormatError(f"missing keys: {sorted(missing)}", line=lineno)
-            unknown = raw.keys() - _RECORD_KEYS
-            if unknown:
-                raise CorpusFormatError(f"unknown keys: {sorted(unknown)}", line=lineno)
-            company_id = str(raw["company_id"])
-            if not company_id:
-                raise CorpusFormatError("company_id must be non-empty", line=lineno)
-            if company_id in first_line:
-                raise CorpusFormatError(
-                    f"duplicate company_id {company_id!r} "
-                    f"(first seen on line {first_line[company_id]})",
-                    line=lineno,
-                )
-            first_line[company_id] = lineno
-            if not isinstance(raw["gics"], dict):
-                raise CorpusFormatError("gics must be an object", line=lineno)
-            try:
-                gics = GicsLabels.from_dict(raw["gics"])
-                hierarchy.validate_labels(gics)
-            except DataValidationError as e:
-                raise CorpusFormatError(f"company {company_id!r}: {e}", line=lineno) from None
-            description = str(raw["description"])
-            cleaned_len = len(clean_text(description))
-            if cleaned_len < max(1, min_description_chars):
-                raise CorpusFormatError(
-                    f"company {company_id!r}: description cleans to {cleaned_len} chars "
-                    f"(minimum {max(1, min_description_chars)})",
-                    line=lineno,
-                )
-            records.append(
-                CompanyRecord(
-                    company_id=company_id,
-                    name=str(raw["name"]),
-                    gics=gics,
-                    description=description,
-                    raw_filing_path=raw.get("raw_filing_path"),
-                )
+    for line, raw in records:
+        if not isinstance(raw, dict):
+            raise CorpusFormatError("record must be a JSON object", line=line)
+        missing = _REQUIRED_KEYS - raw.keys()
+        if missing:
+            raise CorpusFormatError(f"missing keys: {sorted(missing)}", line=line)
+        unknown = raw.keys() - _RECORD_KEYS
+        if unknown:
+            raise CorpusFormatError(f"unknown keys: {sorted(unknown)}", line=line)
+        for key in ("company_id", "name", "description"):
+            if not isinstance(raw[key], str):
+                raise CorpusFormatError(f"{key} must be a string", line=line)
+        raw_filing_path = raw.get("raw_filing_path")
+        if raw_filing_path is not None and not isinstance(raw_filing_path, str):
+            raise CorpusFormatError("raw_filing_path must be a string or null", line=line)
+        company_id = raw["company_id"]
+        if not company_id:
+            raise CorpusFormatError("company_id must be non-empty", line=line)
+        if company_id in first_line:
+            raise CorpusFormatError(
+                f"duplicate company_id {company_id!r} "
+                f"(first seen on line {first_line[company_id]})",
+                line=line,
             )
-    return Corpus(records, hierarchy)
+        first_line[company_id] = line
+        if not isinstance(raw["gics"], dict):
+            raise CorpusFormatError("gics must be an object", line=line)
+        try:
+            gics = GicsLabels.from_dict(raw["gics"])
+            hierarchy.validate_labels(gics)
+        except DataValidationError as e:
+            raise CorpusFormatError(f"company {company_id!r}: {e}", line=line) from None
+        if not clean_text(raw["description"]):
+            raise CorpusFormatError(
+                f"company {company_id!r}: description cleans to 0 chars", line=line
+            )
+        checked.append(CompanyRecord(company_id, raw["name"], gics,
+                                     raw["description"], raw_filing_path))
+    return Corpus(checked, hierarchy)
+
+
+def load_corpus(path: str | Path, hierarchy_path: str | Path) -> Corpus:
+    """Load a JSONL corpus, each record checked against a hierarchy table
+    as ``corpus_from_records`` checks it."""
+    hierarchy = GicsHierarchy.from_csv(hierarchy_path)
+    with Path(path).open(encoding="utf-8") as fh:
+        return corpus_from_records(_json_lines(fh), hierarchy)
+
+
+def _json_lines(fh) -> Iterator[tuple[int, object]]:
+    for line_no, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            yield line_no, json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CorpusFormatError(f"invalid JSON ({e.msg})", line=line_no) from None
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -290,9 +286,6 @@ class StratifiedSplit:
     train_ids: list[str]
     test_ids: list[str]
     singleton_classes: list[str]
-
-    def __iter__(self):
-        return iter((self.train_ids, self.test_ids))
 
 
 def stratified_split(

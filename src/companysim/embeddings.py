@@ -17,19 +17,6 @@ from .textprep import ChunkingConfig, TokenSequence, prepare_chunks
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class DocumentEmbedding:
-    """One pooled vector for one document."""
-
-    company_id: str
-    vector: np.ndarray
-    n_chunks: int
-
-    def __post_init__(self) -> None:
-        if self.n_chunks < 1:
-            raise ValueError(f"n_chunks must be >= 1, got {self.n_chunks}")
-
-
 def pool_chunk_embeddings(
     chunk_vectors: np.ndarray,
     weights: Sequence[float] | None = None,
@@ -48,20 +35,6 @@ def pool_chunk_embeddings(
     if w.shape != (rows.shape[0],) or np.any(w <= 0):
         raise ValueError("weights must be positive, one per chunk")
     return (w[:, None] * rows).sum(axis=0) / w.sum()
-
-
-def _document_chunks(
-    raw_text: str, config: ChunkingConfig, company_id: str
-) -> list[TokenSequence]:
-    """Chunks of one description. The empty-after-cleaning case is a data
-    error, not a zero vector: every row in an embedding matrix must come from
-    actual text."""
-    chunks = prepare_chunks(raw_text, config, source_id=company_id)
-    if not chunks:
-        raise DataValidationError(
-            f"document {company_id!r} has no tokens after cleaning"
-        )
-    return chunks
 
 
 def _embed_group(
@@ -96,19 +69,6 @@ def _embed_group(
         vectors.append(pool_chunk_embeddings(rows[start:end], weights))
         start = end
     return vectors
-
-
-def embed_document(
-    raw_text: str,
-    provider: EmbeddingProvider,
-    config: ChunkingConfig,
-    company_id: str = "",
-    length_weighted: bool = False,
-) -> DocumentEmbedding:
-    """Clean, chunk, embed each chunk, and mean-pool one document."""
-    chunks = _document_chunks(raw_text, config, company_id)
-    (vector,) = _embed_group([(company_id, chunks)], provider, length_weighted)
-    return DocumentEmbedding(company_id=company_id, vector=vector, n_chunks=len(chunks))
 
 
 @dataclass
@@ -173,11 +133,18 @@ def corpus_documents(
     corpus: Corpus, config: ChunkingConfig, ids: Iterable[str] | None = None
 ) -> Iterator[tuple[str, list[TokenSequence]]]:
     """``(company_id, chunks)`` for each id (default: every company, in
-    corpus order), each description prepared as it is reached."""
+    corpus order), each description prepared as it is reached. A document
+    with no tokens after cleaning is a data error, not a zero vector: every
+    row in an embedding matrix must come from actual text."""
     for company_id in corpus.ids() if ids is None else ids:
-        yield company_id, _document_chunks(
-            corpus.get(company_id).description, config, company_id
+        chunks = prepare_chunks(
+            corpus.get(company_id).description, config, source_id=company_id
         )
+        if not chunks:
+            raise DataValidationError(
+                f"document {company_id!r} has no tokens after cleaning"
+            )
+        yield company_id, chunks
 
 
 def _document_groups(

@@ -2,8 +2,9 @@
 random projection), and a generic remote HTTP endpoint.
 
 The offline providers are deterministic given their seeds so the whole
-evaluation pipeline can run reproducibly without model servers. The remote
-protocol is a single JSON POST:
+evaluation pipeline can run reproducibly without model servers; their
+provider ids are their config names (``hash-bow``, ``tfidf``,
+``tfidf-rp``). The remote protocol is a single JSON POST:
 
     POST {endpoint}/embed
     request  {"provider_id": str, "texts": [str, ...]}
@@ -75,10 +76,11 @@ def hash_bow_embed(chunk: TokenSequence, dimension: int, seed: int) -> np.ndarra
 
 
 class HashBowProvider(EmbeddingProvider):
-    def __init__(self, dimension: int, seed: int = 0, provider_id: str = "hash-bow"):
+    provider_id = "hash-bow"
+
+    def __init__(self, dimension: int, seed: int = 0):
         if dimension < 2:
             raise ValueError(f"dimension must be >= 2, got {dimension}")
-        self.provider_id = provider_id
         self.dimension = dimension
         self.seed = seed
 
@@ -163,11 +165,10 @@ class TfidfProvider(EmbeddingProvider):
         self,
         model: TfidfModel,
         projection: tuple[int, int] | None = None,
-        provider_id: str | None = None,
     ):
         self.model = model
         self.projection = projection
-        self.provider_id = provider_id or ("tfidf-rp" if projection else "tfidf")
+        self.provider_id = "tfidf-rp" if projection else "tfidf"
         self.dimension = projection[0] if projection else len(model.vocabulary)
 
     @classmethod
@@ -177,11 +178,10 @@ class TfidfProvider(EmbeddingProvider):
         max_features: int = 4096,
         projection_dim: int | None = None,
         seed: int = 0,
-        provider_id: str | None = None,
     ) -> "TfidfProvider":
         model = tfidf_fit(corpus_tokens, max_features)
         projection = (projection_dim, seed) if projection_dim else None
-        return cls(model, projection, provider_id)
+        return cls(model, projection)
 
     def embed_chunks(self, chunks: Sequence[TokenSequence]) -> np.ndarray:
         rows = [tfidf_embed(self.model, c, self.projection) for c in chunks]

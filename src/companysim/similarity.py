@@ -406,17 +406,21 @@ class CorrelationReport:
 def _score_peer_sets(
     peer_sets: Mapping[str, Sequence[str]],
     panel: ReturnPanel,
-    years: Sequence[int],
+    years: Sequence[int] | None,
     min_overlap: int,
     k: int | None,
 ) -> CorrelationReport:
     """Shared scorer: given each company's peer list, average pairwise
-    correlations per year, then across years.
+    correlations per year (default: every year of the panel), then across
+    years.
 
     Within a year a company without returns is not scored; a peer without
     returns that year, with fewer than ``min_overlap`` common dates, or
     with either series constant on them is a skipped pair.
     """
+    years = list(years) if years is not None else panel.years()
+    if not years:
+        raise DataValidationError("no years with return data")
     companies = sorted(peer_sets)
     row = {company_id: i for i, company_id in enumerate(panel.ids)}
     owner, a, b = [], [], []
@@ -486,15 +490,12 @@ def avg_peer_correlation(
             "need at least 2 companies with both embeddings and returns"
         )
     sub = matrix.subset(sorted(universe))
-    use_years = list(years) if years is not None else panel.years()
-    if not use_years:
-        raise DataValidationError("no years with return data")
     ranked = top_k_peers(sub, k)
     peer_sets = {
         company_id: [peer for peer, _ in peers]
         for company_id, peers in ranked.items()
     }
-    report = _score_peer_sets(peer_sets, panel, use_years, min_overlap, k)
+    report = _score_peer_sets(peer_sets, panel, years, min_overlap, k)
     report.peers = ranked
     return report
 
@@ -523,8 +524,7 @@ def gics_baseline_correlation(
     peer_sets = {c: peers for c, peers in peer_sets.items() if peers}
     if not peer_sets:
         raise DataValidationError("every label group has a single member")
-    use_years = list(years) if years is not None else panel.years()
-    return _score_peer_sets(peer_sets, panel, use_years, min_overlap, k=None)
+    return _score_peer_sets(peer_sets, panel, years, min_overlap, k=None)
 
 
 # ---------------------------------------------------------------------------

@@ -161,19 +161,24 @@ FILLER_VOCAB: list[str] = [
     "initiatives", "stakeholders", "performance", "results",
 ]
 
+# shares of a description's words drawn from its industry and its sector
 INDUSTRY_SHARE = 0.5
 SECTOR_SHARE = 0.2
+
+# shares of daily return variance from the sector and the industry factor,
+# and the total daily volatility
+RETURN_SECTOR_SHARE = 0.10
+RETURN_INDUSTRY_SHARE = 0.25
+DAILY_VOL = 0.02
 
 
 def synthetic_hierarchy() -> GicsHierarchy:
     """Four-level chain with one industry group per sector and one
     sub-industry per industry."""
-    rows = [
+    return GicsHierarchy(rows=[
         (sector, f"{sector} Group", industry, f"{industry} Core")
-        for sector, industries in SECTOR_INDUSTRIES.items()
-        for industry in industries
-    ]
-    return GicsHierarchy(rows=rows)
+        for sector, industry in _industry_list()
+    ])
 
 
 def _industry_list() -> list[tuple[str, str]]:
@@ -251,18 +256,13 @@ def make_synthetic_returns(
     corpus: Corpus,
     years: Sequence[int],
     seed: int = 0,
-    sector_share: float = 0.10,
-    industry_share: float = 0.25,
-    daily_vol: float = 0.02,
 ) -> ReturnPanel:
     """Daily returns = sector factor + industry factor + idiosyncratic noise.
 
     The shares split total variance, so two same-industry companies have
-    expected correlation sector_share + industry_share, and same-sector
-    cross-industry pairs only sector_share.
+    expected correlation RETURN_SECTOR_SHARE + RETURN_INDUSTRY_SHARE, and
+    same-sector cross-industry pairs only RETURN_SECTOR_SHARE.
     """
-    if sector_share < 0 or industry_share < 0 or sector_share + industry_share >= 1:
-        raise ValueError("variance shares must be non-negative and sum below 1")
     dates = business_days(years)
     ids = corpus.ids()
     sectors = sorted({corpus.get(i).gics.sector for i in ids})
@@ -273,9 +273,9 @@ def make_synthetic_returns(
         [industries.index(corpus.get(i).gics.industry) for i in ids])
 
     rng = np.random.default_rng(seed)
-    sigma_sector = daily_vol * np.sqrt(sector_share)
-    sigma_industry = daily_vol * np.sqrt(industry_share)
-    sigma_idio = daily_vol * np.sqrt(1.0 - sector_share - industry_share)
+    sigma_sector = DAILY_VOL * np.sqrt(RETURN_SECTOR_SHARE)
+    sigma_industry = DAILY_VOL * np.sqrt(RETURN_INDUSTRY_SHARE)
+    sigma_idio = DAILY_VOL * np.sqrt(1.0 - RETURN_SECTOR_SHARE - RETURN_INDUSTRY_SHARE)
     sector_factor = rng.normal(0.0, sigma_sector, (len(dates), len(sectors)))
     industry_factor = rng.normal(
         0.0, sigma_industry, (len(dates), len(industries)))

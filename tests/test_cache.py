@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from companysim.cache import (
+    append_rows,
     export_jsonl,
     load_cache,
     save_cache,
@@ -154,12 +155,19 @@ def test_non_finite_rows_rejected_naming_the_first(tmp_path, bad):
         load_cache(path)
 
 
+def _appending(embed_missing):
+    """An ``update`` for ``sync_cache`` that appends the rows
+    ``embed_missing(missing)`` returns."""
+    return lambda cached, missing: append_rows(cached, embed_missing(missing))
+
+
 def test_sync_cache_appends_missing_rows_after_cached_ones(tmp_path):
     path = tmp_path / "emb.bin"
     first = _matrix(["a", "b"], seed=1)
     save_cache(first, path)
     fresh = _matrix(["c", "d"], seed=2)
-    result = sync_cache(path, ["b", "c", "a", "d"], lambda ids: fresh.subset(ids))
+    result = sync_cache(path, ["b", "c", "a", "d"],
+                        _appending(lambda ids: fresh.subset(ids)), "prov", 512)
     assert result.ids == ["b", "c", "a", "d"]
     reloaded = load_cache(path)
     assert reloaded.ids == ["a", "b", "c", "d"]
@@ -170,22 +178,57 @@ def test_sync_cache_appends_missing_rows_after_cached_ones(tmp_path):
 
 def test_sync_cache_creates_a_missing_cache(tmp_path):
     path = tmp_path / "emb.bin"
-    result = sync_cache(path, ["b", "a"], lambda ids: _matrix(ids, seed=3))
+    result = sync_cache(path, ["b", "a"], _appending(lambda ids: _matrix(ids, seed=3)),
+                        "prov", 512)
     assert result.ids == ["b", "a"]
     assert load_cache(path).ids == ["b", "a"]
 
 
-@pytest.mark.parametrize("changed,message", [
-    ({"provider": "other"}, "cache provider 'prov' != 'other'"),
-    ({"budget": 1024}, "cache context budget 512 != 1024"),
-    ({"dim": 9}, "cache dimension 6 != 9"),
+def test_sync_cache_saves_what_update_returns(tmp_path):
+    path = tmp_path / "emb.bin"
+    save_cache(_matrix(["a", "x"], seed=1), path)
+    refit = _matrix(["a", "b"], seed=2, dim=9)
+    seen = []
+
+    def update(cached, missing):
+        seen.append((cached.ids, missing))
+        return refit
+
+    result = sync_cache(path, ["a", "b"], update, "prov", 512)
+    assert seen == [(["a", "x"], ["b"])]
+    again = load_cache(path)
+    assert again.ids == ["a", "b"]
+    assert np.array_equal(again.matrix, refit.matrix)
+    assert np.array_equal(result.matrix, refit.matrix)
+
+
+@pytest.mark.parametrize("identity,message", [
+    (("other", 512), "cache provider 'prov' != 'other'"),
+    (("prov", 1024), "cache context budget 512 != 1024"),
 ])
-def test_sync_cache_rejects_conflicting_rows(tmp_path, changed, message):
+@pytest.mark.parametrize("wanted", [["a"], ["a", "b"]])
+def test_sync_cache_checks_provider_and_budget_before_embedding(
+    tmp_path, identity, message, wanted
+):
     path = tmp_path / "emb.bin"
     save_cache(_matrix(["a"], seed=1), path)
     before = path.read_bytes(), (tmp_path / "emb.bin.ids").read_bytes()
+
+    def update(cached, missing):
+        raise AssertionError("embedded before the identity check")
+
     with pytest.raises(CacheFormatError, match=message):
-        sync_cache(path, ["a", "b"], lambda ids: _matrix(ids, **changed))
+        sync_cache(path, wanted, update, *identity)
+    assert (path.read_bytes(), (tmp_path / "emb.bin.ids").read_bytes()) == before
+
+
+def test_sync_cache_rejects_appended_rows_of_another_dimension(tmp_path):
+    path = tmp_path / "emb.bin"
+    save_cache(_matrix(["a"], seed=1), path)
+    before = path.read_bytes(), (tmp_path / "emb.bin.ids").read_bytes()
+    with pytest.raises(CacheFormatError, match="cache dimension 6 != 9"):
+        sync_cache(path, ["a", "b"], _appending(lambda ids: _matrix(ids, dim=9)),
+                   "prov", 512)
     assert (path.read_bytes(), (tmp_path / "emb.bin.ids").read_bytes()) == before
 
 
@@ -198,11 +241,11 @@ def test_sync_cache_embeds_only_missing(tmp_path):
         calls.append(list(ids))
         return _matrix(ids, seed=7)
 
-    result = sync_cache(path, ["b", "c", "a"], embed_missing)
+    result = sync_cache(path, ["b", "c", "a"], _appending(embed_missing), "prov", 512)
     assert calls == [["c"]]
     assert result.ids == ["b", "c", "a"]
     # fully cached second run embeds nothing
-    result2 = sync_cache(path, ["a", "c"], embed_missing)
+    result2 = sync_cache(path, ["a", "c"], _appending(embed_missing), "prov", 512)
     assert calls == [["c"]]
     assert result2.ids == ["a", "c"]
 

@@ -5,10 +5,15 @@ import sys
 import pytest
 
 from companysim import cache as cache_module
-from companysim import synth, textprep
+from companysim import providers, synth, textprep
 from companysim.cache import load_cache, save_cache
-from companysim.cli import main
+from companysim.cli import _build_provider, _provider_identity, main
+from companysim.config import config_from_dict
+from companysim.corpus import load_corpus
+from companysim.embeddings import corpus_documents
 from companysim.similarity import top_k_peers
+from companysim.textprep import ChunkingConfig
+from test_remote import Stub
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +230,144 @@ def test_resume_loads_the_cache_once_and_prepares_only_missing(
         tmp_path / "fresh.bin.ids").read_bytes()
 
 
+def _write_config(path, **embedding):
+    path.write_text(json.dumps({"embedding": embedding}))
+    return path
+
+
+def _first_lines(workspace, tmp_path, n):
+    lines = (workspace / "corpus.jsonl").read_text().splitlines(keepends=True)
+    first = tmp_path / f"first{n}.jsonl"
+    first.write_text("".join(lines[:n]))
+    return first
+
+
+@pytest.mark.parametrize("config", [
+    {"provider": "tfidf", "context_budget": 1024},
+    {"provider": "tfidf", "context_budget": 512},
+    {"provider": "hash-bow", "dimension": 16, "context_budget": 1024},
+])
+def test_resume_refuses_a_complete_cache_of_another_provider_or_budget(
+    workspace, tmp_path, caplog, config
+):
+    cache = tmp_path / "emb.bin"
+    hash_bow = _write_config(tmp_path / "hb.json", provider="hash-bow", dimension=16)
+    args = ("--corpus", workspace / "corpus.jsonl",
+            "--hierarchy", workspace / "hierarchy.csv", "--out", cache)
+    assert run("--config", hash_bow, "embed", *args) == 0
+    before = cache.read_bytes(), (tmp_path / "emb.bin.ids").read_bytes()
+    other = _write_config(tmp_path / "other.json", **config)
+    assert run("--config", other, "embed", *args, "--resume") == 2
+    provider, budget = config["provider"], config["context_budget"]
+    expected = (f"cache provider 'hash-bow' != {provider!r}" if provider != "hash-bow"
+                else f"cache context budget 512 != {budget}")
+    assert expected in caplog.text
+    assert (cache.read_bytes(), (tmp_path / "emb.bin.ids").read_bytes()) == before
+
+
+@pytest.mark.parametrize("provider", ["tfidf", "hash-bow"])
+def test_resume_refuses_a_mismatch_before_preparing_anything(
+    workspace, tmp_path, monkeypatch, caplog, provider
+):
+    cache = tmp_path / "emb.bin"
+    first = _first_lines(workspace, tmp_path, 24)
+    assert run("--config", _write_config(tmp_path / "a.json", provider="hash-bow",
+                                         dimension=16, context_budget=1024),
+               "embed", "--corpus", first, "--hierarchy", workspace / "hierarchy.csv",
+               "--out", cache) == 0
+    prepared = _count_calls(monkeypatch, textprep, "prepare_chunks")
+    fitted = _count_calls(monkeypatch, providers, "tfidf_fit")
+    other = {"provider": provider, "dimension": 16}
+    assert run("--config", _write_config(tmp_path / "b.json", **other),
+               "embed", "--corpus", workspace / "corpus.jsonl",
+               "--hierarchy", workspace / "hierarchy.csv",
+               "--out", cache, "--resume") == 2
+    assert (prepared, fitted) == ([], [])
+    assert ("cache provider 'hash-bow' != 'tfidf'" if provider == "tfidf"
+            else "cache context budget 1024 != 512") in caplog.text
+
+
+def test_remote_resume_refuses_a_mismatch_before_any_request(workspace, tmp_path, caplog):
+    cache = tmp_path / "emb.bin"
+    first = _first_lines(workspace, tmp_path, 24)
+    stub = Stub()
+    try:
+        def config(name, model):
+            return _write_config(tmp_path / name, provider="remote", endpoint=stub.url,
+                                 remote_provider_id=model, dimension=3)
+
+        assert run("--config", config("a.json", "model-a"), "embed", "--corpus", first,
+                   "--hierarchy", workspace / "hierarchy.csv", "--out", cache) == 0
+        sent = len(stub.log)
+        assert sent > 0
+        assert run("--config", config("b.json", "model-b"), "embed",
+                   "--corpus", workspace / "corpus.jsonl",
+                   "--hierarchy", workspace / "hierarchy.csv",
+                   "--out", cache, "--resume") == 2
+        assert len(stub.log) == sent
+        assert "cache provider 'model-a' != 'model-b'" in caplog.text
+    finally:
+        stub.close()
+
+
+@pytest.mark.parametrize("provider", ["tfidf", "tfidf-rp"])
+def test_fitted_resume_writes_what_a_fresh_run_writes(workspace, tmp_path, provider):
+    cfg = _write_config(tmp_path / "cfg.json", provider=provider, dimension=16)
+    hierarchy = ("--hierarchy", workspace / "hierarchy.csv")
+    fresh, resumed = tmp_path / "fresh.bin", tmp_path / "resumed.bin"
+    assert run("--config", cfg, "embed", "--corpus", workspace / "corpus.jsonl",
+               *hierarchy, "--out", fresh) == 0
+    assert run("--config", cfg, "embed", "--corpus", _first_lines(workspace, tmp_path, 24),
+               *hierarchy, "--out", resumed) == 0
+    assert resumed.read_bytes() != fresh.read_bytes()
+    assert run("--config", cfg, "embed", "--corpus", workspace / "corpus.jsonl",
+               *hierarchy, "--out", resumed, "--resume") == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "resumed.bin.ids").read_bytes() == (
+        tmp_path / "fresh.bin.ids").read_bytes()
+
+
+def test_fitted_resume_drops_cached_ids_outside_the_corpus(workspace, tmp_path):
+    hierarchy = ("--hierarchy", workspace / "hierarchy.csv")
+    lines = (workspace / "corpus.jsonl").read_text().splitlines(keepends=True)
+    head, tail = tmp_path / "head.jsonl", tmp_path / "tail.jsonl"
+    head.write_text("".join(lines[:30]))
+    tail.write_text("".join(lines[20:]))
+    fresh, resumed = tmp_path / "fresh.bin", tmp_path / "resumed.bin"
+    assert run("embed", "--corpus", tail, *hierarchy, "--out", fresh) == 0
+    assert run("embed", "--corpus", head, *hierarchy, "--out", resumed) == 0
+    assert run("embed", "--corpus", tail, *hierarchy, "--out", resumed, "--resume") == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "resumed.bin.ids").read_bytes() == (
+        tmp_path / "fresh.bin.ids").read_bytes()
+
+
+def test_complete_fitted_resume_neither_tokenizes_nor_fits(workspace, tmp_path, monkeypatch):
+    cache = tmp_path / "emb.bin"
+    args = ("--corpus", workspace / "corpus.jsonl",
+            "--hierarchy", workspace / "hierarchy.csv", "--out", cache)
+    assert run("embed", *args) == 0
+    before = cache.read_bytes()
+    tokenized = _count_calls(monkeypatch, textprep, "tokenize")
+    fitted = _count_calls(monkeypatch, providers, "tfidf_fit")
+    assert run("embed", *args, "--resume") == 0
+    assert (tokenized, fitted) == ([], [])
+    assert cache.read_bytes() == before
+
+
+@pytest.mark.parametrize("provider", ["hash-bow", "tfidf", "tfidf-rp", "remote"])
+def test_built_provider_carries_the_derived_identity(small_corpus, provider):
+    cfg = config_from_dict({"embedding": {
+        "provider": provider, "dimension": 8, "context_budget": 1024,
+        "endpoint": "http://127.0.0.1:9", "remote_provider_id": "my-model",
+    }})
+    documents = list(corpus_documents(small_corpus, ChunkingConfig()))
+    provider_id, budget = _provider_identity(cfg)
+    assert provider_id == ("my-model" if provider == "remote" else provider)
+    assert budget == 1024
+    assert _build_provider(cfg, documents).provider_id == provider_id
+
+
 def test_tfidf_on_one_document_is_a_data_error(workspace, tmp_path, caplog):
     one = tmp_path / "one.jsonl"
     one.write_text((workspace / "corpus.jsonl").read_text().splitlines()[0] + "\n")
@@ -260,6 +403,117 @@ def test_ingest_extracts_sections(workspace, tmp_path):
     assert {r["company_id"] for r in recs} == {"X1", "X2"}
     assert all(r["description"].startswith(r["company_id"]) for r in recs)
     assert all("risk" not in r["description"].lower() for r in recs)
+
+
+def _ingest_inputs(tmp_path, filings):
+    """A filings directory holding ``<id>.txt`` for each (id, text) pair and
+    a labels file listing each id in the order given (repeats included)."""
+    root = tmp_path / "filings"
+    root.mkdir(exist_ok=True)
+    for cid, text in filings:
+        root.joinpath(f"{cid}.txt").write_text(text, encoding="utf-8")
+    labels = tmp_path / "labels.csv"
+    with open(labels, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["company_id", "name", "sector", "industry_group",
+                    "industry", "sub_industry"])
+        for cid, _ in filings:
+            w.writerow([cid, f"{cid} Corp", "Energy", "Energy Group",
+                        "Solar Power", "Solar Power Core"])
+    return root, labels
+
+
+@pytest.mark.parametrize("filings,message", [
+    ([("X1", "solar panels " * 5), ("X2", "\u2603" * 50)],
+     "line 3: company 'X2': description cleans to 0 chars"),
+    ([("X1", "solar panels " * 5), ("X2", "storage " * 5), ("X1", "solar panels " * 5)],
+     "line 4: duplicate company_id 'X1' (first seen on line 2)"),
+])
+def test_ingest_applies_the_corpus_record_checks(workspace, tmp_path, caplog,
+                                                  filings, message):
+    root, labels = _ingest_inputs(tmp_path, filings)
+    out = tmp_path / "ingested.jsonl"
+    assert run("ingest", "--mode", "plain", "--filings-dir", root, "--labels", labels,
+               "--hierarchy", workspace / "hierarchy.csv", "--out", out) == 2
+    assert message in caplog.text
+    assert not out.exists()
+
+
+def test_ingested_corpus_loads(workspace, tmp_path):
+    root, labels = _ingest_inputs(tmp_path, [("X2", "storage \u2603 " * 5),
+                                             ("X1", "solar panels " * 5)])
+    out = tmp_path / "ingested.jsonl"
+    assert run("ingest", "--mode", "plain", "--filings-dir", root, "--labels", labels,
+               "--hierarchy", workspace / "hierarchy.csv", "--out", out) == 0
+    corpus = load_corpus(out, workspace / "hierarchy.csv")
+    assert corpus.ids() == ["X1", "X2"]
+    assert corpus.get("X2").description == "storage \u2603 " * 5
+    assert corpus.get("X1").raw_filing_path == str(root / "X1.txt")
+
+
+def _report_inputs(tmp_path, baselines):
+    classify = {
+        "config_hash": "abc123def456", "level": "sector", "n_train": 38,
+        "n_test": 10, "singleton_classes": [],
+        "report": {"accuracy": 0.9, "micro_f1": 0.9, "weighted_f1": 0.8912345678},
+    }
+    peers = {
+        "config_hash": "abc123def456",
+        "embedding": {"k": 10, "rho_bar": 0.31234567, "n_companies": 48},
+        "baseline": {"rho_bar": 0.25} if baselines else None,
+        "margin": 0.06234567 if baselines else None,
+    }
+    attribution = {
+        "config_hash": "fff000111222",
+        "attribution": {"avg_r_squared": 0.4, "n_months": 12, "n_clusters": 6,
+                        "method": "kmeans"},
+        "random_baseline": {"avg_r_squared": 0.1234564} if baselines else None,
+        "margin": -0.0000004 if baselines else None,
+    }
+    paths = []
+    for name, payload in (("classify", classify), ("peers", peers),
+                          ("attribution", attribution)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        paths += [f"--{name}", path]
+    return paths
+
+
+_REPORT = """company embedding evaluation
+
+[classification]
+config hash : abc123def456
+level       : sector
+train/test  : 38/10
+accuracy    : 0.900000
+micro F1    : 0.900000
+weighted F1 : 0.891235
+
+[peer correlation]
+config hash : abc123def456
+k           : 10
+rho_bar     : 0.312346
+companies   : 48
+{peers_baseline}
+[return attribution]
+config hash : fff000111222
+avg R^2     : 0.400000
+months      : 12
+clusters    : 6 (kmeans)
+{attribution_baseline}"""
+
+
+@pytest.mark.parametrize("baselines", [False, True])
+def test_report_output_byte_for_byte(tmp_path, baselines):
+    out = tmp_path / "summary.txt"
+    assert run("report", *_report_inputs(tmp_path, baselines), "--out", out) == 0
+    expected = _REPORT.format(
+        peers_baseline=("baseline    : 0.250000\nmargin      : +0.062346\n"
+                        if baselines else ""),
+        attribution_baseline=("random R^2  : 0.123456\nmargin      : -0.000000\n"
+                              if baselines else ""),
+    )
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_exit_code_usage_errors(tmp_path, capsys):

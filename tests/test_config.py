@@ -73,6 +73,8 @@ def test_unknown_section_key_rejected():
     {"classify": {"test_fraction": "0.2"}},
     {"attribution": {"winsorize": True}},
     {"attribution": {"winsorize": float("-inf")}},
+    # string fields take JSON strings only
+    {"embedding": {"auth_env": ["TOKEN"]}},
 ])
 def test_invalid_values_rejected(patch):
     with pytest.raises(ConfigError):
@@ -134,3 +136,21 @@ def test_float_fields_need_finite_numbers(tmp_path):
                             "classify": {"l2_penalty": 2}})
     assert (cfg.embedding.timeout, cfg.embedding.backoff) == (10, 0)
     assert cfg.classify.l2_penalty == 2
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"embedding": {"provider": "remote", "endpoint": "http://h",
+                    "remote_provider_id": 5}},
+     "embedding.remote_provider_id must be a string"),
+    ({"embedding": {"provider": "remote", "endpoint": 8080,
+                    "remote_provider_id": "m"}},
+     "embedding.endpoint must be a string"),
+    ({"embedding": {"auth_env": True}}, "embedding.auth_env must be a string"),
+    ({"peers": {"years": []}},
+     "peers.years must be null or a non-empty list of distinct integers"),
+    ({"peers": {"years": [2020, 2021, 2020]}},
+     "peers.years must be null or a non-empty list of distinct integers"),
+])
+def test_string_fields_and_years_name_the_field(patch, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(patch)

@@ -126,20 +126,69 @@ def test_load_corpus_reports_line_numbers(tmp_path, small_corpus):
         load_corpus(path, hier_path)
 
 
-def test_load_corpus_min_description_chars(tmp_path, small_corpus):
+def test_load_corpus_needs_a_description_that_cleans_to_a_character(
+    tmp_path, small_corpus
+):
     hier_path = tmp_path / "hier.csv"
     small_corpus.hierarchy.to_csv(hier_path)
     record = {
         "company_id": "A",
         "name": "A Corp",
         "gics": small_corpus.get("C0000").gics.to_dict(),
-        "description": "short text",
+        "description": "x \u2603",
     }
     path = tmp_path / "corpus.jsonl"
     _write_lines(path, [json.dumps(record)])
-    load_corpus(path, hier_path, min_description_chars=10)
-    with pytest.raises(CorpusFormatError, match="cleans to 10 chars"):
-        load_corpus(path, hier_path, min_description_chars=11)
+    assert load_corpus(path, hier_path).get("A").description == "x \u2603"
+    blank = dict(record, company_id="B", description="\u2603 \u2603")
+    _write_lines(path, [json.dumps(record), json.dumps(blank)])
+    with pytest.raises(CorpusFormatError,
+                       match="line 2: company 'B': description cleans to 0 chars"):
+        load_corpus(path, hier_path)
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"company_id": None}, "company_id must be a string"),
+    ({"company_id": 7}, "company_id must be a string"),
+    ({"name": None}, "name must be a string"),
+    ({"description": None}, "description must be a string"),
+    ({"description": 12}, "description must be a string"),
+    ({"raw_filing_path": 3}, "raw_filing_path must be a string or null"),
+    ({"gics": "Energy"}, "gics must be an object"),
+])
+def test_load_corpus_rejects_fields_that_are_not_strings(
+    tmp_path, small_corpus, patch, message
+):
+    hier_path = tmp_path / "hier.csv"
+    small_corpus.hierarchy.to_csv(hier_path)
+    good = {
+        "company_id": "A",
+        "name": "A Corp",
+        "gics": small_corpus.get("C0000").gics.to_dict(),
+        "description": "drilling " * 30,
+    }
+    path = tmp_path / "corpus.jsonl"
+    _write_lines(path, [json.dumps(dict(good, raw_filing_path=None)),
+                        json.dumps({**good, "company_id": "B", **patch})])
+    with pytest.raises(CorpusFormatError, match=f"line 2: {message}"):
+        load_corpus(path, hier_path)
+
+
+@pytest.mark.parametrize("level", ["sector", "industry", "sub_industry"])
+@pytest.mark.parametrize("value", [None, 5])
+def test_load_corpus_rejects_gics_levels_that_are_not_strings(
+    tmp_path, small_corpus, level, value
+):
+    hier_path = tmp_path / "hier.csv"
+    small_corpus.hierarchy.to_csv(hier_path)
+    gics = dict(small_corpus.get("C0000").gics.to_dict(), **{level: value})
+    record = {"company_id": "A", "name": "A Corp", "gics": gics,
+              "description": "drilling " * 30}
+    path = tmp_path / "corpus.jsonl"
+    _write_lines(path, [json.dumps(record)])
+    with pytest.raises(CorpusFormatError,
+                       match=f"line 1: company 'A': GICS {level} must be a string"):
+        load_corpus(path, hier_path)
 
 
 def test_stratified_split_counts_and_partition(small_corpus):

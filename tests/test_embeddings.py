@@ -9,7 +9,6 @@ from companysim.embeddings import (
     EmbeddingMatrix,
     corpus_documents,
     embed_corpus,
-    embed_document,
     pool_chunk_embeddings,
 )
 from companysim.errors import DataValidationError, ProviderError
@@ -58,39 +57,44 @@ def test_pooling_rejects_bad_weights(weights):
         pool_chunk_embeddings(rows, weights=weights)
 
 
-def test_embed_document_matches_manual_pooling():
+def _embed_one(text, provider, config, company_id, length_weighted=False):
+    """``embed_corpus`` on one document: its pooled row and its chunks."""
+    chunks = prepare_chunks(text, config, company_id)
+    matrix = embed_corpus([(company_id, chunks)], provider, config,
+                          length_weighted=length_weighted)
+    return matrix.row(company_id), chunks
+
+
+def test_embed_one_document_matches_manual_pooling():
     provider = HashBowProvider(32, seed=5)
     cfg = ChunkingConfig(window=3, context_budget=12)
     text = "alpha beta gamma delta epsilon zeta eta theta iota"
-    doc = embed_document(text, provider, cfg, company_id="X")
-    assert doc.n_chunks == 3
-    from companysim.textprep import prepare_chunks
-
-    chunks = prepare_chunks(text, cfg, "X")
+    vector, chunks = _embed_one(text, provider, cfg, "X")
+    assert len(chunks) == 3
     manual = np.mean([provider.embed_chunks([c])[0] for c in chunks], axis=0)
-    assert np.allclose(doc.vector, manual, atol=1e-15)
+    assert np.allclose(vector, manual, atol=1e-15)
 
 
-def test_embed_document_length_weighted_downweights_short_tail():
+def test_embed_one_document_length_weighted_downweights_short_tail():
     provider = HashBowProvider(32, seed=5)
     cfg = ChunkingConfig(window=4, context_budget=16)
     # 6 tokens -> chunks of 4 and 2; the short tail gets weight 2, not 1/2
     text = "alpha beta gamma delta epsilon zeta"
-    plain = embed_document(text, provider, cfg, "X")
-    weighted = embed_document(text, provider, cfg, "X", length_weighted=True)
-    from companysim.textprep import prepare_chunks
-
-    chunks = prepare_chunks(text, cfg, "X")
+    plain, chunks = _embed_one(text, provider, cfg, "X")
+    weighted, _ = _embed_one(text, provider, cfg, "X", length_weighted=True)
     vecs = np.array([provider.embed_chunks([c])[0] for c in chunks])
     manual = (4.0 * vecs[0] + 2.0 * vecs[1]) / 6.0
-    assert np.allclose(weighted.vector, manual, atol=1e-15)
-    assert not np.allclose(weighted.vector, plain.vector)
+    assert np.allclose(weighted, manual, atol=1e-15)
+    assert not np.allclose(weighted, plain)
 
 
-def test_embed_document_rejects_empty_text():
-    provider = HashBowProvider(8, seed=0)
+def test_embed_one_document_rejects_empty_text(small_corpus):
+    record = dataclasses.replace(small_corpus.records[0], company_id="E",
+                                 description="\u2603\u2603")
+    corpus = Corpus([record], small_corpus.hierarchy)
     with pytest.raises(DataValidationError):
-        embed_document("☃☃", provider, ChunkingConfig(), "E")
+        embed_corpus(corpus_documents(corpus, ChunkingConfig()),
+                     HashBowProvider(8, seed=0), ChunkingConfig())
 
 
 def test_embed_corpus_aligned_with_ids(small_corpus):
@@ -100,10 +104,10 @@ def test_embed_corpus_aligned_with_ids(small_corpus):
     assert matrix.ids == small_corpus.ids()
     assert matrix.matrix.shape == (len(small_corpus), 64)
     assert matrix.matrix.dtype == np.float32
-    one = embed_document(
+    one, _ = _embed_one(
         small_corpus.get(matrix.ids[5]).description, provider, cfg, matrix.ids[5]
     )
-    assert np.allclose(matrix.row(matrix.ids[5]), one.vector, atol=1e-6)
+    assert np.allclose(matrix.row(matrix.ids[5]), one, atol=1e-6)
 
 
 def test_matrix_subset_and_lookup():
@@ -130,11 +134,12 @@ def test_matrix_rejects_misaligned_or_duplicate_ids():
 
 
 def _stacked_documents(corpus, provider, config, length_weighted):
+    """The rows of ``embed_corpus`` run on one document at a time."""
     return np.vstack([
-        embed_document(corpus.get(i).description, provider, config, i,
-                       length_weighted=length_weighted).vector
+        embed_corpus(corpus_documents(corpus, config, [i]), provider, config,
+                     length_weighted=length_weighted).matrix
         for i in corpus.ids()
-    ]).astype(np.float32)
+    ])
 
 
 def _tfidf(corpus):

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from companysim.embeddings import corpus_documents, embed_corpus, embed_document
+from companysim.embeddings import corpus_documents, embed_corpus
 from companysim.errors import (
     RemoteProtocolError,
     RemoteStatusError,
@@ -239,11 +239,13 @@ def test_embed_corpus_batches_documents_bit_exactly(
     assert len(sent) == _predicted_requests([len(c) for c in chunks])
     assert [t for texts in sent for t in texts] == [c.text() for doc in chunks for c in doc]
 
+    # one document per embed_corpus call: one group per request
     expected = np.vstack([
-        embed_document(varied_corpus.get(i).description, provider, varied_chunking, i,
-                       length_weighted=length_weighted).vector
+        embed_corpus(corpus_documents(varied_corpus, varied_chunking, [i]),
+                     provider, varied_chunking,
+                     length_weighted=length_weighted).matrix
         for i in varied_corpus.ids()
-    ]).astype(np.float32)
+    ])
     assert np.array_equal(matrix.matrix, expected)
 
 

@@ -232,6 +232,16 @@ def test_gics_baseline_uses_whole_label_group():
     assert report.n_companies == 5
 
 
+def test_both_peer_scorers_reject_an_empty_year_list():
+    rng = np.random.default_rng(12)
+    matrix, panel = _random_universe(rng, 6)
+    labels = {"c00": "X", "c01": "X", "c02": "Y", "c03": "Y"}
+    with pytest.raises(DataValidationError, match="no years with return data"):
+        avg_peer_correlation(matrix, panel, k=2, years=[], min_overlap=10)
+    with pytest.raises(DataValidationError, match="no years with return data"):
+        gics_baseline_correlation(labels, panel, years=[], min_overlap=10)
+
+
 def test_returns_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     _, panel = _random_universe(rng, 4, n_days=10)
