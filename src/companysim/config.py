@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
+from urllib.parse import urlsplit
 
 from .corpus import GICS_LEVELS
 from .errors import ConfigError
@@ -42,6 +43,17 @@ def _is_number(value) -> bool:
     """A finite JSON number: an integer, or a float that is not NaN or
     infinite (Python's json reads ``Infinity`` and ``NaN``)."""
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _is_http_url(value: str) -> bool:
+    """An absolute http:// or https:// URL that names a host, with a numeric
+    port if it gives one: anything else would only fail once it is POSTed."""
+    try:
+        parts = urlsplit(value)
+        parts.port  # a port that is not a number in 0-65535 raises ValueError
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 def _require_field_types(section, name: str) -> None:
@@ -92,6 +104,10 @@ class EmbeddingConfig:
         _require(self.timeout > 0, "embedding.timeout must be > 0")
         _require(self.retries >= 0, "embedding.retries must be >= 0")
         _require(self.backoff >= 0, "embedding.backoff must be >= 0")
+        if self.endpoint is not None:
+            _require(_is_http_url(self.endpoint),
+                     "embedding.endpoint must be an absolute http:// or https:// "
+                     "URL with a host")
         if self.provider == "remote":
             _require(self.endpoint is not None,
                      "embedding.endpoint is required for the remote provider")

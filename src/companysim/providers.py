@@ -10,15 +10,17 @@ provider ids are their config names (``hash-bow``, ``tfidf``,
     request  {"provider_id": str, "texts": [str, ...]}
     response {"dimension": int, "embeddings": [[float, ...], ...]}
 
-A request carries at most ``MAX_TEXTS_PER_REQUEST`` texts. Any non-200
-status is a failure; transport errors, 408, 429 and 5xx are retried. An
-auth token can be injected from an environment variable; it is sent as a
-Bearer header and never logged.
+A request carries at most ``MAX_TEXTS_PER_REQUEST`` texts over its own
+connection, made with the standard library (proxies from the environment).
+Any non-200 status is a failure, and redirects are not followed; transport
+errors, 408, 429 and 5xx are retried. An auth token can be injected from an
+environment variable; it is sent as a Bearer header and never logged.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import math
 import os
@@ -200,13 +202,15 @@ def remote_embed(
     """POST texts to {endpoint}/embed and return one vector per text, in order.
 
     Transport failures and 408, 429 and 5xx statuses are retried up to
-    ``retries`` times with exponential backoff; any other non-200 status is
-    raised at once. Protocol violations (malformed body, count mismatch,
-    dimension mismatch) are raised immediately as RemoteProtocolError with a
-    machine-readable ``reason``.
+    ``retries`` times with exponential backoff; any other non-200 status,
+    a redirect included, is raised at once. Protocol violations (malformed
+    body, count mismatch, dimension mismatch) are raised immediately as
+    RemoteProtocolError with a machine-readable ``reason``.
     """
     # imported here so that commands which never embed remotely skip its cost
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.request
 
     if not texts:
         raise ValueError("remote_embed needs at least one text")
@@ -216,7 +220,8 @@ def remote_embed(
         token = os.environ.get(auth_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-    payload = {"provider_id": provider_id, "texts": list(texts)}
+    body = json.dumps({"provider_id": provider_id, "texts": list(texts)}).encode("utf-8")
+    opener = _opener_without_redirects()
 
     last_error: Exception | None = None
     for attempt in range(retries + 1):
@@ -227,12 +232,17 @@ def remote_embed(
                 attempt, retries, last_error, delay,
             )
             time.sleep(delay)
+        request = urllib.request.Request(url, data=body, headers=headers, method="POST")
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as e:
+            with opener.open(request, timeout=timeout) as response:
+                status = response.status
+                content = response.read()
+        except urllib.error.HTTPError as e:
+            status = e.code
+            e.close()
+        except (OSError, http.client.HTTPException) as e:
             last_error = RemoteTransportError(f"POST {url} failed: {e}")
             continue
-        status = response.status_code
         if status != 200:
             last_error = RemoteStatusError(
                 f"POST {url} returned status {status}", status=status
@@ -240,14 +250,27 @@ def remote_embed(
             if status in (408, 429) or 500 <= status <= 599:
                 continue
             raise last_error
-        return _parse_embed_response(response, len(texts), url)
+        return _parse_embed_response(content, len(texts), url)
     assert last_error is not None
     raise last_error
 
 
-def _parse_embed_response(response, n_texts: int, url: str) -> list[np.ndarray]:
+def _opener_without_redirects():
+    """The standard opener, proxies from the environment included, with a
+    redirect handler that follows nothing: a 3xx then raises HTTPError like
+    any other status outside 2xx, instead of being re-sent as a GET."""
+    import urllib.request
+
+    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
+
+    return urllib.request.build_opener(RefuseRedirects)
+
+
+def _parse_embed_response(content: bytes, n_texts: int, url: str) -> list[np.ndarray]:
     try:
-        body = response.json()
+        body = json.loads(content)
     except ValueError:
         raise RemoteProtocolError(f"{url}: response is not JSON", reason="malformed_body") from None
     if not isinstance(body, dict) or "embeddings" not in body or "dimension" not in body:
@@ -257,7 +280,7 @@ def _parse_embed_response(response, n_texts: int, url: str) -> list[np.ndarray]:
         )
     embeddings = body["embeddings"]
     dimension = body["dimension"]
-    if not isinstance(embeddings, list) or not isinstance(dimension, int) or dimension < 1:
+    if not isinstance(embeddings, list) or type(dimension) is not int or dimension < 1:
         raise RemoteProtocolError(f"{url}: malformed embeddings payload", reason="malformed_body")
     if len(embeddings) != n_texts:
         raise RemoteProtocolError(
@@ -273,8 +296,19 @@ def _parse_embed_response(response, n_texts: int, url: str) -> list[np.ndarray]:
                 f", declared dimension is {dimension}",
                 reason="dimension_mismatch",
             )
-        vec = np.asarray(row, dtype=np.float64)
-        if not np.all(np.isfinite(vec)):
+        # json.loads gives each number as exactly int or float; bool is an
+        # int subclass, and is no number here
+        if not all(type(v) is float or type(v) is int for v in row):
+            raise RemoteProtocolError(
+                f"{url}: embedding {i} holds an entry that is not a number",
+                reason="malformed_body",
+            )
+        try:
+            vec = np.asarray(row, dtype=np.float64)
+            finite = bool(np.all(np.isfinite(vec)))
+        except OverflowError:  # an integer beyond the float64 range
+            finite = False
+        if not finite:
             raise RemoteProtocolError(
                 f"{url}: embedding {i} contains non-finite entries",
                 reason="malformed_body",

@@ -102,6 +102,39 @@ def test_remote_provider_requires_endpoint():
     assert cfg.embedding.endpoint == "http://h"
 
 
+@pytest.mark.parametrize("endpoint", [
+    "localhost:8080", "127.0.0.1:8080", "/embed", "ftp://h", "file:///tmp/x",
+    "http://", "https:///embed", "http://h:port", "http://h:99999", "http://[::1",
+    "",
+])
+def test_endpoint_must_be_an_absolute_http_url(endpoint):
+    with pytest.raises(ConfigError, match="embedding.endpoint must be an absolute"):
+        config_from_dict({"embedding": {"provider": "remote", "endpoint": endpoint,
+                                        "remote_provider_id": "m"}})
+
+
+def test_scheme_less_endpoint_exits_1_before_any_request(tmp_path, caplog):
+    from companysim.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"embedding": {
+        "provider": "remote", "endpoint": "localhost:8080", "remote_provider_id": "m"}}))
+    assert main(["--config", str(cfg), "embed", "--corpus", str(tmp_path / "c.jsonl"),
+                 "--hierarchy", str(tmp_path / "h.csv"),
+                 "--out", str(tmp_path / "emb.bin")]) == 1
+    assert "embedding.endpoint must be an absolute http:// or https:// URL" in caplog.text
+
+
+@pytest.mark.parametrize("endpoint", [
+    "http://h", "https://embed.example.com/v1/", "http://127.0.0.1:8080",
+    "HTTP://[::1]:9", "http://user:pw@h:0/x",
+])
+def test_endpoint_accepts_absolute_http_urls(endpoint):
+    cfg = config_from_dict({"embedding": {"provider": "remote", "endpoint": endpoint,
+                                          "remote_provider_id": "m"}})
+    assert cfg.embedding.endpoint == endpoint
+
+
 def test_config_hash_stable_and_sensitive():
     a = config_hash(RunConfig())
     b = config_hash(load_config(None))

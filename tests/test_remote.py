@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -37,12 +39,20 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(action[1])
             self.end_headers()
             return
+        if kind == "redirect":
+            self.send_response(action[1])
+            self.send_header("Location", "/embed")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        if kind == "hangup":  # close the connection without an answer
+            return
         if kind == "sleep":
             time.sleep(action[1])
             kind = "ok"
         if kind == "raw":
             payload = action[1]
-        elif kind == "ok":
+        elif kind in ("ok", "truncate"):
             vectors = [vector_for(t) for t in body.get("texts", [])]
             payload = json.dumps({"dimension": 3, "embeddings": vectors}).encode()
         else:
@@ -51,7 +61,14 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
+        if kind == "truncate":  # half the promised body, then close
+            payload = payload[: len(payload) // 2]
         self.wfile.write(payload)
+
+    def do_GET(self):
+        # logged so that a POST re-sent as a GET after a redirect shows
+        self.server.log.append({"path": self.path, "method": "GET"})
+        self.send_error(405)
 
     def log_message(self, *args):
         pass
@@ -130,6 +147,13 @@ def test_per_row_dimension_mismatch(stub):
     json.dumps({"embeddings": [[1.0]]}).encode(),
     json.dumps({"dimension": "three", "embeddings": [[1.0]]}).encode(),
     json.dumps({"dimension": 1, "embeddings": [[float("nan")]]}).encode(),
+    json.dumps({"dimension": True, "embeddings": [[1.0]]}).encode(),
+    json.dumps({"dimension": 2, "embeddings": [["1.5", "2"]]}).encode(),
+    json.dumps({"dimension": 2, "embeddings": [[True, False]]}).encode(),
+    json.dumps({"dimension": 1, "embeddings": [[[1, 2]]]}).encode(),
+    json.dumps({"dimension": 2, "embeddings": [[1, None]]}).encode(),
+    json.dumps({"dimension": 1, "embeddings": [[10 ** 400]]}).encode(),
+    b'{"dimension": 1, "embeddings": [[1e400]]}',
 ])
 def test_malformed_bodies(stub, payload):
     stub.script(("raw", payload))
@@ -174,6 +198,38 @@ def test_timeout_becomes_transport_error(stub):
     stub.script(("sleep", 2.0), ("sleep", 2.0))
     with pytest.raises(RemoteTransportError):
         remote_embed(stub.url, "m", ["a"], timeout=0.2, retries=1, backoff=0.01)
+
+
+@pytest.mark.parametrize("action", [("truncate",), ("hangup",)])
+def test_broken_answers_are_retried_transport_errors(stub, action):
+    stub.script(action)
+    with pytest.raises(RemoteTransportError):
+        remote_embed(stub.url, "m", ["a"], retries=0)
+    assert len(stub.log) == 1
+    stub.script(action, ("ok",))
+    vectors = remote_embed(stub.url, "m", ["a"], retries=1, backoff=0.01)
+    assert vectors[0].tolist() == vector_for("a")
+    assert len(stub.log) == 3
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_redirects_are_not_followed(stub, status):
+    stub.script(("redirect", status))
+    with pytest.raises(RemoteStatusError) as exc:
+        remote_embed(stub.url, "m", ["a"], retries=2, backoff=0.01)
+    assert exc.value.status == status
+    assert len(stub.log) == 1  # neither followed nor retried
+
+
+def test_retried_status_leaves_no_socket_open(stub):
+    stub.script(("status", 503), ("status", 503), ("ok",))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vectors = remote_embed(stub.url, "m", ["a"], retries=2, backoff=0.01)
+        gc.collect()
+    assert vectors[0].tolist() == vector_for("a")
+    assert len(stub.log) == 3
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_connection_refused_becomes_transport_error():
