@@ -47,7 +47,11 @@ def _is_number(value) -> bool:
 
 def _is_http_url(value: str) -> bool:
     """An absolute http:// or https:// URL that names a host, with a numeric
-    port if it gives one: anything else would only fail once it is POSTed."""
+    port if it gives one, in ASCII without whitespace or control characters
+    (http.client sends the URL as is): anything else would only fail once
+    it is POSTed."""
+    if not value.isascii() or any(c <= " " or c == "\x7f" for c in value):
+        return False
     try:
         parts = urlsplit(value)
         parts.port  # a port that is not a number in 0-65535 raises ValueError
@@ -104,13 +108,12 @@ class EmbeddingConfig:
         _require(self.timeout > 0, "embedding.timeout must be > 0")
         _require(self.retries >= 0, "embedding.retries must be >= 0")
         _require(self.backoff >= 0, "embedding.backoff must be >= 0")
-        if self.endpoint is not None:
-            _require(_is_http_url(self.endpoint),
-                     "embedding.endpoint must be an absolute http:// or https:// "
-                     "URL with a host")
         if self.provider == "remote":
             _require(self.endpoint is not None,
                      "embedding.endpoint is required for the remote provider")
+            _require(_is_http_url(self.endpoint),
+                     "embedding.endpoint must be an absolute http:// or https:// "
+                     "URL with a host")
             _require(self.remote_provider_id is not None,
                      "embedding.remote_provider_id is required for the remote provider")
 

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import CorpusFormatError, DataValidationError, HierarchyError
-from .textprep import has_text
+from .textprep import clean_text
 
 logger = logging.getLogger(__name__)
 
@@ -237,7 +237,7 @@ def corpus_from_records(records, hierarchy: GicsHierarchy) -> Corpus:
             hierarchy.validate_labels(gics)
         except DataValidationError as e:
             raise CorpusFormatError(f"company {company_id!r}: {e}", line=line) from None
-        if not has_text(raw["description"]):
+        if not clean_text(raw["description"]):
             raise CorpusFormatError(
                 f"company {company_id!r}: description cleans to 0 chars", line=line
             )

@@ -221,7 +221,13 @@ def remote_embed(
         if token:
             headers["Authorization"] = f"Bearer {token}"
     body = json.dumps({"provider_id": provider_id, "texts": list(texts)}).encode("utf-8")
-    opener = _opener_without_redirects()
+
+    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None  # a 3xx then raises HTTPError, not a re-sent GET
+
+    # the standard handlers, proxies from the environment included
+    opener = urllib.request.build_opener(RefuseRedirects)
 
     last_error: Exception | None = None
     for attempt in range(retries + 1):
@@ -253,19 +259,6 @@ def remote_embed(
         return _parse_embed_response(content, len(texts), url)
     assert last_error is not None
     raise last_error
-
-
-def _opener_without_redirects():
-    """The standard opener, proxies from the environment included, with a
-    redirect handler that follows nothing: a 3xx then raises HTTPError like
-    any other status outside 2xx, instead of being re-sent as a GET."""
-    import urllib.request
-
-    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
-        def redirect_request(self, req, fp, code, msg, headers, newurl):
-            return None
-
-    return urllib.request.build_opener(RefuseRedirects)
 
 
 def _parse_embed_response(content: bytes, n_texts: int, url: str) -> list[np.ndarray]:

@@ -79,16 +79,6 @@ def clean_text(raw: str) -> str:
     return " ".join(text.lower().split())
 
 
-def has_text(raw: str) -> bool:
-    """``bool(clean_text(raw))`` without building the cleaned text when it
-    can be told from ``raw`` alone."""
-    if raw.isascii() and "://" not in raw and "www." not in raw.lower():
-        # no URL to strip and nothing to drop: some character is not
-        # whitespace, and ASCII str.isspace agrees with str.split
-        return bool(raw) and not raw.isspace()
-    return bool(clean_text(raw))
-
-
 def tokenize(cleaned: str, source_id: str = "") -> TokenSequence:
     """Split cleaned text on whitespace, peeling leading/trailing punctuation
     into separate tokens. Interior punctuation (hyphens, decimals) stays."""

@@ -105,12 +105,19 @@ def test_remote_provider_requires_endpoint():
 @pytest.mark.parametrize("endpoint", [
     "localhost:8080", "127.0.0.1:8080", "/embed", "ftp://h", "file:///tmp/x",
     "http://", "https:///embed", "http://h:port", "http://h:99999", "http://[::1",
-    "",
+    "", "http://h/my path", "http://h/\u00ebmbed", "http://\u00ebxample.com",
+    "http://h/a\tb", "http://h/a\nb", "http://h/\x7f", " http://h",
 ])
 def test_endpoint_must_be_an_absolute_http_url(endpoint):
     with pytest.raises(ConfigError, match="embedding.endpoint must be an absolute"):
         config_from_dict({"embedding": {"provider": "remote", "endpoint": endpoint,
                                         "remote_provider_id": "m"}})
+
+
+def test_endpoint_is_checked_only_for_the_remote_provider():
+    cfg = config_from_dict({"embedding": {"provider": "hash-bow",
+                                          "endpoint": "localhost:8080"}})
+    assert cfg.embedding.endpoint == "localhost:8080"
 
 
 def test_scheme_less_endpoint_exits_1_before_any_request(tmp_path, caplog):

@@ -9,7 +9,6 @@ from companysim.textprep import (
     TokenSequence,
     chunk,
     clean_text,
-    has_text,
     prepare_chunks,
     tokenize,
     truncate,
@@ -206,30 +205,3 @@ def test_tokenize_punctuation_only_and_mixed_words():
     assert tokenize("-- ...x!? (a) ''").tokens == [
         "-", "-", ".", ".", ".", "x", "!", "?", "(", "a", ")", "'", "'",
     ]
-
-
-def test_has_text_matches_clean_text():
-    for raw in _fuzz_strings(13, 20000):
-        assert has_text(raw) is bool(clean_text(raw)), repr(raw)
-
-
-@pytest.mark.parametrize("raw,expected", [
-    ("", False),
-    (" \t\n\x0b\x0c\r", False),
-    ("\x1c\x1d\x1e\x1f", False),
-    ("\x1c x \x1f", True),
-    ("https://example.com/a?b=1", False),
-    ("  http://a.b\twww.c.d  ", False),
-    ("WWW.example.com", False),
-    ("WWW.example.com Acme", True),
-    ("httpſ://x.y", False),  # long s folds to s under IGNORECASE
-    ("httpſ://x.y z", True),
-    ("ſ", False),
-    ("日本 ™ é", False),
-    ("\xa0\u2003", False),
-    ("é a", True),
-    ("ftp://x", True),
-    ("Acme", True),
-])
-def test_has_text_edge_cases(raw, expected):
-    assert has_text(raw) is expected is bool(clean_text(raw))
