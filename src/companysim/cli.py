@@ -26,31 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from . import cache as cache_io
-from .attribution import (
-    attribution_metric,
-    monthly_cumulative_returns,
-    save_attribution_csv,
-)
-from .classify import (
-    evaluate,
-    fit_classifier,
-    format_report,
-    save_model,
-    soft_class_distribution,
-)
-from .cluster import (
-    ClusterAssignment,
-    agglomerative,
-    cluster_quality,
-    cluster_sweep,
-    kmeans,
-    load_assignment,
-    random_cluster_assignment,
-    reduce_dims,
-    save_assignment,
-    save_sweep_csv,
-    spectral_cluster,
-)
 from .config import RunConfig, config_hash, load_config
 from .corpus import (
     GICS_LEVELS,
@@ -70,14 +45,7 @@ from .errors import (
     DataValidationError,
     ProviderError,
 )
-from .filings import extract_item1
 from .providers import HashBowProvider, RemoteProvider, TfidfProvider
-from .similarity import (
-    avg_peer_correlation,
-    gics_baseline_correlation,
-    load_returns_csv,
-    sector_outlier_scores,
-)
 from .textprep import ChunkingConfig, TokenSequence
 
 logger = logging.getLogger(__name__)
@@ -139,6 +107,13 @@ def _write_json(payload: dict, path: str) -> None:
         f.write("\n")
 
 
+def _write_rows(path: str, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _has_gics_inputs(args) -> bool:
     """Whether ``--corpus`` and ``--hierarchy`` were both given; either one
     alone is a ConfigError naming the missing flag."""
@@ -161,6 +136,8 @@ def _say(args, message: str) -> None:
 def _labelled_filings(labels, filings_dir: Path, mode: str, min_chars: int):
     """``(line number, corpus record)`` for each row of the labels CSV, the
     description read from ``<filings_dir>/<company_id>.txt``."""
+    from .filings import extract_item1
+
     reader = csv.reader(labels)
     header = next(reader, None)
     if header != LABELS_HEADER:
@@ -247,6 +224,10 @@ def cmd_embed(args, cfg: RunConfig) -> int:
 
 
 def cmd_classify(args, cfg: RunConfig) -> int:
+    from .classify import (
+        evaluate, fit_classifier, format_report, save_model, soft_class_distribution,
+    )
+
     corpus = load_corpus(args.corpus, args.hierarchy)
     matrix = cache_io.load_cache(args.cache)
     common = [i for i in corpus.ids() if i in matrix]
@@ -259,13 +240,9 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     )
     train = matrix.subset(split.train_ids)
     test = matrix.subset(split.test_ids)
-    model = fit_classifier(
-        train.matrix,
-        [labels[i] for i in split.train_ids],
-        l2_penalty=cfg.classify.l2_penalty,
-        max_iter=cfg.classify.max_iter,
-        tol=cfg.classify.tol,
-    )
+    model = fit_classifier(train.matrix, [labels[i] for i in split.train_ids],
+                           l2_penalty=cfg.classify.l2_penalty,
+                           max_iter=cfg.classify.max_iter, tol=cfg.classify.tol)
     report = evaluate(model, test.matrix, [labels[i] for i in split.test_ids])
     save_model(model, args.model_out)
     payload = {
@@ -278,8 +255,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     }
     _write_json(payload, args.report_out)
     if args.text_report:
-        with open(args.text_report, "w", encoding="utf-8") as f:
-            f.write(format_report(report))
+        Path(args.text_report).write_text(format_report(report), encoding="utf-8")
     if args.soft_out:
         rows = soft_class_distribution(model, matrix.matrix, matrix.ids)
         with open(args.soft_out, "w", encoding="utf-8") as f:
@@ -289,10 +265,9 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         # accumulates across runs so provider/context sweeps land in one table
         header = ["provider", "context_budget", "level",
                   "accuracy", "micro_f1", "weighted_f1", "n_test"]
-        fresh = not Path(args.csv_report).exists()
         with open(args.csv_report, "a", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
-            if fresh:
+            if f.tell() == 0:  # a new or empty file
                 writer.writerow(header)
             writer.writerow([
                 matrix.provider_id, matrix.context_budget, cfg.classify.level,
@@ -307,6 +282,8 @@ def cmd_classify(args, cfg: RunConfig) -> int:
 
 
 def cmd_peers(args, cfg: RunConfig) -> int:
+    from .similarity import avg_peer_correlation, gics_baseline_correlation, load_returns_csv
+
     with_gics = _has_gics_inputs(args)
     matrix = cache_io.load_cache(args.cache)
     panel = load_returns_csv(args.returns)
@@ -332,27 +309,20 @@ def cmd_peers(args, cfg: RunConfig) -> int:
         payload["margin"] = report.rho_bar - baseline.rho_bar
     _write_json(payload, args.out)
     if args.top_out:
-        with open(args.top_out, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["company_id", "rank", "peer_id", "similarity"])
-            for company_id, peers in report.peers.items():
-                for rank, (peer, sim) in enumerate(peers, start=1):
-                    writer.writerow([company_id, rank, peer, f"{sim:.8f}"])
+        _write_rows(args.top_out, ["company_id", "rank", "peer_id", "similarity"], (
+            [company_id, rank, peer, f"{sim:.8f}"]
+            for company_id, peers in report.peers.items()
+            for rank, (peer, sim) in enumerate(peers, start=1)
+        ))
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["method", "k", "rho_bar", "n_companies", "n_years"])
-
-            def csv_row(method: str, rep) -> list:
-                k = rep.k if rep.k is not None else "dynamic"
-                return [method, k, f"{rep.rho_bar:.8f}",
-                        rep.n_companies, len(rep.years)]
-
-            writer.writerow(csv_row("embedding", report))
-            if payload["baseline"] is not None:
-                writer.writerow(
-                    csv_row(f"gics-{cfg.peers.baseline_level}", baseline)
-                )
+        methods = [("embedding", report)]
+        if payload["baseline"] is not None:
+            methods.append((f"gics-{cfg.peers.baseline_level}", baseline))
+        _write_rows(args.csv_out, ["method", "k", "rho_bar", "n_companies", "n_years"], (
+            [method, rep.k if rep.k is not None else "dynamic",
+             f"{rep.rho_bar:.8f}", rep.n_companies, len(rep.years)]
+            for method, rep in methods
+        ))
     msg = f"peers k={cfg.peers.k}: rho_bar={report.rho_bar:.4f}"
     if payload["margin"] is not None:
         msg += (
@@ -364,24 +334,22 @@ def cmd_peers(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _reduced_features(matrix: EmbeddingMatrix, cfg: RunConfig) -> np.ndarray:
-    X = matrix.matrix.astype(np.float64)
-    c = cfg.cluster
-    if c.reduce_method is None:
-        return X
-    components = min(c.reduce_components, X.shape[1])
-    return reduce_dims(
-        X, components, method=c.reduce_method, n_neighbors=c.n_neighbors
+def cmd_cluster(args, cfg: RunConfig) -> int:
+    from .cluster import (
+        ClusterAssignment, agglomerative, cluster_quality, cluster_sweep, kmeans,
+        random_cluster_assignment, reduce_dims, save_assignment, save_sweep_csv,
+        spectral_cluster,
     )
 
-
-def cmd_cluster(args, cfg: RunConfig) -> int:
     with_gics = _has_gics_inputs(args)
     if args.sweep_out and not with_gics:
         raise ConfigError("--sweep-out needs --corpus and --hierarchy")
     matrix = cache_io.load_cache(args.cache)
     c = cfg.cluster
-    X = _reduced_features(matrix, cfg)
+    X = matrix.matrix.astype(np.float64)
+    if c.reduce_method is not None:
+        X = reduce_dims(X, min(c.reduce_components, X.shape[1]),
+                        method=c.reduce_method, n_neighbors=c.n_neighbors)
     meta: dict = {"reduce_method": c.reduce_method}
     if c.method == "kmeans":
         result = kmeans(X, c.n_clusters, seed=cfg.seed, n_init=c.n_init)
@@ -404,14 +372,8 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
         ).labels
     else:
         raise ConfigError(f"unknown cluster method {c.method!r}")
-    assignment = ClusterAssignment(
-        ids=matrix.ids,
-        labels=labels,
-        n_clusters=c.n_clusters,
-        method=c.method,
-        meta=meta,
-    )
-    save_assignment(assignment, args.out)
+    save_assignment(ClusterAssignment(ids=matrix.ids, labels=labels, n_clusters=c.n_clusters,
+                                      method=c.method, meta=meta), args.out)
     quality_payload: dict = {
         "config_hash": config_hash(cfg),
         "method": c.method,
@@ -433,14 +395,9 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
         _write_json(quality_payload, args.quality_out)
     if args.sweep_out:
         keep = [i for i in matrix.ids if i in level_labels]
-        sub = matrix.subset(keep)
-        rows = cluster_sweep(
-            sub.matrix.astype(np.float64),
-            [level_labels[i] for i in keep],
-            seed=cfg.seed,
-            n_init=c.n_init,
-            n_neighbors=c.n_neighbors,
-        )
+        rows = cluster_sweep(matrix.subset(keep).matrix.astype(np.float64),
+                             [level_labels[i] for i in keep],
+                             seed=cfg.seed, n_init=c.n_init, n_neighbors=c.n_neighbors)
         save_sweep_csv(rows, args.sweep_out)
         _say(args, f"swept {len(rows)} cluster settings -> {args.sweep_out}")
     line = f"cluster method={c.method} k={c.n_clusters} -> {args.out}"
@@ -456,14 +413,22 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
 
 
 def cmd_attribute(args, cfg: RunConfig) -> int:
+    from .attribution import (
+        attribution_metric, monthly_cumulative_returns, save_attribution_csv,
+    )
+    from .cluster import load_assignment, random_cluster_assignment
+    from .similarity import load_returns_csv
+
     assignment = load_assignment(args.assignment)
     panel = load_returns_csv(args.returns)
     monthly = monthly_cumulative_returns(panel, cfg.attribution.min_month_obs)
-    report = attribution_metric(
-        monthly, assignment,
-        winsorize_fraction=cfg.attribution.winsorize,
-        min_companies=cfg.attribution.min_companies,
-    )
+
+    def score(clusters):
+        return attribution_metric(monthly, clusters,
+                                  winsorize_fraction=cfg.attribution.winsorize,
+                                  min_companies=cfg.attribution.min_companies)
+
+    report = score(assignment)
     payload = {
         "config_hash": config_hash(cfg),
         "attribution": report.to_dict(),
@@ -471,14 +436,8 @@ def cmd_attribute(args, cfg: RunConfig) -> int:
         "margin": None,
     }
     if args.random_baseline:
-        random_assignment = random_cluster_assignment(
-            assignment.ids, assignment.n_clusters, seed=cfg.seed
-        )
-        baseline = attribution_metric(
-            monthly, random_assignment,
-            winsorize_fraction=cfg.attribution.winsorize,
-            min_companies=cfg.attribution.min_companies,
-        )
+        baseline = score(random_cluster_assignment(
+            assignment.ids, assignment.n_clusters, seed=cfg.seed))
         payload["random_baseline"] = baseline.to_dict()
         payload["margin"] = report.avg_r_squared - baseline.avg_r_squared
     _write_json(payload, args.out)
@@ -498,97 +457,112 @@ def cmd_attribute(args, cfg: RunConfig) -> int:
 
 
 def cmd_project(args, cfg: RunConfig) -> int:
+    from .cluster import reduce_dims
+
     matrix = cache_io.load_cache(args.cache)
-    coords = reduce_dims(
-        matrix.matrix.astype(np.float64),
-        args.components,
-        method=args.method,
-        n_neighbors=cfg.cluster.n_neighbors,
-    )
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            ["company_id"] + [f"x{i}" for i in range(coords.shape[1])]
-        )
-        for i, company_id in enumerate(matrix.ids):
-            writer.writerow([company_id] + [repr(float(v)) for v in coords[i]])
+    coords = reduce_dims(matrix.matrix.astype(np.float64), args.components,
+                         method=args.method, n_neighbors=cfg.cluster.n_neighbors)
+    _write_rows(args.out, ["company_id"] + [f"x{i}" for i in range(coords.shape[1])], (
+        [company_id] + [repr(float(v)) for v in row]
+        for company_id, row in zip(matrix.ids, coords)
+    ))
     _say(args, f"projected {len(matrix)} companies to "
               f"{coords.shape[1]}d -> {args.out}")
     return 0
 
 
 def cmd_outliers(args, cfg: RunConfig) -> int:
+    from .similarity import sector_outlier_scores
+
     matrix = cache_io.load_cache(args.cache)
     corpus = load_corpus(args.corpus, args.hierarchy)
     sectors = corpus.gics_labels("sector")
     scores = sector_outlier_scores(matrix, sectors)
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["company_id", "sector", "score"])
-        for company_id, score in ranked:
-            writer.writerow([company_id, sectors[company_id], f"{score:.8f}"])
+    _write_rows(args.out, ["company_id", "sector", "score"], (
+        [company_id, sectors[company_id], f"{score:.8f}"]
+        for company_id, score in ranked
+    ))
     _say(args, f"ranked {len(ranked)} companies by sector outlier score "
               f"-> {args.out}")
     return 0
 
 
+def _classify_section(data: dict) -> str:
+    r = data["report"]
+    return (
+        "[classification]\n"
+        f"config hash : {data['config_hash']}\n"
+        f"level       : {data['level']}\n"
+        f"train/test  : {data['n_train']}/{data['n_test']}\n"
+        f"accuracy    : {r['accuracy']:.6f}\n"
+        f"micro F1    : {r['micro_f1']:.6f}\n"
+        f"weighted F1 : {r['weighted_f1']:.6f}\n"
+    )
+
+
+def _peers_section(data: dict) -> str:
+    emb = data["embedding"]
+    block = (
+        "[peer correlation]\n"
+        f"config hash : {data['config_hash']}\n"
+        f"k           : {emb['k']}\n"
+        f"rho_bar     : {emb['rho_bar']:.6f}\n"
+        f"companies   : {emb['n_companies']}\n"
+    )
+    if data.get("baseline"):
+        block += (
+            f"baseline    : {data['baseline']['rho_bar']:.6f}\n"
+            f"margin      : {data['margin']:+.6f}\n"
+        )
+    return block
+
+
+def _attribution_section(data: dict) -> str:
+    a = data["attribution"]
+    block = (
+        "[return attribution]\n"
+        f"config hash : {data['config_hash']}\n"
+        f"avg R^2     : {a['avg_r_squared']:.6f}\n"
+        f"months      : {a['n_months']}\n"
+        f"clusters    : {a['n_clusters']} ({a['method']})\n"
+    )
+    if data.get("random_baseline"):
+        block += (
+            f"random R^2  : {data['random_baseline']['avg_r_squared']:.6f}\n"
+            f"margin      : {data['margin']:+.6f}\n"
+        )
+    return block
+
+
+def _section(path: str, render) -> str:
+    """``render`` applied to the JSON output of an earlier stage; a file that
+    is not such an output is a DataValidationError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return render(json.load(f))
+    except json.JSONDecodeError as e:
+        raise DataValidationError(f"{path} is not JSON: {e}") from None
+    except KeyError as e:
+        raise DataValidationError(f"{path} has no key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise DataValidationError(f"{path} has unexpected content: {e}") from None
+
+
 def cmd_report(args, cfg: RunConfig) -> int:
-    sections = []
-    if args.classify:
-        with open(args.classify, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        r = data["report"]
-        sections.append(
-            "[classification]\n"
-            f"config hash : {data['config_hash']}\n"
-            f"level       : {data['level']}\n"
-            f"train/test  : {data['n_train']}/{data['n_test']}\n"
-            f"accuracy    : {r['accuracy']:.6f}\n"
-            f"micro F1    : {r['micro_f1']:.6f}\n"
-            f"weighted F1 : {r['weighted_f1']:.6f}\n"
-        )
-    if args.peers:
-        with open(args.peers, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        emb = data["embedding"]
-        block = (
-            "[peer correlation]\n"
-            f"config hash : {data['config_hash']}\n"
-            f"k           : {emb['k']}\n"
-            f"rho_bar     : {emb['rho_bar']:.6f}\n"
-            f"companies   : {emb['n_companies']}\n"
-        )
-        if data.get("baseline"):
-            block += (
-                f"baseline    : {data['baseline']['rho_bar']:.6f}\n"
-                f"margin      : {data['margin']:+.6f}\n"
-            )
-        sections.append(block)
-    if args.attribution:
-        with open(args.attribution, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        a = data["attribution"]
-        block = (
-            "[return attribution]\n"
-            f"config hash : {data['config_hash']}\n"
-            f"avg R^2     : {a['avg_r_squared']:.6f}\n"
-            f"months      : {a['n_months']}\n"
-            f"clusters    : {a['n_clusters']} ({a['method']})\n"
-        )
-        if data.get("random_baseline"):
-            block += (
-                f"random R^2  : {data['random_baseline']['avg_r_squared']:.6f}\n"
-                f"margin      : {data['margin']:+.6f}\n"
-            )
-        sections.append(block)
+    sections = [
+        _section(path, render)
+        for path, render in ((args.classify, _classify_section),
+                             (args.peers, _peers_section),
+                             (args.attribution, _attribution_section))
+        if path
+    ]
     if not sections:
         raise ConfigError(
             "report needs at least one of --classify/--peers/--attribution"
         )
-    text = "company embedding evaluation\n\n" + "\n".join(sections)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(text)
+    Path(args.out).write_text("company embedding evaluation\n\n" + "\n".join(sections),
+                              encoding="utf-8")
     _say(args, f"wrote summary -> {args.out}")
     return 0
 

@@ -2,12 +2,22 @@ import csv
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from companysim import cache as cache_module
 from companysim import providers, synth, textprep
 from companysim.cache import load_cache, save_cache
+from companysim.classify import load_model
 from companysim.cli import _build_provider, _provider_identity, main
+from companysim.cluster import (
+    agglomerative,
+    kmeans,
+    load_assignment,
+    random_cluster_assignment,
+    reduce_dims,
+    spectral_cluster,
+)
 from companysim.config import config_from_dict
 from companysim.corpus import load_corpus
 from companysim.embeddings import corpus_documents
@@ -516,6 +526,20 @@ def test_report_output_byte_for_byte(tmp_path, baselines):
     assert out.read_bytes() == expected.encode("utf-8")
 
 
+@pytest.mark.parametrize("flag,content,message", [
+    ("--peers", '{"x": 1}', "has no key 'embedding'"),
+    ("--classify", "accuracy: 0.9\n", "is not JSON"),
+    ("--attribution", '{"config_hash": "c", "attribution": []}', "has unexpected content"),
+], ids=["missing-key", "not-json", "wrong-shape"])
+def test_report_rejects_malformed_inputs(tmp_path, caplog, flag, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    out = tmp_path / "summary.txt"
+    assert run("report", flag, bad, "--out", out) == 2
+    assert f"{bad} {message}" in caplog.text
+    assert not out.exists()
+
+
 def test_exit_code_usage_errors(tmp_path, capsys):
     assert run() == 1
     assert run("nosuchcommand") == 1
@@ -690,6 +714,83 @@ def test_classify_csv_report_accumulates(workspace, tmp_path):
     assert rows[1][0].startswith("tfidf")
     assert rows[1][1] == "512"
     assert 0.0 <= float(rows[1][3]) <= 1.0
+
+
+def test_classify_csv_report_heads_an_empty_file(workspace, tmp_path):
+    cache = tmp_path / "emb.bin"
+    run("embed", "--corpus", workspace / "corpus.jsonl",
+        "--hierarchy", workspace / "hierarchy.csv", "--out", cache)
+    table = tmp_path / "runs.csv"
+    table.touch()
+    assert run("classify", "--cache", cache,
+               "--corpus", workspace / "corpus.jsonl",
+               "--hierarchy", workspace / "hierarchy.csv",
+               "--model-out", tmp_path / "m.json",
+               "--report-out", tmp_path / "r.json",
+               "--csv-report", table) == 0
+    with open(table) as f:
+        rows = list(csv.reader(f))
+    assert rows[0][:3] == ["provider", "context_budget", "level"]
+    assert len(rows) == 2
+
+
+def test_classify_text_report(workspace, tmp_path):
+    cache = tmp_path / "emb.bin"
+    run("embed", "--corpus", workspace / "corpus.jsonl",
+        "--hierarchy", workspace / "hierarchy.csv", "--out", cache)
+    model, text = tmp_path / "m.json", tmp_path / "report.txt"
+    assert run("classify", "--cache", cache,
+               "--corpus", workspace / "corpus.jsonl",
+               "--hierarchy", workspace / "hierarchy.csv",
+               "--model-out", model, "--report-out", tmp_path / "r.json",
+               "--text-report", text) == 0
+    data = json.loads((tmp_path / "r.json").read_text())["report"]
+    lines = text.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == f"examples : {data['n_examples']}"
+    assert lines[1] == f"accuracy : {data['accuracy']:.6f}"
+    assert len(lines) == 6 + len(load_model(model).classes)
+
+
+@pytest.mark.parametrize("cluster", [
+    {"method": "agglomerative", "linkage": "ward"},
+    {"method": "agglomerative", "metric": "cosine"},
+    {"method": "spectral", "n_neighbors": 8},
+    {"method": "random"},
+    {"method": "kmeans", "reduce_method": "pca", "reduce_components": 5},
+    {"method": "kmeans", "reduce_method": "spectral", "reduce_components": 3,
+     "n_neighbors": 8},
+], ids=lambda c: "-".join(map(str, c.values())))
+def test_cluster_methods_and_reductions(workspace, tmp_path, cluster):
+    cache = tmp_path / "emb.bin"
+    run("embed", "--corpus", workspace / "corpus.jsonl",
+        "--hierarchy", workspace / "hierarchy.csv", "--out", cache)
+    payload = {"cluster": {"n_clusters": 4, **cluster}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(payload))
+    out, quality = tmp_path / "asg.csv", tmp_path / "q.json"
+    assert run("--config", config, "cluster", "--cache", cache, "--out", out,
+               "--quality-out", quality) == 0
+
+    cfg = config_from_dict(payload)
+    c = cfg.cluster
+    matrix = load_cache(cache)
+    X = matrix.matrix.astype(np.float64)
+    if c.reduce_method is not None:
+        X = reduce_dims(X, c.reduce_components, method=c.reduce_method,
+                        n_neighbors=c.n_neighbors)
+    expected = {
+        "kmeans": lambda: kmeans(X, 4, seed=cfg.seed, n_init=c.n_init).labels,
+        "agglomerative": lambda: agglomerative(X, 4, c.linkage, c.metric)[0],
+        "spectral": lambda: spectral_cluster(
+            X, 4, n_neighbors=c.n_neighbors, seed=cfg.seed, n_init=c.n_init).labels,
+        "random": lambda: random_cluster_assignment(matrix.ids, 4, seed=cfg.seed).labels,
+    }[c.method]()
+    assignment = load_assignment(out)
+    assert assignment.ids == matrix.ids
+    assert assignment.labels.tolist() == expected.tolist()
+    written = json.loads(quality.read_text())
+    assert (written["method"], written["n_clusters"]) == (c.method, 4)
+    assert written["meta"].get("reduce_method") == c.reduce_method
 
 
 def test_peers_csv_includes_baseline_row(workspace, tmp_path):
