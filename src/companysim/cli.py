@@ -26,6 +26,31 @@ from typing import Sequence
 import numpy as np
 
 from . import cache as cache_io
+from .attribution import (
+    attribution_metric,
+    monthly_cumulative_returns,
+    save_attribution_csv,
+)
+from .classify import (
+    evaluate,
+    fit_classifier,
+    format_report,
+    save_model,
+    soft_class_distribution,
+)
+from .cluster import (
+    ClusterAssignment,
+    agglomerative,
+    cluster_quality,
+    cluster_sweep,
+    kmeans,
+    load_assignment,
+    random_cluster_assignment,
+    reduce_dims,
+    save_assignment,
+    save_sweep_csv,
+    spectral_cluster,
+)
 from .config import RunConfig, config_hash, load_config
 from .corpus import (
     GICS_LEVELS,
@@ -45,7 +70,14 @@ from .errors import (
     DataValidationError,
     ProviderError,
 )
+from .filings import extract_item1
 from .providers import HashBowProvider, RemoteProvider, TfidfProvider
+from .similarity import (
+    avg_peer_correlation,
+    gics_baseline_correlation,
+    load_returns_csv,
+    sector_outlier_scores,
+)
 from .textprep import ChunkingConfig, TokenSequence
 
 logger = logging.getLogger(__name__)
@@ -136,8 +168,6 @@ def _say(args, message: str) -> None:
 def _labelled_filings(labels, filings_dir: Path, mode: str, min_chars: int):
     """``(line number, corpus record)`` for each row of the labels CSV, the
     description read from ``<filings_dir>/<company_id>.txt``."""
-    from .filings import extract_item1
-
     reader = csv.reader(labels)
     header = next(reader, None)
     if header != LABELS_HEADER:
@@ -224,10 +254,6 @@ def cmd_embed(args, cfg: RunConfig) -> int:
 
 
 def cmd_classify(args, cfg: RunConfig) -> int:
-    from .classify import (
-        evaluate, fit_classifier, format_report, save_model, soft_class_distribution,
-    )
-
     corpus = load_corpus(args.corpus, args.hierarchy)
     matrix = cache_io.load_cache(args.cache)
     common = [i for i in corpus.ids() if i in matrix]
@@ -240,9 +266,13 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     )
     train = matrix.subset(split.train_ids)
     test = matrix.subset(split.test_ids)
-    model = fit_classifier(train.matrix, [labels[i] for i in split.train_ids],
-                           l2_penalty=cfg.classify.l2_penalty,
-                           max_iter=cfg.classify.max_iter, tol=cfg.classify.tol)
+    model = fit_classifier(
+        train.matrix,
+        [labels[i] for i in split.train_ids],
+        l2_penalty=cfg.classify.l2_penalty,
+        max_iter=cfg.classify.max_iter,
+        tol=cfg.classify.tol,
+    )
     report = evaluate(model, test.matrix, [labels[i] for i in split.test_ids])
     save_model(model, args.model_out)
     payload = {
@@ -255,7 +285,8 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     }
     _write_json(payload, args.report_out)
     if args.text_report:
-        Path(args.text_report).write_text(format_report(report), encoding="utf-8")
+        with open(args.text_report, "w", encoding="utf-8") as f:
+            f.write(format_report(report))
     if args.soft_out:
         rows = soft_class_distribution(model, matrix.matrix, matrix.ids)
         with open(args.soft_out, "w", encoding="utf-8") as f:
@@ -282,8 +313,6 @@ def cmd_classify(args, cfg: RunConfig) -> int:
 
 
 def cmd_peers(args, cfg: RunConfig) -> int:
-    from .similarity import avg_peer_correlation, gics_baseline_correlation, load_returns_csv
-
     with_gics = _has_gics_inputs(args)
     matrix = cache_io.load_cache(args.cache)
     panel = load_returns_csv(args.returns)
@@ -334,22 +363,24 @@ def cmd_peers(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_cluster(args, cfg: RunConfig) -> int:
-    from .cluster import (
-        ClusterAssignment, agglomerative, cluster_quality, cluster_sweep, kmeans,
-        random_cluster_assignment, reduce_dims, save_assignment, save_sweep_csv,
-        spectral_cluster,
+def _reduced_features(matrix: EmbeddingMatrix, cfg: RunConfig) -> np.ndarray:
+    X = matrix.matrix.astype(np.float64)
+    c = cfg.cluster
+    if c.reduce_method is None:
+        return X
+    components = min(c.reduce_components, X.shape[1])
+    return reduce_dims(
+        X, components, method=c.reduce_method, n_neighbors=c.n_neighbors
     )
 
+
+def cmd_cluster(args, cfg: RunConfig) -> int:
     with_gics = _has_gics_inputs(args)
     if args.sweep_out and not with_gics:
         raise ConfigError("--sweep-out needs --corpus and --hierarchy")
     matrix = cache_io.load_cache(args.cache)
     c = cfg.cluster
-    X = matrix.matrix.astype(np.float64)
-    if c.reduce_method is not None:
-        X = reduce_dims(X, min(c.reduce_components, X.shape[1]),
-                        method=c.reduce_method, n_neighbors=c.n_neighbors)
+    X = _reduced_features(matrix, cfg)
     meta: dict = {"reduce_method": c.reduce_method}
     if c.method == "kmeans":
         result = kmeans(X, c.n_clusters, seed=cfg.seed, n_init=c.n_init)
@@ -372,8 +403,14 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
         ).labels
     else:
         raise ConfigError(f"unknown cluster method {c.method!r}")
-    save_assignment(ClusterAssignment(ids=matrix.ids, labels=labels, n_clusters=c.n_clusters,
-                                      method=c.method, meta=meta), args.out)
+    assignment = ClusterAssignment(
+        ids=matrix.ids,
+        labels=labels,
+        n_clusters=c.n_clusters,
+        method=c.method,
+        meta=meta,
+    )
+    save_assignment(assignment, args.out)
     quality_payload: dict = {
         "config_hash": config_hash(cfg),
         "method": c.method,
@@ -395,9 +432,14 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
         _write_json(quality_payload, args.quality_out)
     if args.sweep_out:
         keep = [i for i in matrix.ids if i in level_labels]
-        rows = cluster_sweep(matrix.subset(keep).matrix.astype(np.float64),
-                             [level_labels[i] for i in keep],
-                             seed=cfg.seed, n_init=c.n_init, n_neighbors=c.n_neighbors)
+        sub = matrix.subset(keep)
+        rows = cluster_sweep(
+            sub.matrix.astype(np.float64),
+            [level_labels[i] for i in keep],
+            seed=cfg.seed,
+            n_init=c.n_init,
+            n_neighbors=c.n_neighbors,
+        )
         save_sweep_csv(rows, args.sweep_out)
         _say(args, f"swept {len(rows)} cluster settings -> {args.sweep_out}")
     line = f"cluster method={c.method} k={c.n_clusters} -> {args.out}"
@@ -413,22 +455,14 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
 
 
 def cmd_attribute(args, cfg: RunConfig) -> int:
-    from .attribution import (
-        attribution_metric, monthly_cumulative_returns, save_attribution_csv,
-    )
-    from .cluster import load_assignment, random_cluster_assignment
-    from .similarity import load_returns_csv
-
     assignment = load_assignment(args.assignment)
     panel = load_returns_csv(args.returns)
     monthly = monthly_cumulative_returns(panel, cfg.attribution.min_month_obs)
-
-    def score(clusters):
-        return attribution_metric(monthly, clusters,
-                                  winsorize_fraction=cfg.attribution.winsorize,
-                                  min_companies=cfg.attribution.min_companies)
-
-    report = score(assignment)
+    report = attribution_metric(
+        monthly, assignment,
+        winsorize_fraction=cfg.attribution.winsorize,
+        min_companies=cfg.attribution.min_companies,
+    )
     payload = {
         "config_hash": config_hash(cfg),
         "attribution": report.to_dict(),
@@ -436,8 +470,14 @@ def cmd_attribute(args, cfg: RunConfig) -> int:
         "margin": None,
     }
     if args.random_baseline:
-        baseline = score(random_cluster_assignment(
-            assignment.ids, assignment.n_clusters, seed=cfg.seed))
+        random_assignment = random_cluster_assignment(
+            assignment.ids, assignment.n_clusters, seed=cfg.seed
+        )
+        baseline = attribution_metric(
+            monthly, random_assignment,
+            winsorize_fraction=cfg.attribution.winsorize,
+            min_companies=cfg.attribution.min_companies,
+        )
         payload["random_baseline"] = baseline.to_dict()
         payload["margin"] = report.avg_r_squared - baseline.avg_r_squared
     _write_json(payload, args.out)
@@ -457,11 +497,13 @@ def cmd_attribute(args, cfg: RunConfig) -> int:
 
 
 def cmd_project(args, cfg: RunConfig) -> int:
-    from .cluster import reduce_dims
-
     matrix = cache_io.load_cache(args.cache)
-    coords = reduce_dims(matrix.matrix.astype(np.float64), args.components,
-                         method=args.method, n_neighbors=cfg.cluster.n_neighbors)
+    coords = reduce_dims(
+        matrix.matrix.astype(np.float64),
+        args.components,
+        method=args.method,
+        n_neighbors=cfg.cluster.n_neighbors,
+    )
     _write_rows(args.out, ["company_id"] + [f"x{i}" for i in range(coords.shape[1])], (
         [company_id] + [repr(float(v)) for v in row]
         for company_id, row in zip(matrix.ids, coords)
@@ -472,8 +514,6 @@ def cmd_project(args, cfg: RunConfig) -> int:
 
 
 def cmd_outliers(args, cfg: RunConfig) -> int:
-    from .similarity import sector_outlier_scores
-
     matrix = cache_io.load_cache(args.cache)
     corpus = load_corpus(args.corpus, args.hierarchy)
     sectors = corpus.gics_labels("sector")
@@ -561,8 +601,9 @@ def cmd_report(args, cfg: RunConfig) -> int:
         raise ConfigError(
             "report needs at least one of --classify/--peers/--attribution"
         )
-    Path(args.out).write_text("company embedding evaluation\n\n" + "\n".join(sections),
-                              encoding="utf-8")
+    text = "company embedding evaluation\n\n" + "\n".join(sections)
+    with open(args.out, "w", encoding="utf-8") as f:
+        f.write(text)
     _say(args, f"wrote summary -> {args.out}")
     return 0
 

@@ -42,30 +42,26 @@ def pca(X: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray, np.nd
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-d, got shape {X.shape}")
+    n, d = X.shape
     if n_components < 1:
         raise ConfigError(f"n_components must be >= 1, got {n_components}")
-    U, S, Vt, rank = _signed_svd(X)
+    centered = X - X.mean(axis=0)
+    U, S, Vt = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.sum(S > (S[0] * 1e-12 if S.size and S[0] > 0 else 0.0)))
     if n_components > rank:
         raise RankDeficiencyError(
             f"requested {n_components} components but centered data has rank {rank}"
         )
+    for i in range(n_components):
+        j = int(np.argmax(np.abs(Vt[i])))
+        if Vt[i, j] < 0:
+            Vt[i] = -Vt[i]
+            U[:, i] = -U[:, i]
     scores = U[:, :n_components] * S[:n_components]
     variance = S**2
     total = float(variance.sum())
     ratio = variance[:n_components] / total if total > 0 else variance[:n_components]
     return scores, Vt[:n_components], ratio
-
-
-def _signed_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``U, S, Vt`` of the centered rows and their rank, the sign of each of
-    the first ``rank`` components fixed as ``pca`` documents."""
-    U, S, Vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
-    rank = int(np.sum(S > (S[0] * 1e-12 if S.size and S[0] > 0 else 0.0)))
-    top = np.abs(Vt[:rank]).argmax(axis=1)
-    signs = np.where(Vt[np.arange(rank), top] < 0, -1.0, 1.0)
-    Vt[:rank] *= signs[:, None]
-    U[:, :rank] *= signs
-    return U, S, Vt, rank
 
 
 def _unit_rows(X: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
@@ -569,18 +565,20 @@ def cluster_sweep(
             f"{X.shape[0]} rows but {len(reference_labels)} reference labels"
         )
     rows: list[dict] = []
-    rank = None
-    for r in reduced_dims:
-        if r < 1:
-            raise ConfigError(f"n_components must be >= 1, got {r}")
-        if r > min(X.shape[0] - 1, X.shape[1]):
-            continue
-        if rank is None:
-            # one decomposition: each dimension keeps its leading pca scores
-            U, S, _, rank = _signed_svd(X)
-        if r > rank:
-            continue
-        reduced = U[:, :r] * S[:r]
+    dims = [r for r in reduced_dims if r <= min(X.shape[0] - 1, X.shape[1])]
+    try:
+        # pca(X, r) scores are the first r columns of pca(X, max r): one SVD
+        top = pca(X, max(dims))[0] if dims else None
+    except RankDeficiencyError:
+        top = None  # rank below the largest dimension: one pca per dimension
+    for r in dims:
+        if top is not None and r >= 1:
+            reduced = top[:, :r].copy()
+        else:
+            try:
+                reduced, _, _ = pca(X, r)
+            except RankDeficiencyError:
+                continue
         valid = [count for count in cluster_counts if count <= X.shape[0]]
         for method in methods:
             # one merge history, cut at each count

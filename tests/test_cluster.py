@@ -714,30 +714,42 @@ def test_cluster_sweep_spectral_rows_equal_per_count_runs():
     ] == expected
 
 
-def test_cluster_sweep_decomposes_once_into_each_pca_dimension(monkeypatch):
+def _sweep_inputs(monkeypatch, X, reduced_dims):
+    """(reduced dims of the rows, kmeans inputs, pca calls) of a kmeans sweep."""
     import companysim.cluster as cluster_module
 
-    rng = np.random.default_rng(14)
-    # 30 points of rank 3 in 6 features: dims 4 and 5 exceed the rank, 7 the features
-    X = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 6)) + 5.0
-    labels = [i % 3 for i in range(30)]
-    expected = {r: pca(X, r)[0] for r in (1, 2, 3)}
-    svd_calls, seen = [], []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *a, **k: svd_calls.append(1) or svd(*a, **k))
-    real_kmeans = cluster_module.kmeans
+    seen, pca_calls = [], []
+    real_kmeans, real_pca = cluster_module.kmeans, cluster_module.pca
     monkeypatch.setattr(cluster_module, "kmeans",
                         lambda Z, *a, **k: seen.append(Z) or real_kmeans(Z, *a, **k))
-    rows = cluster_sweep(X, labels, methods=("kmeans",), cluster_counts=(3,),
-                         reduced_dims=(2, 4, 1, 7, 3, 5))
-    assert len(svd_calls) == 1
-    assert [row["reduced_dim"] for row in rows] == [2, 1, 3]
-    assert len(seen) == 3
-    for Z, r in zip(seen, (2, 1, 3)):
+    monkeypatch.setattr(cluster_module, "pca",
+                        lambda Z, r: pca_calls.append(r) or real_pca(Z, r))
+    rows = cluster_sweep(X, [i % 3 for i in range(len(X))], methods=("kmeans",),
+                         cluster_counts=(3,), reduced_dims=reduced_dims)
+    return [row["reduced_dim"] for row in rows], seen, pca_calls
+
+
+def test_cluster_sweep_runs_one_pca_and_slices_each_dimension(monkeypatch):
+    X = np.random.default_rng(14).normal(size=(30, 6))
+    expected = {r: pca(X, r)[0] for r in range(1, 7)}
+    dims, seen, pca_calls = _sweep_inputs(monkeypatch, X, (2, 4, 1, 7, 3, 5))
+    assert pca_calls == [5]  # 7 is above the feature count
+    assert dims == [2, 4, 1, 3, 5]
+    for Z, r in zip(seen, dims):
+        assert Z.flags.c_contiguous
         assert np.array_equal(Z, expected[r])
     with pytest.raises(ConfigError, match="n_components must be >= 1"):
-        cluster_sweep(X, labels, reduced_dims=(2, 0))
+        cluster_sweep(X, [i % 3 for i in range(30)], reduced_dims=(2, 0))
+
+
+def test_cluster_sweep_skips_dimensions_above_the_rank(monkeypatch):
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 6)) + 5.0  # rank 3
+    expected = {r: pca(X, r)[0] for r in (1, 2, 3)}
+    dims, seen, _ = _sweep_inputs(monkeypatch, X, (2, 4, 1, 7, 3, 5))
+    assert dims == [2, 1, 3]
+    for Z, r in zip(seen, dims):
+        assert np.array_equal(Z, expected[r])
 
 
 def test_cluster_sweep_validates_alignment():
