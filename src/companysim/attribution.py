@@ -17,7 +17,6 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,47 +29,35 @@ logger = logging.getLogger(__name__)
 DEFAULT_MIN_MONTH_OBS = 15
 
 
-@dataclass
-class MonthlyReturnPanel:
-    """Compounded month returns keyed month ("YYYY-MM") -> company -> value."""
-
-    months: list[str]
-    returns: dict[str, dict[str, float]]
-
-
 def monthly_cumulative_returns(
     panel: ReturnPanel, min_obs: int = DEFAULT_MIN_MONTH_OBS
-) -> MonthlyReturnPanel:
+) -> ReturnPanel:
     """Compound daily returns within each calendar month: prod(1+r) - 1.
 
-    Company-months with fewer than ``min_obs`` daily observations are
-    dropped so partially traded months do not masquerade as full ones.
-    The product runs left to right over the panel's sorted dates; a
-    missing day holds 0.0, so its factor is exactly 1.0 and the result is
-    bit-identical to multiplying the observed days in date order.
+    The result is a panel over "YYYY-MM" months. Company-months with fewer
+    than ``min_obs`` daily observations are masked out (value 0.0) so
+    partially traded months do not masquerade as full ones, and months no
+    company fills are dropped. The product runs left to right over the
+    panel's sorted dates; a missing day holds 0.0, so its factor is exactly
+    1.0 and the result is bit-identical to multiplying the observed days in
+    date order.
     """
     if min_obs < 1:
         raise ValueError(f"min_obs must be >= 1, got {min_obs}")
     month_of = [date[:7] for date in panel.dates]
     starts = [j for j, month in enumerate(month_of)
               if j == 0 or month != month_of[j - 1]]
-    by_month: dict[str, dict[str, float]] = {}
-    if starts:
-        growth = np.multiply.reduceat(1.0 + panel.values, starts, axis=1)
-        counts = np.add.reduceat(panel.mask, starts, axis=1, dtype=np.int64)
-        kept = counts >= min_obs
-        for m, start in enumerate(starts):
-            rows = np.flatnonzero(kept[:, m])
-            if rows.size:
-                by_month[month_of[start]] = dict(zip(
-                    [panel.ids[i] for i in rows], (growth[rows, m] - 1.0).tolist()
-                ))
-    months = sorted(by_month)
-    if not months:
+    growth = np.multiply.reduceat(1.0 + panel.values, starts, axis=1)
+    kept = np.add.reduceat(panel.mask, starts, axis=1, dtype=np.int64) >= min_obs
+    filled = np.flatnonzero(kept.any(axis=0))
+    if not filled.size:
         raise DataValidationError(
             f"no company-month reached {min_obs} daily observations"
         )
-    return MonthlyReturnPanel(months=months, returns=by_month)
+    kept = kept[:, filled]
+    values = np.where(kept, growth[:, filled] - 1.0, 0.0)
+    months = [month_of[starts[m]] for m in filled]
+    return ReturnPanel.from_arrays(panel.ids, months, values, kept)
 
 
 def winsorize(values: np.ndarray, fraction: float) -> np.ndarray:
@@ -176,31 +163,33 @@ class AttributionReport:
 
 
 def attribution_metric(
-    monthly: MonthlyReturnPanel,
+    monthly: ReturnPanel,
     assignment: ClusterAssignment,
     winsorize_fraction: float | None = None,
     min_companies: int = 2,
 ) -> AttributionReport:
     """Average cross-sectional R^2 of cluster dummies across months.
 
-    Each month uses the companies present in both the month's returns and
-    the assignment; months with fewer than ``min_companies`` such companies
-    are skipped.
+    ``monthly`` is a month panel (see ``monthly_cumulative_returns``). Each
+    month uses the companies observed that month that are also in the
+    assignment; months with fewer than ``min_companies`` such companies are
+    skipped.
     """
     membership = assignment.as_mapping()
+    rows = [i for i, company_id in enumerate(monthly.ids) if company_id in membership]
+    labels = np.array([membership[monthly.ids[i]] for i in rows], dtype=np.int64)
+    values, mask = monthly.values[rows], monthly.mask[rows]
     per_month: dict[str, float] = {}
     degenerate: list[str] = []
     fits: list[AttributionFit] = []
-    for month in monthly.months:
-        month_returns = monthly.returns[month]
-        ids = sorted(c for c in month_returns if c in membership)
-        if len(ids) < min_companies:
+    for m, month in enumerate(monthly.dates):
+        seen = mask[:, m]
+        if np.count_nonzero(seen) < min_companies:
             continue
-        values = np.array([month_returns[c] for c in ids], dtype=np.float64)
+        month_values = values[seen, m]
         if winsorize_fraction is not None:
-            values = winsorize(values, winsorize_fraction)
-        labels = np.array([membership[c] for c in ids], dtype=np.int64)
-        fit = cross_sectional_fit(values, labels, month=month)
+            month_values = winsorize(month_values, winsorize_fraction)
+        fit = cross_sectional_fit(month_values, labels[seen], month=month)
         per_month[month] = fit.r_squared
         if fit.degenerate:
             degenerate.append(month)

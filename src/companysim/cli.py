@@ -78,7 +78,7 @@ from .similarity import (
     load_returns_csv,
     sector_outlier_scores,
 )
-from .textprep import ChunkingConfig, TokenSequence
+from .textprep import ChunkingConfig
 
 logger = logging.getLogger(__name__)
 
@@ -102,7 +102,7 @@ def _provider_identity(cfg: RunConfig) -> tuple[str, int]:
     return provider_id, e.context_budget
 
 
-def _build_provider(cfg: RunConfig, documents: Sequence[tuple[str, list[TokenSequence]]]):
+def _build_provider(cfg: RunConfig, documents: Sequence[tuple[str, list[list[str]]]]):
     """The configured provider. A TF-IDF provider is fitted on ``documents``,
     the ``(company_id, chunks)`` of every document; no other provider reads
     them."""

@@ -556,8 +556,9 @@ def cluster_sweep(
     """Agreement with reference labels across method x count x dimension.
 
     Cells that cannot run on this input (more clusters than points, more
-    dimensions than the feature rank) are skipped rather than failed, so
-    one sweep call works on any universe size.
+    dimensions than the feature rank, spectral with no more points than
+    ``n_neighbors``) are skipped rather than failed, so one sweep call
+    works on any universe size.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != len(reference_labels):
@@ -586,6 +587,8 @@ def cluster_sweep(
                 _, merges = agglomerative(reduced, min(valid))
             # one embedding; each count takes its leading columns
             if method == "spectral" and valid:
+                if n_neighbors >= X.shape[0]:
+                    continue  # the kNN graph needs more points than neighbours
                 try:
                     embedded = spectral_embedding(
                         reduced, max(valid), n_neighbors, drop_first=False

@@ -12,7 +12,7 @@ import numpy as np
 from .corpus import Corpus
 from .errors import DataValidationError, ProviderError
 from .providers import MAX_TEXTS_PER_REQUEST, EmbeddingProvider
-from .textprep import ChunkingConfig, TokenSequence, prepare_chunks
+from .textprep import ChunkingConfig, prepare_chunks
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +38,7 @@ def pool_chunk_embeddings(
 
 
 def _embed_group(
-    group: Sequence[tuple[str, list[TokenSequence]]],
+    group: Sequence[tuple[str, list[list[str]]]],
     provider: EmbeddingProvider,
     length_weighted: bool,
 ) -> list[np.ndarray]:
@@ -65,7 +65,7 @@ def _embed_group(
     start = 0
     for _, doc_chunks in group:
         end = start + len(doc_chunks)
-        weights = [len(c.tokens) for c in doc_chunks] if length_weighted else None
+        weights = [len(c) for c in doc_chunks] if length_weighted else None
         vectors.append(pool_chunk_embeddings(rows[start:end], weights))
         start = end
     return vectors
@@ -131,15 +131,13 @@ class EmbeddingMatrix:
 
 def corpus_documents(
     corpus: Corpus, config: ChunkingConfig, ids: Iterable[str] | None = None
-) -> Iterator[tuple[str, list[TokenSequence]]]:
+) -> Iterator[tuple[str, list[list[str]]]]:
     """``(company_id, chunks)`` for each id (default: every company, in
     corpus order), each description prepared as it is reached. A document
     with no tokens after cleaning is a data error, not a zero vector: every
     row in an embedding matrix must come from actual text."""
     for company_id in corpus.ids() if ids is None else ids:
-        chunks = prepare_chunks(
-            corpus.get(company_id).description, config, source_id=company_id
-        )
+        chunks = prepare_chunks(corpus.get(company_id).description, config)
         if not chunks:
             raise DataValidationError(
                 f"document {company_id!r} has no tokens after cleaning"
@@ -148,11 +146,11 @@ def corpus_documents(
 
 
 def _document_groups(
-    documents: Iterable[tuple[str, list[TokenSequence]]],
-) -> Iterator[list[tuple[str, list[TokenSequence]]]]:
+    documents: Iterable[tuple[str, list[list[str]]]],
+) -> Iterator[list[tuple[str, list[list[str]]]]]:
     """Consecutive documents in groups of at most ``MAX_TEXTS_PER_REQUEST``
     chunks; a longer document is a group alone."""
-    group: list[tuple[str, list[TokenSequence]]] = []
+    group: list[tuple[str, list[list[str]]]] = []
     n_chunks = 0
     for company_id, chunks in documents:
         if group and n_chunks + len(chunks) > MAX_TEXTS_PER_REQUEST:
@@ -165,7 +163,7 @@ def _document_groups(
 
 
 def embed_corpus(
-    documents: Iterable[tuple[str, list[TokenSequence]]],
+    documents: Iterable[tuple[str, list[list[str]]]],
     provider: EmbeddingProvider,
     config: ChunkingConfig,
     length_weighted: bool = False,

@@ -36,7 +36,6 @@ from .errors import (
     RemoteStatusError,
     RemoteTransportError,
 )
-from .textprep import TokenSequence
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +50,7 @@ class EmbeddingProvider:
     provider_id: str
     dimension: int
 
-    def embed_chunks(self, chunks: Sequence[TokenSequence]) -> np.ndarray:
+    def embed_chunks(self, chunks: Sequence[list[str]]) -> np.ndarray:
         """One float64 row of ``dimension`` values per chunk, in order."""
         raise NotImplementedError
 
@@ -63,7 +62,7 @@ def _sign_hash(token: str, seed: int) -> tuple[int, float]:
     return int.from_bytes(digest[:8], "little"), (1.0 if digest[8] & 1 else -1.0)
 
 
-def hash_bow_embed(chunk: TokenSequence, dimension: int, seed: int) -> np.ndarray:
+def hash_bow_embed(chunk: list[str], dimension: int, seed: int) -> np.ndarray:
     """Signed feature-hashing bag of words, L2-normalized unless all-zero."""
     if dimension < 2:
         raise ValueError(f"dimension must be >= 2, got {dimension}")
@@ -86,7 +85,7 @@ class HashBowProvider(EmbeddingProvider):
         self.dimension = dimension
         self.seed = seed
 
-    def embed_chunks(self, chunks: Sequence[TokenSequence]) -> np.ndarray:
+    def embed_chunks(self, chunks: Sequence[list[str]]) -> np.ndarray:
         rows = [hash_bow_embed(c, self.dimension, self.seed) for c in chunks]
         return np.array(rows).reshape(len(chunks), self.dimension)
 
@@ -137,7 +136,7 @@ def _gaussian_projection(n_features: int, dimension: int, seed: int) -> np.ndarr
 
 def tfidf_embed(
     model: TfidfModel,
-    chunk: TokenSequence,
+    chunk: list[str],
     projection: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """tf*idf over the fitted vocabulary, L2-normalized; out-of-vocabulary
@@ -185,7 +184,7 @@ class TfidfProvider(EmbeddingProvider):
         projection = (projection_dim, seed) if projection_dim else None
         return cls(model, projection)
 
-    def embed_chunks(self, chunks: Sequence[TokenSequence]) -> np.ndarray:
+    def embed_chunks(self, chunks: Sequence[list[str]]) -> np.ndarray:
         rows = [tfidf_embed(self.model, c, self.projection) for c in chunks]
         return np.array(rows).reshape(len(chunks), self.dimension)
 
@@ -334,8 +333,8 @@ class RemoteProvider(EmbeddingProvider):
         self.backoff = backoff
         self.auth_env = auth_env
 
-    def embed_chunks(self, chunks: Sequence[TokenSequence]) -> np.ndarray:
-        texts = [c.text() for c in chunks]
+    def embed_chunks(self, chunks: Sequence[list[str]]) -> np.ndarray:
+        texts = [" ".join(c) for c in chunks]
         vectors: list[np.ndarray] = []
         for start in range(0, len(texts), MAX_TEXTS_PER_REQUEST):
             vectors.extend(remote_embed(

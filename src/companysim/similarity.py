@@ -45,10 +45,12 @@ RETURNS_HEADER = ["company_id", "date", "return"]
 
 
 class ReturnPanel:
-    """Daily simple returns as a dense company x date panel.
+    """Simple returns as a dense company x period panel.
 
-    ``ids`` and ``dates`` are sorted; ``values[i, j]`` is company ``i``'s
-    return on ``dates[j]`` where ``mask[i, j]`` is set, and 0.0 elsewhere.
+    ``ids`` and ``dates`` are sorted; ``dates`` are days ("YYYY-MM-DD") or
+    the months ("YYYY-MM") that ``attribution.monthly_cumulative_returns``
+    produces. ``values[i, j]`` is company ``i``'s return over ``dates[j]``
+    where ``mask[i, j]`` is set, and 0.0 elsewhere.
     These four are the panel's only state. ``ReturnPanel(series)`` copies
     a company -> date -> value mapping into them, so later edits to the
     mapping do not reach the panel; ``from_arrays`` takes them as they

@@ -15,27 +15,10 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _PUNCT = frozenset(string.punctuation)
-
-
-@dataclass
-class TokenSequence:
-    """Ordered tokens from one source document."""
-
-    tokens: list[str] = field(default_factory=list)
-    source_id: str = ""
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def text(self) -> str:
-        return " ".join(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -79,7 +62,7 @@ def clean_text(raw: str) -> str:
     return " ".join(text.lower().split())
 
 
-def tokenize(cleaned: str, source_id: str = "") -> TokenSequence:
+def tokenize(cleaned: str) -> list[str]:
     """Split cleaned text on whitespace, peeling leading/trailing punctuation
     into separate tokens. Interior punctuation (hyphens, decimals) stays."""
     tokens: list[str] = []
@@ -93,30 +76,27 @@ def tokenize(cleaned: str, source_id: str = "") -> TokenSequence:
         if core:
             tokens.append(core)
         tokens.extend(rest[len(core):])
-    return TokenSequence(tokens, source_id)
+    return tokens
 
 
-def truncate(tokens: TokenSequence, budget: int) -> TokenSequence:
+def truncate(tokens: list[str], budget: int) -> list[str]:
     """Keep the first ``budget`` tokens, order preserved."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    return TokenSequence(tokens.tokens[:budget], tokens.source_id)
+    return tokens[:budget]
 
 
-def chunk(tokens: TokenSequence, window: int) -> list[TokenSequence]:
+def chunk(tokens: list[str], window: int) -> list[list[str]]:
     """Partition into consecutive chunks of ``window`` tokens; the last chunk
     may be shorter. Empty input yields an empty list."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    return [
-        TokenSequence(tokens.tokens[i : i + window], tokens.source_id)
-        for i in range(0, len(tokens), window)
-    ]
+    return [tokens[i : i + window] for i in range(0, len(tokens), window)]
 
 
-def prepare_chunks(raw: str, config: ChunkingConfig, source_id: str = "") -> list[TokenSequence]:
+def prepare_chunks(raw: str, config: ChunkingConfig) -> list[list[str]]:
     """Full preprocessing path: clean, tokenize, truncate to the context
-    budget, then split into embedding windows."""
-    toks = tokenize(clean_text(raw), source_id)
+    budget, then split into embedding windows, each a list of tokens."""
+    toks = tokenize(clean_text(raw))
     toks = truncate(toks, config.effective_budget())
     return chunk(toks, config.effective_window())

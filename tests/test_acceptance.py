@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from companysim.attribution import (
-    MonthlyReturnPanel,
     attribution_metric,
     monthly_cumulative_returns,
 )
@@ -77,7 +76,7 @@ def _tfidf_matrix(corpus, budget=512):
     chunking = ChunkingConfig(window=512, context_budget=budget,
                               tokens_per_word=1.0)
     tokens = [
-        truncate(tokenize(clean_text(corpus.get(i).description), i),
+        truncate(tokenize(clean_text(corpus.get(i).description)),
                  chunking.effective_budget())
         for i in corpus.ids()
     ]
@@ -184,6 +183,15 @@ def test_acceptance_01_peer_correlation_matches_bruteforce(capsys):
 # 2. Attribution regression agrees with explicit normal equations.
 
 
+def _month_panel(months):
+    """A month panel from month -> company -> compounded return."""
+    series = {}
+    for month, returns in months.items():
+        for cid, value in returns.items():
+            series.setdefault(cid, {})[month] = value
+    return ReturnPanel(series)
+
+
 def _oracle_dummy_regression(y, labels):
     y = np.asarray(y, dtype=np.float64)
     labels = np.asarray(labels)
@@ -212,7 +220,7 @@ def test_acceptance_02_attribution_matches_normal_equations(capsys):
             f"2021-{m:02d}": dict(zip(ids, rng.normal(scale=0.05, size=30)))
             for m in range(1, 7)
         }
-        monthly = MonthlyReturnPanel(sorted(months), months)
+        monthly = _month_panel(months)
         report = attribution_metric(monthly, assignment)
         assert report.n_months == 6
         for fit in report.fits:
@@ -231,7 +239,7 @@ def test_acceptance_02_attribution_matches_normal_equations(capsys):
             for i, cid in enumerate(ids)}
         for m, shift in (("2021-01", 0.0), ("2021-02", 0.003), ("2021-03", -0.02))
     }
-    monthly = MonthlyReturnPanel(sorted(months), months)
+    monthly = _month_panel(months)
     report = attribution_metric(monthly, assignment)
     assert abs(report.avg_r_squared - 1.0) <= 1e-12
     for fit in report.fits:
@@ -483,12 +491,11 @@ def test_acceptance_09_determinism(capsys, tmp_path):
         tpw = float(rng.choice([1.0, 1.3, 2.0]))
         cfg = ChunkingConfig(window=window, context_budget=budget,
                              tokens_per_word=tpw)
-        from companysim.textprep import TokenSequence
-        seq = truncate(TokenSequence(tokens, "d"), cfg.effective_budget())
+        seq = truncate(tokens, cfg.effective_budget())
         chunks = chunk(seq, cfg.effective_window())
-        rebuilt = [t for c in chunks for t in c.tokens]
-        assert rebuilt == seq.tokens
-        assert all(1 <= len(c.tokens) <= cfg.effective_window() for c in chunks)
+        rebuilt = [t for c in chunks for t in c]
+        assert rebuilt == seq
+        assert all(1 <= len(c) <= cfg.effective_window() for c in chunks)
     _pass(capsys, 9, "reruns are byte-identical, cache and model round trips "
                      "are lossless, chunking partitions 1000 random streams")
 

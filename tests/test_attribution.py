@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from companysim.attribution import (
-    MonthlyReturnPanel,
     adjusted_r_squared,
     attribution_metric,
     cross_sectional_fit,
@@ -17,6 +16,15 @@ from companysim.similarity import ReturnPanel
 
 def _panel(series):
     return ReturnPanel({k: dict(v) for k, v in series.items()})
+
+
+def _month_panel(months):
+    """A month panel from month -> company -> compounded return."""
+    series = {}
+    for month, returns in months.items():
+        for cid, value in returns.items():
+            series.setdefault(cid, {})[month] = value
+    return ReturnPanel(series)
 
 
 def oracle_dummy_regression(y, labels):
@@ -47,7 +55,7 @@ def test_monthly_compounding_hand_oracle():
     series = {d: 0.01 for d in days}
     panel = _panel({"A": series})
     monthly = monthly_cumulative_returns(panel, min_obs=15)
-    got = monthly.returns["2020-01"]["A"]
+    got = monthly.series["A"]["2020-01"]
     assert got == pytest.approx(1.01 ** 22 - 1, abs=1e-12)
 
 
@@ -56,8 +64,23 @@ def test_monthly_min_obs_drops_sparse_months():
     feb = {f"2020-02-{d:02d}": 0.01 for d in range(1, 5)}
     panel = _panel({"A": {**jan, **feb}})
     monthly = monthly_cumulative_returns(panel, min_obs=15)
-    assert "2020-01" in monthly.returns
-    assert "2020-02" not in monthly.returns
+    assert "2020-01" in monthly.dates
+    assert "2020-02" not in monthly.dates
+
+
+def test_monthly_panel_masks_sparse_company_months():
+    jan = {f"2020-01-{d:02d}": 0.01 for d in range(1, 20)}
+    feb = {f"2020-02-{d:02d}": 0.02 for d in range(1, 20)}
+    mar = {f"2020-03-{d:02d}": 0.03 for d in range(1, 5)}
+    panel = _panel({"A": {**jan, **mar}, "B": {**feb, **mar}, "C": mar})
+    monthly = monthly_cumulative_returns(panel, min_obs=15)
+    assert isinstance(monthly, ReturnPanel)
+    assert monthly.ids == ["A", "B", "C"]
+    assert monthly.dates == ["2020-01", "2020-02"]  # nobody fills March
+    assert monthly.mask.tolist() == [[True, False], [False, True], [False, False]]
+    assert monthly.values[1, 0] == monthly.values[0, 1] == 0.0
+    assert not monthly.values[2].any()
+    assert monthly.series["A"]["2020-01"] == pytest.approx(1.01 ** 19 - 1, abs=1e-12)
 
 
 def test_monthly_mixed_signs():
@@ -65,7 +88,7 @@ def test_monthly_mixed_signs():
     panel = _panel({"A": days})
     monthly = monthly_cumulative_returns(panel, min_obs=15)
     expected = (1.02 * 0.99) ** 8 - 1
-    assert monthly.returns["2020-03"]["A"] == pytest.approx(expected, abs=1e-12)
+    assert monthly.series["A"]["2020-03"] == pytest.approx(expected, abs=1e-12)
 
 
 def _loop_monthly(series, min_obs):
@@ -105,8 +128,14 @@ def test_monthly_compounding_bit_identical_to_loop():
                 series[f"c{i:02d}"] = obs
         expected = _loop_monthly(series, min_obs)
         monthly = monthly_cumulative_returns(_panel(series), min_obs=min_obs)
-        assert monthly.months == sorted(expected)
-        assert monthly.returns == expected  # exact float equality
+        assert monthly.dates == sorted(expected)
+        assert monthly.ids == sorted(series)
+        for m, month in enumerate(monthly.dates):
+            got = {cid: value for cid, value, seen in zip(
+                monthly.ids, monthly.values[:, m].tolist(), monthly.mask[:, m])
+                if seen}
+            assert got == expected[month]  # exact float equality
+        assert not monthly.values[~monthly.mask].any()
 
 
 def test_monthly_all_sparse_raises():
@@ -203,7 +232,7 @@ def test_attribution_metric_averages_months():
     for m in ("2021-01", "2021-02"):
         months[m] = {i: float(rng.normal(0.01 * (idx % 4), 0.001))
                      for idx, i in enumerate(ids)}
-    monthly = MonthlyReturnPanel(sorted(months), months)
+    monthly = _month_panel(months)
     report = attribution_metric(monthly, assignment)
     assert report.n_months == 2
     expected = np.mean([report.per_month[m] for m in sorted(months)])
@@ -218,7 +247,7 @@ def test_attribution_metric_skips_thin_months():
         "2021-01": {"a": 0.01, "b": 0.02, "c": 0.03},
         "2021-02": {"a": 0.01},
     }
-    monthly = MonthlyReturnPanel(sorted(months), months)
+    monthly = _month_panel(months)
     report = attribution_metric(monthly, assignment, min_companies=2)
     assert list(report.per_month) == ["2021-01"]
 
@@ -228,7 +257,7 @@ def test_attribution_metric_ignores_companies_outside_assignment():
     assignment = ClusterAssignment(ids, np.array([0, 0, 1, 1]), 2, "test")
     months = {"2021-01": {"a": 0.01, "b": 0.012, "c": -0.02, "d": -0.018,
                           "zz": 9.9}}
-    monthly = MonthlyReturnPanel(sorted(months), months)
+    monthly = _month_panel(months)
     report = attribution_metric(monthly, assignment)
     assert report.fits[0].n_companies == 4
 
@@ -241,7 +270,7 @@ def test_attribution_metric_winsorized_tames_outlier():
     noisy = {i: (0.01 if labels[idx] == 0 else -0.01)
              + float(rng.normal(0, 0.001)) for idx, i in enumerate(ids)}
     noisy["c00"] = 5.0
-    monthly = MonthlyReturnPanel(["2021-01"], {"2021-01": noisy})
+    monthly = _month_panel({"2021-01": noisy})
     raw = attribution_metric(monthly, assignment)
     tamed = attribution_metric(monthly, assignment, winsorize_fraction=0.05)
     assert tamed.avg_r_squared > raw.avg_r_squared
@@ -249,9 +278,80 @@ def test_attribution_metric_winsorized_tames_outlier():
 
 def test_attribution_metric_no_usable_months_raises():
     assignment = ClusterAssignment(["a"], np.array([0]), 1, "test")
-    monthly = MonthlyReturnPanel(["2021-01"], {"2021-01": {"a": 0.01}})
+    monthly = _month_panel({"2021-01": {"a": 0.01}})
     with pytest.raises(DataValidationError):
         attribution_metric(monthly, assignment, min_companies=2)
+
+
+def test_attribution_metric_empty_panel_raises():
+    assignment = ClusterAssignment(["a", "b"], np.array([0, 1]), 2, "test")
+    with pytest.raises(DataValidationError):
+        attribution_metric(ReturnPanel({}), assignment)
+
+
+def _reference_attribution(months, returns, assignment,
+                           winsorize_fraction=None, min_companies=2):
+    """The per-month dict loop the dense attribution replaced, on month ->
+    company -> value dicts: (per_month, degenerate, fits)."""
+    membership = assignment.as_mapping()
+    per_month: dict[str, float] = {}
+    degenerate: list[str] = []
+    fits = []
+    for month in months:
+        month_returns = returns[month]
+        ids = sorted(c for c in month_returns if c in membership)
+        if len(ids) < min_companies:
+            continue
+        values = np.array([month_returns[c] for c in ids], dtype=np.float64)
+        if winsorize_fraction is not None:
+            values = winsorize(values, winsorize_fraction)
+        labels = np.array([membership[c] for c in ids], dtype=np.int64)
+        fit = cross_sectional_fit(values, labels, month=month)
+        per_month[month] = fit.r_squared
+        if fit.degenerate:
+            degenerate.append(month)
+        fits.append(fit)
+    return per_month, degenerate, fits
+
+
+def _gappy_months(rng):
+    """Month -> company -> return over 18 months with random gaps: some
+    months hold 0-2 companies, a few companies never join the assignment."""
+    companies = [f"c{i:02d}" for i in range(int(rng.integers(8, 30)))]
+    months = {}
+    for m in range(1, 19):
+        month = f"{2020 + (m - 1) // 12}-{(m - 1) % 12 + 1:02d}"
+        present = rng.random(len(companies)) < rng.choice([0.05, 0.5, 0.95])
+        months[month] = {cid: float(rng.normal(scale=0.05))
+                         for cid, here in zip(companies, present) if here}
+    return companies, {m: r for m, r in months.items() if r}
+
+
+@pytest.mark.parametrize("winsorize_fraction", [None, 0.1])
+def test_attribution_metric_equals_the_dict_loop(winsorize_fraction):
+    checked = thin = 0
+    for seed in range(12):
+        rng = np.random.default_rng(700 + seed)
+        companies, months = _gappy_months(rng)
+        # drop a few panel companies from the assignment, add absent ids
+        members = [c for c in companies if rng.random() < 0.85]
+        members += [f"zz{i}" for i in range(3)]
+        k = int(rng.integers(2, 5))
+        assignment = ClusterAssignment(
+            members, rng.integers(0, k, size=len(members)), k, "test")
+        min_companies = int(rng.choice([2, 4]))
+        per_month, degenerate, fits = _reference_attribution(
+            sorted(months), months, assignment, winsorize_fraction, min_companies)
+        if not fits:
+            continue
+        report = attribution_metric(_month_panel(months), assignment,
+                                    winsorize_fraction, min_companies)
+        assert report.fits == fits  # exact float equality
+        assert report.per_month == per_month
+        assert report.degenerate_months == degenerate
+        checked += 1
+        thin += len(months) - len(fits)
+    assert checked >= 10 and thin > 0
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +383,7 @@ def test_save_attribution_csv_layout(tmp_path):
         m: dict(zip(ids, rng.normal(0.0, 0.02, size=12)))
         for m in ("2021-01", "2021-02")
     }
-    monthly = MonthlyReturnPanel(sorted(months), months)
+    monthly = _month_panel(months)
     report = attribution_metric(monthly, assignment)
     out = tmp_path / "attr.csv"
     save_attribution_csv(report, out)

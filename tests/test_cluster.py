@@ -752,6 +752,19 @@ def test_cluster_sweep_skips_dimensions_above_the_rank(monkeypatch):
         assert np.array_equal(Z, expected[r])
 
 
+def test_cluster_sweep_skips_spectral_without_enough_neighbours():
+    # 14 rows cannot give each point the default 15 neighbours
+    X = np.random.default_rng(15).normal(size=(14, 8))
+    rows = cluster_sweep(X, ["a", "b"] * 7)
+    assert {row["method"] for row in rows} == {"kmeans", "agglomerative"}
+    dims = {row["reduced_dim"] for row in rows}
+    # 14 neighbours need 15 points; 13 fit
+    for n_neighbors, spectral_dims in ((14, set()), (13, dims)):
+        rows = cluster_sweep(X, ["a", "b"] * 7, n_neighbors=n_neighbors)
+        assert {row["reduced_dim"] for row in rows
+                if row["method"] == "spectral"} == spectral_dims
+
+
 def test_cluster_sweep_validates_alignment():
     with pytest.raises(ValueError):
         cluster_sweep(np.ones((4, 3)), ["a", "b"])

@@ -59,7 +59,7 @@ def test_pooling_rejects_bad_weights(weights):
 
 def _embed_one(text, provider, config, company_id, length_weighted=False):
     """``embed_corpus`` on one document: its pooled row and its chunks."""
-    chunks = prepare_chunks(text, config, company_id)
+    chunks = prepare_chunks(text, config)
     matrix = embed_corpus([(company_id, chunks)], provider, config,
                           length_weighted=length_weighted)
     return matrix.row(company_id), chunks
@@ -143,7 +143,7 @@ def _stacked_documents(corpus, provider, config, length_weighted):
 
 
 def _tfidf(corpus):
-    tokens = [tokenize(clean_text(r.description), r.company_id) for r in corpus]
+    tokens = [tokenize(clean_text(r.description)) for r in corpus]
     return TfidfProvider.fit(tokens, max_features=32)
 
 
@@ -151,8 +151,7 @@ def test_tfidf_fit_on_chunks_equals_fit_on_truncated_tokens(small_corpus):
     # a budget below every description's length, so truncation drops tokens
     config = ChunkingConfig(window=7, context_budget=40, tokens_per_word=1.3)
     truncated = [
-        truncate(tokenize(clean_text(r.description), r.company_id),
-                 config.effective_budget())
+        truncate(tokenize(clean_text(r.description)), config.effective_budget())
         for r in small_corpus
     ]
     assert all(len(t) == config.effective_budget() for t in truncated)
@@ -184,26 +183,37 @@ def test_embed_corpus_rows_equal_per_document_embedding(
     assert np.array_equal(matrix.matrix, expected)
 
 
-class _RecordingProvider(HashBowProvider):
-    """Hash-BOW that logs the source ids of each ``embed_chunks`` call and
-    raises a plain exception on call number ``fail_on``."""
+def _prepared(corpus, config):
+    """The ``(company_id, chunks)`` documents, and each chunk list's
+    ``id()`` mapped to its company id: ``embed_corpus`` hands the provider
+    these same list objects."""
+    documents = list(corpus_documents(corpus, config))
+    owner = {id(c): company_id for company_id, chunks in documents for c in chunks}
+    return documents, owner
 
-    def __init__(self, fail_on=None):
+
+class _RecordingProvider(HashBowProvider):
+    """Hash-BOW that logs the company id of each chunk of each
+    ``embed_chunks`` call and raises a plain exception on call number
+    ``fail_on``."""
+
+    def __init__(self, owner, fail_on=None):
         super().__init__(16, seed=3)
+        self.owner = owner
         self.calls = []
         self.fail_on = fail_on
 
     def embed_chunks(self, chunks):
-        self.calls.append([c.source_id for c in chunks])
+        self.calls.append([self.owner[id(c)] for c in chunks])
         if len(self.calls) == self.fail_on:
             raise RuntimeError("boom")
         return super().embed_chunks(chunks)
 
 
 def test_embed_corpus_groups_whole_consecutive_documents(varied_corpus, varied_chunking):
-    provider = _RecordingProvider()
-    embed_corpus(corpus_documents(varied_corpus, varied_chunking), provider,
-                 varied_chunking)
+    documents, owner = _prepared(varied_corpus, varied_chunking)
+    provider = _RecordingProvider(owner)
+    embed_corpus(documents, provider, varied_chunking)
     ids = varied_corpus.ids()
     seen = []
     for call in provider.calls:
@@ -215,10 +225,10 @@ def test_embed_corpus_groups_whole_consecutive_documents(varied_corpus, varied_c
 
 
 def test_group_failure_names_first_and_last_company(varied_corpus, varied_chunking):
-    provider = _RecordingProvider(fail_on=3)
+    documents, owner = _prepared(varied_corpus, varied_chunking)
+    provider = _RecordingProvider(owner, fail_on=3)
     with pytest.raises(ProviderError) as exc:
-        embed_corpus(corpus_documents(varied_corpus, varied_chunking), provider,
-                     varied_chunking)
+        embed_corpus(documents, provider, varied_chunking)
     group = list(dict.fromkeys(provider.calls[2]))
     assert len(group) > 1
     message = str(exc.value)

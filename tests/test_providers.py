@@ -10,15 +10,10 @@ from companysim.providers import (
     tfidf_embed,
     tfidf_fit,
 )
-from companysim.textprep import TokenSequence
-
-
-def _seq(*tokens):
-    return TokenSequence(list(tokens), "doc")
 
 
 def test_hash_bow_deterministic_and_unit_norm():
-    chunk = _seq("oil", "drilling", "rig", "oil")
+    chunk = ["oil", "drilling", "rig", "oil"]
     a = hash_bow_embed(chunk, 64, seed=1)
     b = hash_bow_embed(chunk, 64, seed=1)
     assert np.array_equal(a, b)
@@ -26,34 +21,34 @@ def test_hash_bow_deterministic_and_unit_norm():
 
 
 def test_hash_bow_seed_changes_embedding():
-    chunk = _seq("alpha", "beta", "gamma")
+    chunk = ["alpha", "beta", "gamma"]
     a = hash_bow_embed(chunk, 64, seed=1)
     b = hash_bow_embed(chunk, 64, seed=2)
     assert not np.array_equal(a, b)
 
 
 def test_hash_bow_token_order_invariant():
-    a = hash_bow_embed(_seq("x", "y", "z"), 32, seed=0)
-    b = hash_bow_embed(_seq("z", "x", "y"), 32, seed=0)
+    a = hash_bow_embed(["x", "y", "z"], 32, seed=0)
+    b = hash_bow_embed(["z", "x", "y"], 32, seed=0)
     assert np.allclose(a, b)
 
 
 def test_hash_bow_empty_chunk_is_zero_vector():
-    vec = hash_bow_embed(_seq(), 16, seed=0)
+    vec = hash_bow_embed([], 16, seed=0)
     assert np.array_equal(vec, np.zeros(16))
 
 
 def test_hash_bow_rejects_tiny_dimension():
     with pytest.raises(ValueError):
-        hash_bow_embed(_seq("a"), 1, seed=0)
+        hash_bow_embed(["a"], 1, seed=0)
 
 
 def test_tfidf_fit_vocabulary_selection():
     docs = [
-        _seq("apple", "banana", "apple"),
-        _seq("apple", "cherry"),
-        _seq("banana", "cherry", "cherry"),
-        _seq("apple", "date"),
+        ["apple", "banana", "apple"],
+        ["apple", "cherry"],
+        ["banana", "cherry", "cherry"],
+        ["apple", "date"],
     ]
     model = tfidf_fit(docs, max_features=3)
     # df: apple 3, banana 2, cherry 2, date 1; top 3 keeps apple, banana, cherry.
@@ -66,7 +61,7 @@ def test_tfidf_fit_vocabulary_selection():
 
 
 def test_tfidf_fit_tie_breaks_lexicographically():
-    docs = [_seq("bb", "aa"), _seq("cc", "aa"), _seq("bb", "cc")]
+    docs = [["bb", "aa"], ["cc", "aa"], ["bb", "cc"]]
     # df: aa 2, bb 2, cc 2; keep the 2 lexicographically smallest on the tie.
     model = tfidf_fit(docs, max_features=2)
     assert sorted(model.vocabulary) == ["aa", "bb"]
@@ -74,13 +69,13 @@ def test_tfidf_fit_tie_breaks_lexicographically():
 
 def test_tfidf_fit_requires_two_docs():
     with pytest.raises(ValueError):
-        tfidf_fit([_seq("a")], max_features=4)
+        tfidf_fit([["a"]], max_features=4)
 
 
 def test_tfidf_embed_matches_hand_computation():
-    docs = [_seq("a", "a", "b"), _seq("b", "c"), _seq("a", "c", "c")]
+    docs = [["a", "a", "b"], ["b", "c"], ["a", "c", "c"]]
     model = tfidf_fit(docs, max_features=10)
-    vec = tfidf_embed(model, _seq("a", "a", "c"))
+    vec = tfidf_embed(model, ["a", "a", "c"])
     n = 3
     raw = np.zeros(3)
     raw[model.vocabulary["a"]] = 2.0 * (math.log((1 + n) / (1 + 2)) + 1.0)
@@ -90,18 +85,18 @@ def test_tfidf_embed_matches_hand_computation():
 
 
 def test_tfidf_embed_ignores_out_of_vocabulary():
-    docs = [_seq("a", "b"), _seq("a", "c")]
+    docs = [["a", "b"], ["a", "c"]]
     model = tfidf_fit(docs, max_features=10)
-    vec = tfidf_embed(model, _seq("zzz", "qqq"))
+    vec = tfidf_embed(model, ["zzz", "qqq"])
     assert np.array_equal(vec, np.zeros(len(model.vocabulary)))
 
 
 def test_tfidf_projection_deterministic_and_normalized():
-    docs = [_seq("a", "b", "c"), _seq("b", "c", "d"), _seq("a", "d")]
+    docs = [["a", "b", "c"], ["b", "c", "d"], ["a", "d"]]
     model = tfidf_fit(docs, max_features=10)
-    v1 = tfidf_embed(model, _seq("a", "b"), projection=(8, 42))
-    v2 = tfidf_embed(model, _seq("a", "b"), projection=(8, 42))
-    v3 = tfidf_embed(model, _seq("a", "b"), projection=(8, 43))
+    v1 = tfidf_embed(model, ["a", "b"], projection=(8, 42))
+    v2 = tfidf_embed(model, ["a", "b"], projection=(8, 42))
+    v3 = tfidf_embed(model, ["a", "b"], projection=(8, 43))
     assert np.array_equal(v1, v2)
     assert not np.array_equal(v1, v3)
     assert v1.shape == (8,)
@@ -111,7 +106,7 @@ def test_tfidf_projection_deterministic_and_normalized():
 def test_provider_classes_report_dimension():
     hb = HashBowProvider(32, seed=0)
     assert hb.dimension == 32
-    docs = [_seq("a", "b"), _seq("b", "c"), _seq("c", "d")]
+    docs = [["a", "b"], ["b", "c"], ["c", "d"]]
     plain = TfidfProvider.fit(docs, max_features=10)
     assert plain.dimension == 4
     projected = TfidfProvider.fit(docs, max_features=10, projection_dim=6, seed=1)
@@ -121,7 +116,7 @@ def test_provider_classes_report_dimension():
 
 def test_embed_chunks_stacks_rows():
     hb = HashBowProvider(16, seed=3)
-    chunks = [_seq("a", "b"), _seq("c"), _seq("d", "e", "f")]
+    chunks = [["a", "b"], ["c"], ["d", "e", "f"]]
     out = hb.embed_chunks(chunks)
     assert out.shape == (3, 16)
     assert np.allclose(out[1], hb.embed_chunks([chunks[1]])[0])

@@ -16,7 +16,7 @@ from companysim.errors import (
     RemoteTransportError,
 )
 from companysim.providers import MAX_TEXTS_PER_REQUEST, RemoteProvider, remote_embed
-from companysim.textprep import TokenSequence, prepare_chunks
+from companysim.textprep import prepare_chunks
 
 
 def vector_for(text):
@@ -254,8 +254,7 @@ def test_empty_text_list_rejected(stub):
 
 def test_remote_provider_embeds_chunks(stub):
     provider = RemoteProvider(stub.url, "stub-model", dimension=3)
-    chunks = [TokenSequence(["alpha", "beta"], "d1"),
-              TokenSequence(["gamma"], "d1")]
+    chunks = [["alpha", "beta"], ["gamma"]]
     out = provider.embed_chunks(chunks)
     assert out.shape == (2, 3)
     assert out[0].tolist() == vector_for("alpha beta")
@@ -265,7 +264,7 @@ def test_remote_provider_embeds_chunks(stub):
 def test_remote_provider_checks_declared_dimension(stub):
     provider = RemoteProvider(stub.url, "stub-model", dimension=7)
     with pytest.raises(RemoteProtocolError) as exc:
-        provider.embed_chunks([TokenSequence(["alpha"], "d1")])
+        provider.embed_chunks([["alpha"]])
     assert exc.value.reason == "dimension_mismatch"
 
 
@@ -293,7 +292,7 @@ def test_embed_corpus_batches_documents_bit_exactly(
     sent = [entry["body"]["texts"] for entry in stub.log]
     assert all(len(texts) <= MAX_TEXTS_PER_REQUEST for texts in sent)
     assert len(sent) == _predicted_requests([len(c) for c in chunks])
-    assert [t for texts in sent for t in texts] == [c.text() for doc in chunks for c in doc]
+    assert [t for texts in sent for t in texts] == [" ".join(c) for doc in chunks for c in doc]
 
     # one document per embed_corpus call: one group per request
     expected = np.vstack([

@@ -6,7 +6,6 @@ import pytest
 
 from companysim.textprep import (
     ChunkingConfig,
-    TokenSequence,
     chunk,
     clean_text,
     prepare_chunks,
@@ -47,25 +46,25 @@ def test_clean_text_never_grows():
 
 def test_tokenize_peels_edge_punctuation():
     toks = tokenize("(hello, world!) mid-word stays 3.5")
-    assert toks.tokens == [
+    assert toks == [
         "(", "hello", ",", "world", "!", ")", "mid-word", "stays", "3.5",
     ]
 
 
 def test_tokenize_pure_punctuation_word():
-    assert tokenize("a -- b").tokens == ["a", "-", "-", "b"]
+    assert tokenize("a -- b") == ["a", "-", "-", "b"]
 
 
 def test_truncate_keeps_prefix():
-    toks = TokenSequence(list("abcdefgh"), "s")
+    toks = list("abcdefgh")
     cut = truncate(toks, 3)
-    assert cut.tokens == ["a", "b", "c"]
-    assert cut.source_id == "s"
+    assert cut == ["a", "b", "c"]
+    assert toks == list("abcdefgh")
 
 
 def test_truncate_rejects_bad_budget():
     with pytest.raises(ValueError):
-        truncate(TokenSequence(["a"]), 0)
+        truncate(["a"], 0)
 
 
 def test_chunk_partitions_exactly():
@@ -74,10 +73,10 @@ def test_chunk_partitions_exactly():
     for _ in range(300):
         n = int(rng.integers(0, 40))
         window = int(rng.integers(1, 12))
-        toks = TokenSequence([f"t{i}" for i in range(n)], "doc")
+        toks = [f"t{i}" for i in range(n)]
         chunks = chunk(toks, window)
-        rebuilt = [t for c in chunks for t in c.tokens]
-        assert rebuilt == toks.tokens
+        rebuilt = [t for c in chunks for t in c]
+        assert rebuilt == toks
         assert all(len(c) == window for c in chunks[:-1])
         if chunks:
             assert 1 <= len(chunks[-1]) <= window
@@ -106,11 +105,11 @@ def test_effective_budget_scales_with_tokens_per_word():
 def test_prepare_chunks_end_to_end():
     cfg = ChunkingConfig(window=4, context_budget=10)
     words = " ".join(f"w{i}" for i in range(50))
-    chunks = prepare_chunks(words, cfg, source_id="doc1")
+    chunks = prepare_chunks(words, cfg)
     # Budget of 10 tokens split into windows of 4 -> sizes 4, 4, 2.
     assert [len(c) for c in chunks] == [4, 4, 2]
-    assert chunks[0].source_id == "doc1"
-    assert chunks[-1].tokens == ["w8", "w9"]
+    assert chunks[0] == ["w0", "w1", "w2", "w3"]
+    assert chunks[-1] == ["w8", "w9"]
 
 
 def test_prepare_chunks_empty_text():
@@ -181,9 +180,9 @@ def test_clean_text_matches_reference_oracle():
 def test_tokenize_matches_reference_oracle():
     for raw in _fuzz_strings(12, 20000):
         # raw strings too: tokenize is public and takes any str
-        assert tokenize(raw).tokens == reference_tokenize(raw), repr(raw)
+        assert tokenize(raw) == reference_tokenize(raw), repr(raw)
         cleaned = reference_clean_text(raw)
-        assert tokenize(cleaned).tokens == reference_tokenize(cleaned), repr(raw)
+        assert tokenize(cleaned) == reference_tokenize(cleaned), repr(raw)
 
 
 def test_clean_text_url_edge_cases():
@@ -202,6 +201,6 @@ def test_clean_text_url_edge_cases():
 
 
 def test_tokenize_punctuation_only_and_mixed_words():
-    assert tokenize("-- ...x!? (a) ''").tokens == [
+    assert tokenize("-- ...x!? (a) ''") == [
         "-", "-", ".", ".", ".", "x", "!", "?", "(", "a", ")", "'", "'",
     ]

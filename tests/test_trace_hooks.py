@@ -1,7 +1,8 @@
 """The traced benchmark (``perfbench/trace.py``) wraps companysim functions
-by name and reads some of their arguments by position. Its own tests live
-outside the tier-1 test paths, so these checks keep a rename or deletion in
-``src/`` from breaking a traced run unnoticed."""
+by name and reads some of their arguments by position, and its input
+generation (``perfbench/gen.py``) imports companysim names. Its own tests
+live outside the tier-1 test paths, so these checks keep a rename or
+deletion in ``src/`` from breaking a benchmark run unnoticed."""
 
 import ast
 import importlib
@@ -49,3 +50,35 @@ def test_cache_hooks_find_the_path_where_they_read_it(name, position):
     module = importlib.import_module("companysim.cache")
     params = list(inspect.signature(getattr(module, name)).parameters)
     assert params[position] == "path"
+
+
+def _perfbench_imports():
+    """(module, name) of every ``from companysim.<m> import <name>`` in
+    ``perfbench/*.py``."""
+    found = []
+    for path in sorted(TRACE.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and (node.module or "").startswith("companysim.")):
+                found.extend((node.module, alias.name) for alias in node.names)
+    return found
+
+
+def test_perfbench_imports_some_companysim_names():
+    assert ("companysim.similarity", "ReturnPanel") in _perfbench_imports()
+
+
+@pytest.mark.parametrize("module,name", _perfbench_imports(), ids=lambda v: str(v))
+def test_every_perfbench_import_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name)
+
+
+def test_return_panel_offers_what_input_generation_reads():
+    # perfbench/gen.py builds a panel from a mapping and reads it back
+    # through ``series`` and ``companies()``; trace.py counts ``series``
+    from companysim.similarity import ReturnPanel
+
+    panel = ReturnPanel({"b": {"2021-01-05": 0.5}, "a": {"2021-01-04": 0.25}})
+    assert panel.companies() == ["a", "b"]
+    assert {k: dict(v) for k, v in panel.series.items()} == {
+        "a": {"2021-01-04": 0.25}, "b": {"2021-01-05": 0.5}}
