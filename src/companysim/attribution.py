@@ -13,7 +13,6 @@ cross-sectional R^2 over months.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,7 @@ import numpy as np
 
 from .cluster import ClusterAssignment
 from .errors import DataValidationError
+from .outputs import write_rows
 from .similarity import ReturnPanel
 
 logger = logging.getLogger(__name__)
@@ -216,27 +216,13 @@ def attribution_metric(
 
 def save_attribution_csv(report: AttributionReport, path: str | Path) -> None:
     """Per-month table plus an 'average' summary row."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["month", "r2", "adj_r2", "n_obs", "n_clusters_present"])
-        total_obs = 0
-        adjusted = []
-        for fit in report.fits:
-            adj = adjusted_r_squared(fit)
-            adjusted.append(adj)
-            total_obs += fit.n_companies
-            writer.writerow([
-                fit.month,
-                f"{fit.r_squared:.8f}",
-                f"{adj:.8f}",
-                fit.n_companies,
-                len(fit.coefficients),
-            ])
-        avg_adj = float(np.mean(adjusted)) if adjusted else 0.0
-        writer.writerow([
-            "average",
-            f"{report.avg_r_squared:.8f}",
-            f"{avg_adj:.8f}",
-            total_obs,
-            report.n_clusters,
-        ])
+    adjusted = [adjusted_r_squared(fit) for fit in report.fits]
+    rows = [
+        [fit.month, f"{fit.r_squared:.8f}", f"{adj:.8f}",
+         fit.n_companies, len(fit.coefficients)]
+        for fit, adj in zip(report.fits, adjusted)
+    ]
+    avg_adj = float(np.mean(adjusted)) if adjusted else 0.0
+    rows.append(["average", f"{report.avg_r_squared:.8f}", f"{avg_adj:.8f}",
+                 sum(fit.n_companies for fit in report.fits), report.n_clusters])
+    write_rows(path, ["month", "r2", "adj_r2", "n_obs", "n_clusters_present"], rows)

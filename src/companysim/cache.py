@@ -29,6 +29,7 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix
 from .errors import CacheFormatError
+from .outputs import replacing
 
 logger = logging.getLogger(__name__)
 
@@ -41,26 +42,10 @@ def _ids_path(path: Path) -> Path:
     return path.with_name(path.name + ".ids")
 
 
-def _replace_all(contents: dict[Path, Sequence[bytes]]) -> None:
-    """Write each file's parts to a temporary file beside it, then rename
-    every temporary file over its target. A failure while writing leaves
-    every target as it was."""
-    temps = {path: path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in contents}
-    try:
-        for path, parts in contents.items():
-            with open(temps[path], "wb") as f:
-                f.writelines(parts)
-        for path, temp in temps.items():
-            os.replace(temp, path)
-    finally:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
-
-
 def save_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Write the matrix and its id sidecar. Both are written in full to
-    temporary files first and then renamed into place, so an interrupted
-    write never leaves a truncated cache behind."""
+    """Write the matrix and its id sidecar. Both are complete before either
+    is renamed into place, the binary first, so an interrupted write never
+    leaves a truncated cache behind."""
     path = Path(path)
     rows = np.ascontiguousarray(matrix.matrix, dtype="<f4")
     provider_bytes = matrix.provider_id.encode("utf-8")
@@ -81,10 +66,12 @@ def save_cache(matrix: EmbeddingMatrix, path: str | Path) -> None:
         + _HEADER_TAIL.pack(matrix.context_budget, matrix.dimension, len(matrix))
     )
     ids = "".join(company_id + "\n" for company_id in matrix.ids)
-    _replace_all({
-        path: (header, rows.tobytes()),
-        _ids_path(path): (ids.encode("utf-8"),),
-    })
+    with replacing(_ids_path(path), binary=True) as ids_file:
+        ids_file.write(ids.encode("utf-8"))
+        ids_file.flush()  # written out before the binary is renamed
+        with replacing(path, binary=True) as f:
+            f.write(header)
+            f.write(rows.tobytes())
     logger.info("saved %d embeddings to %s", len(matrix), path)
 
 
@@ -204,7 +191,7 @@ def append_rows(cached: EmbeddingMatrix | None, fresh: EmbeddingMatrix) -> Embed
 
 def export_jsonl(matrix: EmbeddingMatrix, path: str | Path) -> None:
     """Human-inspectable export: one JSON object per row."""
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         for company_id in matrix.ids:
             record = {
                 "company_id": company_id,

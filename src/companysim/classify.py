@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataValidationError
+from .outputs import write_json
 
 logger = logging.getLogger(__name__)
 
@@ -371,9 +372,7 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
         "converged": model.converged,
         "final_objective": model.final_objective,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+    write_json(path, payload, indent=None)
 
 
 def load_model(path: str | Path) -> LogisticModel:

@@ -8,6 +8,8 @@ Conventions shared by every subcommand:
   explicit flags; flags win over the config file,
 * logs go to stderr, data goes to the paths you name; outputs carry no
   timestamps, so a rerun with the same inputs is byte-identical,
+* every output is a regular file (not ``/dev/stdout`` or a FIFO), replaced
+  whole; a SIGKILL can leave its ``<name>.<pid>.tmp`` behind,
 * exit codes: 0 success, 1 usage/config error, 2 data error,
   3 computation or provider error.
 """
@@ -71,6 +73,7 @@ from .errors import (
     ProviderError,
 )
 from .filings import extract_item1
+from .outputs import replacing, write_json, write_rows
 from .providers import HashBowProvider, RemoteProvider, TfidfProvider
 from .similarity import (
     avg_peer_correlation,
@@ -131,19 +134,6 @@ def _build_provider(cfg: RunConfig, documents: Sequence[tuple[str, list[list[str
         projection_dim=projection,
         seed=e.projection_seed,
     )
-
-
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
-def _write_rows(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _has_gics_inputs(args) -> bool:
@@ -283,22 +273,26 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         "singleton_classes": split.singleton_classes,
         "report": report.to_dict(),
     }
-    _write_json(payload, args.report_out)
+    write_json(args.report_out, payload)
     if args.text_report:
-        with open(args.text_report, "w", encoding="utf-8") as f:
+        with replacing(args.text_report) as f:
             f.write(format_report(report))
     if args.soft_out:
         rows = soft_class_distribution(model, matrix.matrix, matrix.ids)
-        with open(args.soft_out, "w", encoding="utf-8") as f:
+        with replacing(args.soft_out) as f:
             for row in rows:
                 f.write(json.dumps(row, sort_keys=True) + "\n")
     if args.csv_report:
-        # accumulates across runs so provider/context sweeps land in one table
+        # accumulates across runs so sweeps land in one table; rewritten
+        # whole, old bytes first, so a failed run adds no partial row
         header = ["provider", "context_budget", "level",
                   "accuracy", "micro_f1", "weighted_f1", "n_test"]
-        with open(args.csv_report, "a", encoding="utf-8", newline="") as f:
+        path = Path(args.csv_report)
+        table = path.read_bytes() if path.exists() else b""
+        with replacing(path) as f:
+            f.buffer.write(table)  # before any text, so it comes first
             writer = csv.writer(f, lineterminator="\n")
-            if f.tell() == 0:  # a new or empty file
+            if not table:
                 writer.writerow(header)
             writer.writerow([
                 matrix.provider_id, matrix.context_budget, cfg.classify.level,
@@ -336,9 +330,9 @@ def cmd_peers(args, cfg: RunConfig) -> int:
         )
         payload["baseline"] = baseline.to_dict()
         payload["margin"] = report.rho_bar - baseline.rho_bar
-    _write_json(payload, args.out)
+    write_json(args.out, payload)
     if args.top_out:
-        _write_rows(args.top_out, ["company_id", "rank", "peer_id", "similarity"], (
+        write_rows(args.top_out, ["company_id", "rank", "peer_id", "similarity"], (
             [company_id, rank, peer, f"{sim:.8f}"]
             for company_id, peers in report.peers.items()
             for rank, (peer, sim) in enumerate(peers, start=1)
@@ -347,7 +341,7 @@ def cmd_peers(args, cfg: RunConfig) -> int:
         methods = [("embedding", report)]
         if payload["baseline"] is not None:
             methods.append((f"gics-{cfg.peers.baseline_level}", baseline))
-        _write_rows(args.csv_out, ["method", "k", "rho_bar", "n_companies", "n_years"], (
+        write_rows(args.csv_out, ["method", "k", "rho_bar", "n_companies", "n_years"], (
             [method, rep.k if rep.k is not None else "dynamic",
              f"{rep.rho_bar:.8f}", rep.n_companies, len(rep.years)]
             for method, rep in methods
@@ -364,13 +358,12 @@ def cmd_peers(args, cfg: RunConfig) -> int:
 
 
 def _reduced_features(matrix: EmbeddingMatrix, cfg: RunConfig) -> np.ndarray:
-    X = matrix.matrix.astype(np.float64)
     c = cfg.cluster
     if c.reduce_method is None:
-        return X
-    components = min(c.reduce_components, X.shape[1])
+        return matrix.matrix
+    components = min(c.reduce_components, matrix.dimension)
     return reduce_dims(
-        X, components, method=c.reduce_method, n_neighbors=c.n_neighbors
+        matrix.matrix, components, method=c.reduce_method, n_neighbors=c.n_neighbors
     )
 
 
@@ -429,12 +422,12 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
         quality_payload["quality"] = quality.to_dict()
         quality_payload["labels_level"] = args.labels_level
     if args.quality_out:
-        _write_json(quality_payload, args.quality_out)
+        write_json(args.quality_out, quality_payload)
     if args.sweep_out:
         keep = [i for i in matrix.ids if i in level_labels]
         sub = matrix.subset(keep)
         rows = cluster_sweep(
-            sub.matrix.astype(np.float64),
+            sub.matrix,
             [level_labels[i] for i in keep],
             seed=cfg.seed,
             n_init=c.n_init,
@@ -480,7 +473,7 @@ def cmd_attribute(args, cfg: RunConfig) -> int:
         )
         payload["random_baseline"] = baseline.to_dict()
         payload["margin"] = report.avg_r_squared - baseline.avg_r_squared
-    _write_json(payload, args.out)
+    write_json(args.out, payload)
     if args.csv_out:
         save_attribution_csv(report, args.csv_out)
     msg = (
@@ -499,12 +492,12 @@ def cmd_attribute(args, cfg: RunConfig) -> int:
 def cmd_project(args, cfg: RunConfig) -> int:
     matrix = cache_io.load_cache(args.cache)
     coords = reduce_dims(
-        matrix.matrix.astype(np.float64),
+        matrix.matrix,
         args.components,
         method=args.method,
         n_neighbors=cfg.cluster.n_neighbors,
     )
-    _write_rows(args.out, ["company_id"] + [f"x{i}" for i in range(coords.shape[1])], (
+    write_rows(args.out, ["company_id"] + [f"x{i}" for i in range(coords.shape[1])], (
         [company_id] + [repr(float(v)) for v in row]
         for company_id, row in zip(matrix.ids, coords)
     ))
@@ -519,7 +512,7 @@ def cmd_outliers(args, cfg: RunConfig) -> int:
     sectors = corpus.gics_labels("sector")
     scores = sector_outlier_scores(matrix, sectors)
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    _write_rows(args.out, ["company_id", "sector", "score"], (
+    write_rows(args.out, ["company_id", "sector", "score"], (
         [company_id, sectors[company_id], f"{score:.8f}"]
         for company_id, score in ranked
     ))
@@ -602,7 +595,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
             "report needs at least one of --classify/--peers/--attribution"
         )
     text = "company embedding evaluation\n\n" + "\n".join(sections)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with replacing(args.out) as f:
         f.write(text)
     _say(args, f"wrote summary -> {args.out}")
     return 0

@@ -24,6 +24,7 @@ from .errors import (
     RankDeficiencyError,
     ZeroVectorError,
 )
+from .outputs import write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -625,23 +626,17 @@ def cluster_sweep(
 def save_sweep_csv(rows: Sequence[Mapping], path: str | Path) -> None:
     columns = ["method", "n_clusters", "reduced_dim", "homogeneity",
                "completeness", "v_measure", "seed"]
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([
-                row["method"], row["n_clusters"], row["reduced_dim"],
-                f"{row['homogeneity']:.8f}", f"{row['completeness']:.8f}",
-                f"{row['v_measure']:.8f}", row["seed"],
-            ])
+    scores = {"homogeneity", "completeness", "v_measure"}
+    write_rows(path, columns, (
+        [f"{row[c]:.8f}" if c in scores else row[c] for c in columns] for row in rows
+    ))
 
 
 def save_assignment(assignment: ClusterAssignment, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["company_id", "cluster"])
-        for company_id, label in zip(assignment.ids, assignment.labels):
-            writer.writerow([company_id, int(label)])
+    write_rows(path, ["company_id", "cluster"], (
+        [company_id, int(label)]
+        for company_id, label in zip(assignment.ids, assignment.labels)
+    ))
 
 
 def load_assignment(path: str | Path, method: str = "loaded") -> ClusterAssignment:

@@ -21,6 +21,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import CorpusFormatError, DataValidationError, HierarchyError
+from .outputs import replacing, write_rows
 from .textprep import clean_text
 
 logger = logging.getLogger(__name__)
@@ -122,10 +123,7 @@ class GicsHierarchy:
         return cls(rows)
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(GICS_LEVELS)
-            writer.writerows(self.rows)
+        write_rows(path, GICS_LEVELS, self.rows, lineterminator="\r\n")
 
     def validate_labels(self, gics: GicsLabels) -> None:
         """Raise HierarchyError unless the 4-tuple is consistent with the table."""
@@ -266,7 +264,7 @@ def _json_lines(fh) -> Iterator[tuple[int, object]]:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write records as JSONL; round-trips through load_corpus."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for r in corpus:
             obj = {
                 "company_id": r.company_id,
@@ -379,11 +377,8 @@ def generate_finetune_pairs(corpus: Corpus, seed: int) -> list[PairExample]:
 
 
 def save_pairs(pairs: list[PairExample], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id_a", "id_b", "label"])
-        for p in pairs:
-            writer.writerow([p.id_a, p.id_b, p.label])
+    write_rows(path, ["id_a", "id_b", "label"],
+               ([p.id_a, p.id_b, p.label] for p in pairs), lineterminator="\r\n")
 
 
 def load_pairs(path: str | Path) -> list[PairExample]:

@@ -1,0 +1,42 @@
+"""How the package writes a file: every output is written whole to
+``<name>.<pid>.tmp`` beside it and then renamed over it, so an interrupted
+write leaves the old file, or none, and never half of a new one."""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def replacing(path: str | Path, binary: bool = False):
+    """A file for ``path``'s new contents: bytes, or UTF-8 text with no
+    newline translation. It replaces ``path`` on a clean exit and is
+    removed on any exception."""
+    temp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with (open(temp, "wb") if binary
+              else open(temp, "w", encoding="utf-8", newline="")) as f:
+            yield f
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_rows(path: str | Path, header, rows, lineterminator: str = "\n") -> None:
+    """A CSV file: ``header`` and then each of ``rows``."""
+    with replacing(path) as f:
+        writer = csv.writer(f, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload, indent: int | None = 2) -> None:
+    """``payload`` as JSON with sorted keys and a final newline."""
+    with replacing(path) as f:
+        json.dump(payload, f, sort_keys=True, indent=indent)
+        f.write("\n")

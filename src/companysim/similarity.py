@@ -36,6 +36,7 @@ from .errors import (
     ZeroVarianceError,
     ZeroVectorError,
 )
+from .outputs import replacing
 
 logger = logging.getLogger(__name__)
 
@@ -221,7 +222,7 @@ def save_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
     byte as ``csv.writer`` writes them (a float's repr never needs quoting),
     one write per company."""
     dates = [field + "," for field in _csv_fields(panel.dates)]
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with replacing(path) as f:
         f.write(",".join(RETURNS_HEADER) + "\n")
         for prefix, row, seen in zip(_csv_fields(panel.ids), panel.values, panel.mask):
             cells = list(map(

@@ -264,7 +264,7 @@ def test_export_jsonl_lists_every_row(tmp_path):
 
 @pytest.mark.parametrize("fail_on_write", [1, 2])
 def test_interrupted_save_keeps_old_cache(tmp_path, monkeypatch, fail_on_write):
-    import companysim.cache as cache_module
+    import companysim.outputs as outputs_module
 
     path = tmp_path / "emb.bin"
     old = _matrix(["a", "b"], seed=1)
@@ -296,11 +296,10 @@ def test_interrupted_save_keeps_old_cache(tmp_path, monkeypatch, fail_on_write):
                 raise OSError("no space left on device")
             return self.f.write(data)
 
-        def writelines(self, parts):
-            for part in parts:
-                self.write(part)
+        def flush(self):
+            self.f.flush()
 
-    monkeypatch.setattr(cache_module, "open", _DiskFull, raising=False)
+    monkeypatch.setattr(outputs_module, "open", _DiskFull, raising=False)
     with pytest.raises(OSError, match="no space"):
         save_cache(_matrix(["a", "b", "c"], seed=2), path)
     monkeypatch.undo()
@@ -309,3 +308,48 @@ def test_interrupted_save_keeps_old_cache(tmp_path, monkeypatch, fail_on_write):
     loaded = load_cache(path)
     assert loaded.ids == old.ids
     assert np.array_equal(loaded.matrix, old.matrix)
+
+
+def test_sidecar_that_fails_to_reach_disk_keeps_old_cache(tmp_path, monkeypatch):
+    """The sidecar's buffered bytes fail to flush (the disk fills): the
+    binary must not have been renamed by then."""
+    import companysim.outputs as outputs_module
+
+    path = tmp_path / "emb.bin"
+    old = _matrix(["a", "b"], seed=1)
+    save_cache(old, path)
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+
+    real_open = open
+
+    class _FullOnFlush:
+        def __init__(self, file, *args, **kwargs):
+            self.f = real_open(file, *args, **kwargs)
+            self.full = str(file).startswith(str(path) + ".ids")
+            self.pending = b""
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            try:
+                self.flush()
+            finally:
+                self.f.close()
+
+        def write(self, data):
+            self.pending += bytes(data)
+
+        def flush(self):
+            if self.full:
+                raise OSError("no space left on device")
+            self.f.write(self.pending)
+            self.pending = b""
+
+    monkeypatch.setattr(outputs_module, "open", _FullOnFlush, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_cache(_matrix(["a", "b", "c"], seed=2), path)
+    monkeypatch.undo()
+
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+    assert load_cache(path).ids == old.ids

@@ -69,7 +69,8 @@ def test_package_import_loads_no_submodule():
 
 def test_module_import_loads_only_its_own_imports():
     assert _loaded_after("import companysim.cluster") == {
-        "companysim", "companysim.cluster", "companysim.errors"}
+        "companysim", "companysim.cluster", "companysim.errors",
+        "companysim.outputs"}
 
 
 def test_cli_import_loads_every_traced_module():
