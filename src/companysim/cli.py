@@ -8,10 +8,11 @@ Conventions shared by every subcommand:
   explicit flags; flags win over the config file,
 * logs go to stderr, data goes to the paths you name; outputs carry no
   timestamps, so a rerun with the same inputs is byte-identical,
-* every output is a regular file (not ``/dev/stdout`` or a FIFO), replaced
-  whole; a SIGKILL can leave its ``<name>.<pid>.tmp`` behind,
-* exit codes: 0 success, 1 usage/config error, 2 data error,
-  3 computation or provider error.
+* every output is a regular file, replaced whole; a target that exists and
+  is not one (``/dev/stdout``, a FIFO, a directory) is refused with exit 2,
+  and a SIGKILL can leave an output's ``<name>.<pid>.tmp`` behind,
+* exit codes: 0 success, 1 usage/config error, 2 data error (an input file
+  that is not UTF-8 included), 3 computation or provider error.
 """
 
 from __future__ import annotations
@@ -288,8 +289,8 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         header = ["provider", "context_budget", "level",
                   "accuracy", "micro_f1", "weighted_f1", "n_test"]
         path = Path(args.csv_report)
-        table = path.read_bytes() if path.exists() else b""
         with replacing(path) as f:
+            table = path.read_bytes() if path.exists() else b""
             f.buffer.write(table)  # before any text, so it comes first
             writer = csv.writer(f, lineterminator="\n")
             if not table:
@@ -401,7 +402,6 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
         labels=labels,
         n_clusters=c.n_clusters,
         method=c.method,
-        meta=meta,
     )
     save_assignment(assignment, args.out)
     quality_payload: dict = {
@@ -732,7 +732,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as e:
         logger.error("config error: %s", e)
         return 1
-    except DataValidationError as e:
+    except (DataValidationError, UnicodeDecodeError, csv.Error) as e:
         logger.error("data error: %s", e)
         return 2
     except (ComputationError, ProviderError) as e:

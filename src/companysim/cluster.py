@@ -10,8 +10,7 @@ breaks toward the smallest index.
 from __future__ import annotations
 
 import csv
-import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -25,8 +24,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .outputs import write_rows
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +497,12 @@ def cluster_quality(
 
 @dataclass
 class ClusterAssignment:
-    """Company ids with integer cluster labels plus method bookkeeping."""
+    """Company ids with integer cluster labels and the method that gave them."""
 
     ids: list[str]
     labels: np.ndarray
     n_clusters: int
     method: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -536,7 +532,6 @@ def random_cluster_assignment(
         labels=labels,
         n_clusters=n_clusters,
         method="random",
-        meta={"seed": seed},
     )
 
 
@@ -639,7 +634,7 @@ def save_assignment(assignment: ClusterAssignment, path: str | Path) -> None:
     ))
 
 
-def load_assignment(path: str | Path, method: str = "loaded") -> ClusterAssignment:
+def load_assignment(path: str | Path) -> ClusterAssignment:
     first_line: dict[str, int] = {}
     labels: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as f:
@@ -673,5 +668,5 @@ def load_assignment(path: str | Path, method: str = "loaded") -> ClusterAssignme
         ids=list(first_line),
         labels=np.array(labels, dtype=np.int64),
         n_clusters=max(labels) + 1,
-        method=method,
+        method="loaded",
     )

@@ -258,6 +258,8 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8: {e}") from None
     return config_from_dict(data)
 
 

@@ -15,7 +15,10 @@ from pathlib import Path
 def replacing(path: str | Path, binary: bool = False):
     """A file for ``path``'s new contents: bytes, or UTF-8 text with no
     newline translation. It replaces ``path`` on a clean exit and is
-    removed on any exception."""
+    removed on any exception. A ``path`` that exists and, links followed,
+    is not a regular file is refused before anything is written."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} exists and is not a regular file")
     temp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with (open(temp, "wb") if binary

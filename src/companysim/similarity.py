@@ -12,16 +12,15 @@ regime changes do not blur the comparison.
 from __future__ import annotations
 
 import csv
+import datetime
 import io
-import logging
 import math
-import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -38,10 +37,7 @@ from .errors import (
 )
 from .outputs import replacing
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_MIN_OVERLAP = 60
-_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 RETURNS_HEADER = ["company_id", "date", "return"]
 
 
@@ -136,7 +132,11 @@ def load_returns_csv(path: str | Path) -> ReturnPanel:
                 company_id, date, raw_value = row
                 col = date_index.get(date)
                 if col is None:
-                    if not _DATE_RE.fullmatch(date):
+                    try:  # a real calendar day, written YYYY-MM-DD
+                        real = datetime.date.fromisoformat(date).isoformat() == date
+                    except ValueError:
+                        real = False
+                    if not real:
                         raise DataValidationError(
                             f"line {line_no}: bad date {date!r}, expected YYYY-MM-DD"
                         )
@@ -407,15 +407,18 @@ class CorrelationReport:
 
 
 def _score_peer_sets(
-    peer_sets: Mapping[str, Sequence[str]],
+    ids: Sequence[str],
+    owner: np.ndarray,
+    peer: np.ndarray,
     panel: ReturnPanel,
     years: Sequence[int] | None,
     min_overlap: int,
     k: int | None,
 ) -> CorrelationReport:
-    """Shared scorer: given each company's peer list, average pairwise
-    correlations per year (default: every year of the panel), then across
-    years.
+    """Shared scorer: pair p puts ``ids[peer[p]]`` in the peer set of
+    ``ids[owner[p]]``, with ``ids`` sorted and the pairs grouped by owner
+    in that order. Averages pairwise correlations per year (default: every
+    year of the panel), then across years.
 
     Within a year a company without returns is not scored; a peer without
     returns that year, with fewer than ``min_overlap`` common dates, or
@@ -424,43 +427,35 @@ def _score_peer_sets(
     years = list(years) if years is not None else panel.years()
     if not years:
         raise DataValidationError("no years with return data")
-    companies = sorted(peer_sets)
-    row = {company_id: i for i, company_id in enumerate(panel.ids)}
-    owner, a, b = [], [], []
-    for n, company_id in enumerate(companies):
-        for peer in peer_sets[company_id]:
-            owner.append(n)
-            a.append(row[company_id])
-            b.append(row[peer])
-    owner, a, b = (np.array(x, dtype=np.int64) for x in (owner, a, b))
+    row = dict(zip(panel.ids, range(len(panel.ids))))
+    rows = np.array([row[company_id] for company_id in ids], dtype=np.int64)
+    a, b = rows[owner], rows[peer]
+    # scores[y, n]: ids[n]'s mean peer correlation in years[y], NaN if none
+    scores = np.full((len(years), len(ids)), np.nan)
     per_year: dict[int, float] = {}
-    company_scores: dict[str, list[float]] = {}
     skipped_pairs = 0
-    for year in years:
+    for year, year_scores in zip(years, scores):
         cols = panel.year_columns(year)
         year_mask = panel.mask[:, cols]
         rho = _pair_correlations(panel.values[:, cols], year_mask, a, b, min_overlap)
         scored = year_mask.any(axis=1)[a]
         valid = scored & ~np.isnan(rho)
         skipped_pairs += int(np.count_nonzero(scored & ~valid))
-        totals = np.bincount(owner[valid], weights=rho[valid], minlength=len(companies))
-        counts = np.bincount(owner[valid], minlength=len(companies))
-        year_scores = {
-            companies[n]: float(totals[n] / counts[n]) for n in np.flatnonzero(counts)
-        }
-        if year_scores:
-            per_year[year] = float(np.mean(list(year_scores.values())))
-            for company_id, score in year_scores.items():
-                company_scores.setdefault(company_id, []).append(score)
+        totals = np.bincount(owner[valid], weights=rho[valid], minlength=len(ids))
+        counts = np.bincount(owner[valid], minlength=len(ids))
+        np.divide(totals, counts, out=year_scores, where=counts > 0)
+        if counts.any():
+            per_year[year] = float(np.mean(year_scores[counts > 0]))
     if not per_year:
         raise DataValidationError(
             "no company produced a valid peer correlation in any year"
         )
+    seen = ~np.isnan(scores)
     per_company = {
-        company_id: float(np.mean(scores))
-        for company_id, scores in sorted(company_scores.items())
+        ids[n]: float(np.mean(scores[seen[:, n], n]))
+        for n in np.flatnonzero(seen.any(axis=0))
     }
-    excluded = sorted(set(peer_sets) - set(per_company))
+    unscored = (np.bincount(owner, minlength=len(ids)) > 0) & ~seen.any(axis=0)
     return CorrelationReport(
         rho_bar=float(np.mean([per_year[y] for y in sorted(per_year)])),
         per_year=per_year,
@@ -469,7 +464,7 @@ def _score_peer_sets(
         k=k,
         n_companies=len(per_company),
         skipped_pairs=skipped_pairs,
-        excluded_companies=excluded,
+        excluded_companies=[ids[n] for n in np.flatnonzero(unscored)],
     )
 
 
@@ -494,11 +489,12 @@ def avg_peer_correlation(
         )
     sub = matrix.subset(sorted(universe))
     ranked = top_k_peers(sub, k)
-    peer_sets = {
-        company_id: [peer for peer, _ in peers]
-        for company_id, peers in ranked.items()
-    }
-    report = _score_peer_sets(peer_sets, panel, years, min_overlap, k)
+    # top_k_peers returns the ranked lists in sub.ids order
+    owner = np.repeat(np.arange(len(sub.ids)), list(map(len, ranked.values())))
+    position = dict(zip(sub.ids, range(len(sub.ids))))
+    peer_ids = map(itemgetter(0), chain.from_iterable(ranked.values()))
+    peer = np.fromiter(map(position.__getitem__, peer_ids), np.int64, owner.size)
+    report = _score_peer_sets(sub.ids, owner, peer, panel, years, min_overlap, k)
     report.peers = ranked
     return report
 
@@ -517,17 +513,15 @@ def gics_baseline_correlation(
         raise DataValidationError(
             "need at least 2 companies with both labels and returns"
         )
-    by_label: dict[str, list[str]] = {}
-    for company_id in universe:
-        by_label.setdefault(labels[company_id], []).append(company_id)
-    peer_sets = {
-        company_id: [p for p in by_label[labels[company_id]] if p != company_id]
-        for company_id in universe
-    }
-    peer_sets = {c: peers for c, peers in peer_sets.items() if peers}
-    if not peer_sets:
+    code: dict[str, int] = {}
+    codes = np.array([code.setdefault(labels[i], len(code)) for i in universe])
+    same = codes[:, None] == codes[None, :]
+    np.fill_diagonal(same, False)
+    owner, peer = np.nonzero(same)
+    del same
+    if not owner.size:
         raise DataValidationError("every label group has a single member")
-    return _score_peer_sets(peer_sets, panel, years, min_overlap, k=None)
+    return _score_peer_sets(universe, owner, peer, panel, years, min_overlap, k=None)
 
 
 # ---------------------------------------------------------------------------

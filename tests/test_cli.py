@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import sys
 
 import numpy as np
@@ -387,6 +388,53 @@ def test_tfidf_on_one_document_is_a_data_error(workspace, tmp_path, caplog):
            "documents, got 1" in caplog.text
     assert "Traceback" not in caplog.text
     assert not (tmp_path / "emb.bin").exists()
+
+
+@pytest.fixture(scope="module")
+def staged(workspace, tmp_path_factory):
+    """The workspace's inputs, a cache, an assignment and an empty config."""
+    root = tmp_path_factory.mktemp("staged")
+    shutil.copytree(workspace, root, dirs_exist_ok=True)
+    assert run("embed", "--corpus", root / "corpus.jsonl",
+               "--hierarchy", root / "hierarchy.csv", "--out", root / "emb.bin") == 0
+    assert run("cluster", "--cache", root / "emb.bin", "--out", root / "assign.csv") == 0
+    (root / "config.json").write_text("{\n}\n")
+    return root
+
+
+STAGE_ARGV = {
+    "embed": ["--corpus", "corpus.jsonl", "--hierarchy", "hierarchy.csv",
+              "--out", "new.bin"],
+    "peers": ["--cache", "emb.bin", "--returns", "returns.csv", "--out", "peers.json"],
+    "attribute": ["--assignment", "assign.csv", "--returns", "returns.csv",
+                  "--out", "attribution.json"],
+}
+
+
+@pytest.mark.parametrize("spoiled, stage, code", [
+    ("returns.csv", "peers", 2),
+    ("assign.csv", "attribute", 2),
+    ("corpus.jsonl", "embed", 2),
+    ("hierarchy.csv", "embed", 2),
+    ("config.json", "embed", 1),
+    ("wide returns.csv", "peers", 2),
+])
+def test_an_undecodable_input_is_refused_with_its_exit_code(
+    staged, tmp_path, capsys, caplog, spoiled, stage, code
+):
+    """A 0xff byte, which no UTF-8 text holds, at the start of each kind of
+    input's second line; and a CSV field over the csv module's field size
+    limit."""
+    shutil.copytree(staged, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / spoiled.split()[-1]
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = (b"x" * 200_000 if spoiled.startswith("wide") else b"\xff") + lines[1]
+    path.write_bytes(b"".join(lines))
+    argv = [a if a.startswith("--") else tmp_path / a for a in STAGE_ARGV[stage]]
+    caplog.clear()
+    assert run("--config", tmp_path / "config.json", stage, *argv) == code
+    assert ("config error:" if code == 1 else "data error:") in caplog.text
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
 
 
 def test_ingest_extracts_sections(workspace, tmp_path):

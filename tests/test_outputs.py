@@ -7,6 +7,8 @@ import builtins
 import io
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,6 +248,58 @@ def test_replacing_keeps_the_target_until_a_clean_exit(tmp_path):
             raise KeyboardInterrupt
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
     assert path.read_bytes() == b"old"
+
+
+def _special_targets(tmp_path):
+    """A FIFO, a link to a FIFO and a directory, by name."""
+    os.mkfifo(tmp_path / "fifo")
+    (tmp_path / "to_fifo").symlink_to(tmp_path / "fifo")
+    (tmp_path / "dir").mkdir()
+    return ["fifo", "to_fifo", "dir"]
+
+
+def test_replacing_refuses_a_target_that_is_not_a_regular_file(tmp_path):
+    for name in _special_targets(tmp_path):
+        with pytest.raises(OSError, match="not a regular file"):
+            with replacing(tmp_path / name) as f:
+                f.write("new")
+    assert (tmp_path / "fifo").is_fifo()
+    assert os.readlink(tmp_path / "to_fifo") == str(tmp_path / "fifo")
+    assert (tmp_path / "dir").is_dir() and not any((tmp_path / "dir").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "fifo", "to_fifo"]
+
+
+def test_replacing_replaces_a_link_rather_than_following_it(tmp_path):
+    (tmp_path / "file").write_bytes(b"old")
+    (tmp_path / "to_file").symlink_to(tmp_path / "file")
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+    for name in ("to_file", "dangling"):
+        with replacing(tmp_path / name) as f:
+            f.write("new")
+        assert not (tmp_path / name).is_symlink()
+        assert (tmp_path / name).read_bytes() == b"new"
+    assert (tmp_path / "file").read_bytes() == b"old"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_csv_report_on_a_fifo_is_refused_without_reading_it(ws, tmp_path):
+    """Run apart, so that a read blocking on the FIFO fails the test
+    instead of stalling it."""
+    os.mkfifo(tmp_path / "runs.csv")
+    proc = subprocess.run(
+        [sys.executable, "-m", "companysim.cli", "classify",
+         "--cache", ws / "emb.bin", *_gics(ws),
+         "--model-out", tmp_path / "model.json",
+         "--report-out", tmp_path / "classify.json",
+         "--csv-report", tmp_path / "runs.csv"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "not a regular file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "runs.csv").is_fifo()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_write_rows_and_write_json_layouts(tmp_path):

@@ -420,6 +420,70 @@ def test_dense_scorer_matches_loop_on_gappy_panels():
         _assert_matches_loop(report, peer_sets, series, [2020, 2021], min_overlap)
 
 
+def _appended_pairs(peer_sets):
+    """A company -> peers dict as owner and peer positions in its sorted
+    ids, by the append loop the scorers used before they built index
+    arrays."""
+    ids = sorted(peer_sets)
+    position = {company_id: n for n, company_id in enumerate(ids)}
+    owner, peer = [], []
+    for n, company_id in enumerate(ids):
+        for p in peer_sets[company_id]:
+            owner.append(n)
+            peer.append(position[p])
+    return ids, np.array(owner, dtype=np.int64), np.array(peer, dtype=np.int64)
+
+
+def _assert_same_report(report, expected):
+    assert report.to_dict() == expected.to_dict()
+    assert report.skipped_pairs == expected.skipped_pairs
+    assert report.excluded_companies == expected.excluded_companies
+
+
+def test_index_pairs_score_as_the_dict_built_peer_sets():
+    """The scorers' index arrays give exactly the reports of the peer-id
+    dicts they replaced: labels with a singleton group, or one group for
+    every company; companies without returns; a year no company observes."""
+    min_overlap = 20
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        panel = ReturnPanel(_gappy_series(rng, int(rng.integers(4, 20)), min_overlap))
+        ids = panel.ids + ["no_returns_a", "no_returns_b"]
+        if seed % 3 == 0:
+            labels = {company_id: "all" for company_id in ids}
+        else:
+            labels = {company_id: str(rng.integers(0, 3)) for company_id in ids}
+            labels[panel.ids[seed]] = "alone"
+            labels["no_returns_a"] = "alone too"
+        years = [2019, 2020, 2021] if seed % 2 else None
+
+        universe = sorted(c for c in labels if c in panel.ids)
+        by_label = {}
+        for company_id in universe:
+            by_label.setdefault(labels[company_id], []).append(company_id)
+        peer_sets = {c: [p for p in by_label[labels[c]] if p != c] for c in universe}
+        peer_sets = {c: peers for c, peers in peer_sets.items() if peers}
+        _assert_same_report(
+            gics_baseline_correlation(labels, panel, years, min_overlap),
+            similarity._score_peer_sets(
+                *_appended_pairs(peer_sets), panel, years, min_overlap, None),
+        )
+
+        order = rng.permutation(len(ids))
+        matrix = EmbeddingMatrix(
+            ids=[ids[i] for i in order],
+            matrix=rng.normal(size=(len(ids), 4)).astype(np.float32),
+            provider_id="t", context_budget=512)
+        k = int(rng.integers(1, 6))
+        sub = matrix.subset(universe)
+        peer_sets = {c: [p for p, _ in peers] for c, peers in top_k_peers(sub, k).items()}
+        _assert_same_report(
+            avg_peer_correlation(matrix, panel, k, years, min_overlap),
+            similarity._score_peer_sets(
+                *_appended_pairs(peer_sets), panel, years, min_overlap, k),
+        )
+
+
 def test_dense_scorer_row_blocks_agree(monkeypatch):
     rng = np.random.default_rng(11)
     series = _gappy_series(rng, 25, 20)
@@ -530,6 +594,11 @@ def test_top_k_peers_bit_identical_to_sorted_ranking():
      "line 3: bad date"),
     ("company_id,date,return\na,2020-01-02,0.1\n"
      "a,\uff12\uff10\uff12\uff10-\uff10\uff11-\uff10\uff12,0.2\n", "line 3: bad date"),
+    # the right shape, but not a day of the calendar
+    ("company_id,date,return\na,2021-02-28,0.1\na,2021-02-30,0.2\n",
+     r"line 3: bad date '2021-02-30', expected YYYY-MM-DD"),
+    ("company_id,date,return\na,2021-12-01,0.1\nb,2021-13-01,0.2\n",
+     r"line 3: bad date '2021-13-01', expected YYYY-MM-DD"),
     ("company_id,date,return\n,2020-01-02,0.1\n", "line 2: empty company id"),
     ("company_id,date,return\na,2020-01-02,0.1\na,2020-01-03,\n",
      "line 3: bad return value"),
