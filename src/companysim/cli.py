@@ -8,9 +8,11 @@ Conventions shared by every subcommand:
   explicit flags; flags win over the config file,
 * logs go to stderr, data goes to the paths you name; outputs carry no
   timestamps, so a rerun with the same inputs is byte-identical,
-* every output is a regular file, replaced whole; a target that exists and
-  is not one (``/dev/stdout``, a FIFO, a directory) is refused with exit 2,
-  and a SIGKILL can leave an output's ``<name>.<pid>.tmp`` behind,
+* every output is a regular file, replaced whole; a target under /dev or
+  /proc (``/dev/stdout`` included), a link that leads there, and a target
+  that exists and is not a regular file (a FIFO, a directory) are refused
+  with exit 2, and a SIGKILL can leave an output's ``<name>.<pid>.tmp``
+  behind,
 * exit codes: 0 success, 1 usage/config error, 2 data error (an input file
   that is not UTF-8 included), 3 computation or provider error.
 """

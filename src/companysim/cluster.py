@@ -10,6 +10,7 @@ breaks toward the smallest index.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -229,8 +230,14 @@ def _kmeanspp_init(X: np.ndarray, n_clusters: int, rng: np.random.Generator) -> 
     closest = np.sum((X - centers[0]) ** 2, axis=1)
     for c in range(1, n_clusters):
         total = float(closest.sum())
+        if not math.isfinite(total):
+            raise ValueError(f"k-means++ distances sum to {total}")
         if total > 0.0:
-            idx = int(rng.choice(n, p=closest / total))
+            # the steps of rng.choice(n, p=closest / total), and its one
+            # draw, without its per-call checks of p
+            cdf = (closest / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = int(rng.integers(n))
         centers[c] = X[idx]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CorpusFormatError, DataValidationError, HierarchyError
 from .outputs import replacing, write_rows
-from .textprep import clean_text
+from .textprep import has_text
 
 logger = logging.getLogger(__name__)
 
@@ -235,7 +235,7 @@ def corpus_from_records(records, hierarchy: GicsHierarchy) -> Corpus:
             hierarchy.validate_labels(gics)
         except DataValidationError as e:
             raise CorpusFormatError(f"company {company_id!r}: {e}", line=line) from None
-        if not clean_text(raw["description"]):
+        if not has_text(raw["description"]):
             raise CorpusFormatError(
                 f"company {company_id!r}: description cleans to 0 chars", line=line
             )

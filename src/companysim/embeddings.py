@@ -4,6 +4,8 @@ id -> row matrix used by every downstream task."""
 from __future__ import annotations
 
 import logging
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -37,38 +39,35 @@ def pool_chunk_embeddings(
     return (w[:, None] * rows).sum(axis=0) / w.sum()
 
 
-def _embed_group(
-    group: Sequence[tuple[str, list[list[str]]]],
+def _pool_group(
+    group: Sequence[tuple[str, list[int]]],
+    rows: np.ndarray,
     provider: EmbeddingProvider,
     length_weighted: bool,
 ) -> list[np.ndarray]:
-    """Embed the chunks of consecutive documents in one ``embed_chunks``
-    call and pool each document's rows; one vector per (id, chunks) pair."""
-    chunks = [c for _, doc_chunks in group for c in doc_chunks]
-    first, last = group[0][0], group[-1][0]
-    where = (f"document {first!r}" if len(group) == 1
-             else f"documents {first!r} to {last!r}")
-    try:
-        rows = provider.embed_chunks(chunks)
-    except ProviderError:
-        raise
-    except Exception as e:
-        raise ProviderError(
-            f"provider {provider.provider_id!r} failed on {where}: {e}"
-        ) from e
-    if rows.shape != (len(chunks), provider.dimension):
+    """Pool the chunk rows of consecutive documents, each given as its id
+    and the token count of each of its chunks; one vector per document."""
+    n_chunks = sum(len(lengths) for _, lengths in group)
+    if rows.shape != (n_chunks, provider.dimension):
         raise ProviderError(
             f"provider {provider.provider_id!r} returned shape {rows.shape} for "
-            f"{len(chunks)} chunks of {where}, declared dimension {provider.dimension}"
+            f"{n_chunks} chunks of {_where(group)}, declared dimension "
+            f"{provider.dimension}"
         )
     vectors = []
     start = 0
-    for _, doc_chunks in group:
-        end = start + len(doc_chunks)
-        weights = [len(c) for c in doc_chunks] if length_weighted else None
-        vectors.append(pool_chunk_embeddings(rows[start:end], weights))
+    for _, lengths in group:
+        end = start + len(lengths)
+        vectors.append(pool_chunk_embeddings(rows[start:end],
+                                             lengths if length_weighted else None))
         start = end
     return vectors
+
+
+def _where(group: Sequence[tuple[str, list[int]]]) -> str:
+    first, last = group[0][0], group[-1][0]
+    return (f"document {first!r}" if len(group) == 1
+            else f"documents {first!r} to {last!r}")
 
 
 @dataclass
@@ -173,14 +172,46 @@ def embed_corpus(
 
     The chunks of consecutive documents go to the provider together, so a
     remote provider makes one request per group instead of one per document.
+    The provider pulls groups as it embeds them (``embed_batches``); an
+    error in reading ``documents`` is raised after the groups before it are
+    embedded, as if each group were embedded before the next is read.
     """
     ids: list[str] = []
     vectors: list[np.ndarray] = []
     total_chunks = 0
-    for group in _document_groups(documents):
-        ids.extend(company_id for company_id, _ in group)
-        vectors.extend(_embed_group(group, provider, length_weighted))
-        total_chunks += sum(len(chunks) for _, chunks in group)
+    # each group the provider has pulled and not yet embedded, without its
+    # tokens: the provider may pull several groups ahead
+    pulled: deque[list[tuple[str, list[int]]]] = deque()
+    unreadable: list[Exception] = []
+
+    def batches() -> Iterator[list[list[str]]]:
+        try:
+            for group in _document_groups(documents):
+                pulled.append([(company_id, [len(c) for c in chunks])
+                               for company_id, chunks in group])
+                yield [c for _, chunks in group for c in chunks]
+        except Exception as e:
+            unreadable.append(e)
+
+    with closing(provider.embed_batches(batches())) as embedded:
+        while True:
+            try:
+                rows = next(embedded, None)
+            except ProviderError:
+                raise
+            except Exception as e:
+                raise ProviderError(
+                    f"provider {provider.provider_id!r} failed on "
+                    f"{_where(pulled[0])}: {e}"
+                ) from e
+            if rows is None:
+                break
+            group = pulled.popleft()
+            ids.extend(company_id for company_id, _ in group)
+            vectors.extend(_pool_group(group, rows, provider, length_weighted))
+            total_chunks += len(rows)
+    if unreadable:
+        raise unreadable[0]
     logger.info(
         "embedded %d documents (%d chunks) with provider=%s budget=%d",
         len(ids), total_chunks, provider.provider_id, config.context_budget,

@@ -11,12 +11,33 @@ from contextlib import contextmanager
 from pathlib import Path
 
 
+_SYSTEM_DIRS = ("/dev/", "/proc/")
+
+
+def _leads_into_system_dirs(path: str | Path) -> bool:
+    """Whether ``path``, or a link on the way to the file it names, lies
+    under /dev or /proc (/dev/stdout is a link to /proc/self/fd/1)."""
+    name = os.path.abspath(path)
+    for _ in range(40):  # as many links as the kernel follows
+        name = os.path.join(os.path.realpath(os.path.dirname(name)),
+                            os.path.basename(name))
+        if name.startswith(_SYSTEM_DIRS):
+            return True
+        if not os.path.islink(name):
+            return False
+        name = os.path.join(os.path.dirname(name), os.readlink(name))
+    return True
+
+
 @contextmanager
 def replacing(path: str | Path, binary: bool = False):
     """A file for ``path``'s new contents: bytes, or UTF-8 text with no
     newline translation. It replaces ``path`` on a clean exit and is
-    removed on any exception. A ``path`` that exists and, links followed,
-    is not a regular file is refused before anything is written."""
+    removed on any exception. A ``path`` under /dev or /proc, or a link
+    that leads there, and a ``path`` that exists and, links followed, is
+    not a regular file are refused before anything is written."""
+    if _leads_into_system_dirs(path):
+        raise OSError(f"{path} is under /dev or /proc, or links there")
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"{path} exists and is not a regular file")
     temp = Path(f"{path}.{os.getpid()}.tmp")

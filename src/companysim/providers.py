@@ -15,6 +15,14 @@ connection, made with the standard library (proxies from the environment).
 Any non-200 status is a failure, and redirects are not followed; transport
 errors, 408, 429 and 5xx are retried. An auth token can be injected from an
 environment variable; it is sent as a Bearer header and never logged.
+
+``RemoteProvider.embed_batches`` keeps up to ``MAX_REQUESTS_IN_FLIGHT``
+requests outstanding, each sent by a pool thread, and handles their
+answers in request order: rows come back in order, each request is retried
+on its own, and the error raised is the one of the earliest failed request,
+as if the requests were sent one at a time. After a failure no new request
+is sent; the at most ``MAX_REQUESTS_IN_FLIGHT - 1`` already out are waited
+for and their answers discarded.
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ import logging
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +50,8 @@ logger = logging.getLogger(__name__)
 
 # Most texts one remote request carries; embed_corpus groups documents up to it.
 MAX_TEXTS_PER_REQUEST = 64
+# Most remote requests outstanding at once while batches are embedded.
+MAX_REQUESTS_IN_FLIGHT = 4
 
 
 class EmbeddingProvider:
@@ -53,6 +64,12 @@ class EmbeddingProvider:
     def embed_chunks(self, chunks: Sequence[list[str]]) -> np.ndarray:
         """One float64 row of ``dimension`` values per chunk, in order."""
         raise NotImplementedError
+
+    def embed_batches(self, batches: Iterable[Sequence[list[str]]]) -> Iterator[np.ndarray]:
+        """``embed_chunks`` of each batch, in order; a batch is pulled from
+        ``batches`` when the rows of the one before it have been yielded."""
+        for chunks in batches:
+            yield self.embed_chunks(chunks)
 
 
 def _sign_hash(token: str, seed: int) -> tuple[int, float]:
@@ -206,28 +223,88 @@ def remote_embed(
     body, count mismatch, dimension mismatch) are raised immediately as
     RemoteProtocolError with a machine-readable ``reason``.
     """
-    # imported here so that commands which never embed remotely skip its cost
-    import http.client
-    import urllib.error
-    import urllib.request
-
     if not texts:
         raise ValueError("remote_embed needs at least one text")
-    url = endpoint.rstrip("/") + "/embed"
-    headers = {"Content-Type": "application/json"}
-    if auth_env:
-        token = os.environ.get(auth_env)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-    body = json.dumps({"provider_id": provider_id, "texts": list(texts)}).encode("utf-8")
+    target = _Target(endpoint, provider_id, auth_env, timeout)
+    body = target.encode(texts)
+    return _answer(lambda attempt: target.receive(target.send(body)),
+                   target.url, len(texts), retries, backoff)
 
-    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
-        def redirect_request(self, req, fp, code, msg, headers, newurl):
-            return None  # a 3xx then raises HTTPError, not a re-sent GET
 
-    # the standard handlers, proxies from the environment included
-    opener = urllib.request.build_opener(RefuseRedirects)
+class _Target:
+    """How texts are POSTed to one endpoint for one provider id: the
+    ``/embed`` URL, the headers and one opener, shared by every request."""
 
+    def __init__(self, endpoint: str, provider_id: str, auth_env: str | None,
+                 timeout: float):
+        # imported here so that commands which never embed remotely skip its cost
+        import urllib.request
+
+        self.url = endpoint.rstrip("/") + "/embed"
+        self.provider_id = provider_id
+        self.headers = {"Content-Type": "application/json"}
+        if auth_env:
+            token = os.environ.get(auth_env)
+            if token:
+                self.headers["Authorization"] = f"Bearer {token}"
+        self.timeout = timeout
+
+        class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                return None  # a 3xx then raises HTTPError, not a re-sent GET
+
+        # the standard handlers, proxies from the environment included
+        self.opener = urllib.request.build_opener(RefuseRedirects)
+
+    def encode(self, texts: Sequence[str]) -> bytes:
+        return json.dumps({"provider_id": self.provider_id,
+                           "texts": list(texts)}).encode("utf-8")
+
+    def send(self, body: bytes):
+        """POST ``body`` over its own connection and read the status line
+        and headers: the open response, or the status of an error answer.
+        A transport failure raises RemoteTransportError."""
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(self.url, data=body, headers=self.headers,
+                                         method="POST")
+        try:
+            return self.opener.open(request, timeout=self.timeout)
+        except urllib.error.HTTPError as e:
+            e.close()
+            return e.code
+        except (OSError, http.client.HTTPException) as e:
+            failure = f"POST {self.url} failed: {e}"
+        raise RemoteTransportError(failure)
+
+    def receive(self, sent) -> tuple[int, bytes]:
+        """The status and content of what ``send`` returned; an open
+        response is read and closed."""
+        import http.client
+
+        if isinstance(sent, int):
+            return sent, b""
+        try:
+            with sent as response:
+                return response.status, response.read()
+        except (OSError, http.client.HTTPException) as e:
+            failure = f"POST {self.url} failed: {e}"
+        raise RemoteTransportError(failure)
+
+
+def _answer(
+    post: Callable[[int], tuple[int, bytes]],
+    url: str,
+    n_texts: int,
+    retries: int,
+    backoff: float,
+) -> list[np.ndarray]:
+    """The vectors of one request, ``post(attempt)`` sending it once per attempt:
+    transport failures, 408, 429 and 5xx are retried after a backoff of
+    ``backoff * 2^(attempt-1)``, any other non-200 status is raised at
+    once, and a 200 is parsed."""
     last_error: Exception | None = None
     for attempt in range(retries + 1):
         if attempt > 0:
@@ -237,16 +314,10 @@ def remote_embed(
                 attempt, retries, last_error, delay,
             )
             time.sleep(delay)
-        request = urllib.request.Request(url, data=body, headers=headers, method="POST")
         try:
-            with opener.open(request, timeout=timeout) as response:
-                status = response.status
-                content = response.read()
-        except urllib.error.HTTPError as e:
-            status = e.code
-            e.close()
-        except (OSError, http.client.HTTPException) as e:
-            last_error = RemoteTransportError(f"POST {url} failed: {e}")
+            status, content = post(attempt)
+        except RemoteTransportError as e:
+            last_error = e
             continue
         if status != 200:
             last_error = RemoteStatusError(
@@ -255,7 +326,7 @@ def remote_embed(
             if status in (408, 429) or 500 <= status <= 599:
                 continue
             raise last_error
-        return _parse_embed_response(content, len(texts), url)
+        return _parse_embed_response(content, n_texts, url)
     assert last_error is not None
     raise last_error
 
@@ -311,7 +382,8 @@ def _parse_embed_response(content: bytes, n_texts: int, url: str) -> list[np.nda
 
 class RemoteProvider(EmbeddingProvider):
     """Embeds chunks through the generic remote protocol, at most
-    ``MAX_TEXTS_PER_REQUEST`` chunks per POST."""
+    ``MAX_TEXTS_PER_REQUEST`` chunks per POST and at most
+    ``MAX_REQUESTS_IN_FLIGHT`` POSTs outstanding."""
 
     def __init__(
         self,
@@ -334,18 +406,70 @@ class RemoteProvider(EmbeddingProvider):
         self.auth_env = auth_env
 
     def embed_chunks(self, chunks: Sequence[list[str]]) -> np.ndarray:
-        texts = [" ".join(c) for c in chunks]
+        (rows,) = self.embed_batches([chunks])
+        return rows
+
+    def _requests(
+        self, batches: Iterable[Sequence[list[str]]]
+    ) -> Iterator[tuple[list[str], bool]]:
+        """The texts of each request, and whether it ends its batch; a
+        batch is pulled when the requests before it are sent."""
+        for chunks in batches:
+            if not chunks:
+                raise ValueError("remote_embed needs at least one text")
+            texts = [" ".join(c) for c in chunks]
+            for start in range(0, len(texts), MAX_TEXTS_PER_REQUEST):
+                yield (texts[start : start + MAX_TEXTS_PER_REQUEST],
+                       start + MAX_TEXTS_PER_REQUEST >= len(texts))
+
+    def embed_batches(self, batches: Iterable[Sequence[list[str]]]) -> Iterator[np.ndarray]:
+        """The rows of each batch, in order, with up to
+        ``MAX_REQUESTS_IN_FLIGHT`` requests outstanding.
+
+        Pool threads only send encoded bodies and read the status and
+        headers of the answer. This generator encodes each request as a
+        thread comes free, and reads, retries (``_answer``, each request on
+        its own) and parses the answers in request order, so rows, errors
+        and the first error raised are those of sending one request at a
+        time. On an error it waits for the requests still out, at most
+        ``MAX_REQUESTS_IN_FLIGHT - 1``, and sends no more."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        target = _Target(self.endpoint, self.provider_id, self.auth_env, self.timeout)
+        requests = self._requests(batches)
+        # (text count, ends batch, body, future of its send) of each request out
+        window: deque = deque()
         vectors: list[np.ndarray] = []
-        for start in range(0, len(texts), MAX_TEXTS_PER_REQUEST):
-            vectors.extend(remote_embed(
-                self.endpoint,
-                self.provider_id,
-                texts[start : start + MAX_TEXTS_PER_REQUEST],
-                timeout=self.timeout,
-                retries=self.retries,
-                backoff=self.backoff,
-                auth_env=self.auth_env,
-            ))
+        try:
+            with ThreadPoolExecutor(MAX_REQUESTS_IN_FLIGHT,
+                                    thread_name_prefix="remote-embed") as pool:
+                while True:
+                    while len(window) < MAX_REQUESTS_IN_FLIGHT:
+                        request = next(requests, None)
+                        if request is None:
+                            break
+                        texts, ends_batch = request
+                        body = target.encode(texts)
+                        window.append((len(texts), ends_batch, body,
+                                       pool.submit(target.send, body)))
+                    if not window:
+                        return
+                    n_texts, ends_batch, body, future = window.popleft()
+                    vectors.extend(_answer(
+                        lambda attempt: target.receive(
+                            target.send(body) if attempt else future.result()),
+                        target.url, n_texts, self.retries, self.backoff,
+                    ))
+                    if ends_batch:
+                        yield self._stacked(vectors)
+                        vectors = []
+        finally:
+            # every send has returned: close the answers left unread
+            for *_, future in window:
+                if future.exception() is None and not isinstance(future.result(), int):
+                    future.result().close()
+
+    def _stacked(self, vectors: list[np.ndarray]) -> np.ndarray:
         out = np.vstack(vectors)
         if out.shape[1] != self.dimension:
             raise RemoteProtocolError(

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _PUNCT = frozenset(string.punctuation)
+# an ASCII character that str.split does not split on: clean_text keeps it
+_KEPT_RE = re.compile(r"[\x00-\x08\x0e-\x1b!-\x7f]")
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,15 @@ def clean_text(raw: str) -> str:
     # on ASCII, str.split and re's \s split on the same characters
     # (\x1c-\x1f included), so this equals collapsing \s+ and stripping
     return " ".join(text.lower().split())
+
+
+def has_text(raw: str) -> bool:
+    """Whether ``clean_text(raw)`` is non-empty, without building it: some
+    ASCII character that is not whitespace is left once URLs are dropped."""
+    text = raw
+    if "://" in raw or "www." in raw.lower():  # the test clean_text makes
+        text = _URL_RE.sub(" ", raw)
+    return _KEPT_RE.search(text) is not None
 
 
 def tokenize(cleaned: str) -> list[str]:

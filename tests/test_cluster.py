@@ -222,6 +222,49 @@ def test_lloyd_equals_reference_loop(seed):
     _assert_lloyd_equals_reference(X, far, max_iter=2)
 
 
+def _reference_kmeanspp_init(X, n_clusters, rng):
+    """The k-means++ start drawn with ``Generator.choice``."""
+    n = X.shape[0]
+    centers = np.empty((n_clusters, X.shape[1]), dtype=np.float64)
+    centers[0] = X[int(rng.integers(n))]
+    closest = np.sum((X - centers[0]) ** 2, axis=1)
+    for c in range(1, n_clusters):
+        total = float(closest.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=closest / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[c] = X[idx]
+        closest = np.minimum(closest, np.sum((X - centers[c]) ** 2, axis=1))
+    return centers
+
+
+def test_kmeanspp_init_draws_what_generator_choice_draws():
+    for seed in range(200):
+        data = np.random.default_rng([seed, 1])
+        n, d = int(data.integers(1, 80)), int(data.integers(1, 6))
+        if seed % 2:  # a few distinct rows, each repeated: zero distances
+            X = data.normal(size=(3, d))[data.integers(0, 3, size=n)]
+        else:
+            X = data.normal(size=(n, d)) * 10.0 ** data.integers(-3, 4)
+        k = int(data.integers(1, n + 1))
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers = _kmeanspp_init(X, k, rng)
+        assert np.array_equal(centers, _reference_kmeanspp_init(X, k, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("far", [1e200, np.inf, np.nan])
+def test_kmeanspp_init_fails_on_a_non_finite_total(far):
+    X = np.array([[0.0], [far], [-1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            _kmeanspp_init(X, 2, np.random.default_rng(0))
+        if far == 1e200:  # finite rows: choice raised on the overflowed total too
+            with pytest.raises(ValueError):
+                _reference_kmeanspp_init(X, 2, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # Agglomerative (oracle: recompute linkage from original distances each merge)
 

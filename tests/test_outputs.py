@@ -282,6 +282,30 @@ def test_replacing_replaces_a_link_rather_than_following_it(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+def test_a_link_into_proc_is_refused_even_to_a_regular_file(ws, tmp_path):
+    """``/dev/stdout`` redirected to a file is such a link: it resolves to
+    the file, so the regular-file check alone would let it be replaced."""
+    (tmp_path / "file").write_bytes(b"old")
+    with open(tmp_path / "file", "rb") as f:
+        (tmp_path / "link").symlink_to(f"/proc/self/fd/{f.fileno()}")
+        assert os.path.isfile(tmp_path / "link")
+        with pytest.raises(OSError, match="/dev or /proc"):
+            with replacing(tmp_path / "link") as out:
+                out.write("new")
+        assert main(["pairs", *map(str, _gics(ws)), "--out", str(tmp_path / "link")]) == 2
+    assert (tmp_path / "file").read_bytes() == b"old"
+    assert os.readlink(tmp_path / "link").startswith("/proc/self/fd/")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "link"]
+
+
+@pytest.mark.parametrize("target", ["/dev/stdout", "/dev/null", "/dev/shm/out.csv",
+                                    "/proc/self/fd/1"])
+def test_targets_under_dev_or_proc_are_refused(target):
+    with pytest.raises(OSError, match="/dev or /proc"):
+        with replacing(target) as out:
+            out.write("new")
+
+
 def test_csv_report_on_a_fifo_is_refused_without_reading_it(ws, tmp_path):
     """Run apart, so that a read blocking on the FIFO fails the test
     instead of stalling it."""

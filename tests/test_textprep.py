@@ -8,6 +8,7 @@ from companysim.textprep import (
     ChunkingConfig,
     chunk,
     clean_text,
+    has_text,
     prepare_chunks,
     tokenize,
     truncate,
@@ -183,6 +184,28 @@ def test_tokenize_matches_reference_oracle():
         assert tokenize(raw) == reference_tokenize(raw), repr(raw)
         cleaned = reference_clean_text(raw)
         assert tokenize(cleaned) == reference_tokenize(cleaned), repr(raw)
+
+
+# Short strings, most of which clean to nothing: every ASCII control
+# character, DEL, non-ASCII letters and spaces, and URL markers in mixed case.
+_HAS_TEXT_PIECES = [
+    *map(chr, range(0x20)), "\x7f", " ", "\xa0", "\u2003", "\x85",
+    "é", "ß", "日本", "ſ", "K", "™",
+    "httpſ://x", "HTTPS://", "HtTp://a.b", "WWW.", "Www.x", "www.", "://", "ww.",
+    "a", ".", "~", "!",
+]
+
+
+def test_has_text_is_whether_clean_text_is_empty():
+    rng = np.random.default_rng(13)
+    raws = list(_fuzz_strings(14, 5000))
+    for _ in range(20000):
+        picks = rng.integers(0, len(_HAS_TEXT_PIECES), size=rng.integers(0, 6))
+        raws.append("".join(_HAS_TEXT_PIECES[i] for i in picks))
+    raws += [chr(c) for c in range(0x180)] + ["WWW.\x00", "HTTPS://x\x7f", "x://\x1c"]
+    results = [has_text(raw) == bool(clean_text(raw)) for raw in raws]
+    assert all(results), [repr(r) for r, ok in zip(raws, results) if not ok][:5]
+    assert 0.2 < np.mean([has_text(raw) for raw in raws]) < 0.8
 
 
 def test_clean_text_url_edge_cases():
