@@ -379,12 +379,3 @@ def generate_finetune_pairs(corpus: Corpus, seed: int) -> list[PairExample]:
 def save_pairs(pairs: list[PairExample], path: str | Path) -> None:
     write_rows(path, ["id_a", "id_b", "label"],
                ([p.id_a, p.id_b, p.label] for p in pairs), lineterminator="\r\n")
-
-
-def load_pairs(path: str | Path) -> list[PairExample]:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id_a", "id_b", "label"]:
-            raise DataValidationError(f"{path}: expected header id_a,id_b,label, got {header}")
-        return [PairExample(row[0], row[1], int(row[2])) for row in reader if row]

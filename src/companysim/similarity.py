@@ -13,14 +13,19 @@ from __future__ import annotations
 
 import csv
 import datetime
+import hashlib
 import io
+import logging
 import math
+import os
+import stat
+import zipfile
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from operator import add, itemgetter
+from operator import add, ge, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -37,8 +42,14 @@ from .errors import (
 )
 from .outputs import replacing
 
+logger = logging.getLogger(__name__)
+
 DEFAULT_MIN_OVERLAP = 60
 RETURNS_HEADER = ["company_id", "date", "return"]
+# Bump when the cached panel's layout or meaning changes: older caches
+# are then ignored and replaced.
+PANEL_CACHE_VERSION = 1
+_PANEL_ARRAYS = ("ids", "id_lengths", "dates", "date_lengths", "values", "mask")
 
 
 class ReturnPanel:
@@ -113,30 +124,69 @@ def load_returns_csv(path: str | Path) -> ReturnPanel:
 
     Streams the file into flat index and value arrays, then scatters them
     into the dense panel; every bad row raises naming its line.
+
+    A regular file's panel is cached beside it in ``<path>.panel.npz``,
+    keyed by the SHA-256 of the file's bytes and ``PANEL_CACHE_VERSION``.
+    A later load whose file still has those bytes reads the panel from
+    the cache, once it passes the checks of ``_checked_panel``; any other
+    cache is ignored and replaced. Failing to write the cache is logged,
+    not raised. Other files (a FIFO, ``/dev/stdin``) are read once and
+    not cached.
     """
+    sidecar = f"{path}.panel.npz"
+    with open(path, "rb", buffering=0) as raw:
+        if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+            panel = _parse_returns(raw, path)
+            logger.info("returns %s: parsed, not cached: not a regular file", path)
+            return panel
+        panel, why = _cached_panel(sidecar, raw)
+        if panel is not None:
+            logger.info("returns %s: cache hit, panel read from %s", path, sidecar)
+            return panel
+        raw.seek(0)
+        hashing = _HashingReader(raw)
+        panel = _parse_returns(hashing, path)
+    try:
+        _save_panel_cache(sidecar, panel, hashing.sha256.digest())
+    except OSError as e:
+        logger.info("returns %s: parsed (%s), not cached: %s", path, why, e)
+    else:
+        logger.info("returns %s: parsed (%s) and cached to %s", path, why, sidecar)
+    return panel
+
+
+def _is_day(text: str) -> bool:
+    """Whether ``text`` is a real calendar day written YYYY-MM-DD."""
+    try:
+        return datetime.date.fromisoformat(text).isoformat() == text
+    except ValueError:
+        return False
+
+
+def _parse_returns(raw, path: str | Path) -> ReturnPanel:
+    """The panel of the returns file whose bytes ``raw`` reads."""
     company_index: dict[str, int] = {}
     date_index: dict[str, int] = {}
     rows, cols, values = array("q"), array("q"), array("d")
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != RETURNS_HEADER:
-            raise DataValidationError(
-                f"returns file must start with {','.join(RETURNS_HEADER)!r}, "
-                f"got {header!r}"
-            )
-        try:
+    line_no = 0  # the last line the reader returned
+    try:
+        with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
+                              newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            line_no = 1
+            if header != RETURNS_HEADER:
+                raise DataValidationError(
+                    f"returns file must start with {','.join(RETURNS_HEADER)!r}, "
+                    f"got {header!r}"
+                )
             for line_no, row in enumerate(reader, start=2):
                 if len(row) != 3:
                     raise DataValidationError(f"line {line_no}: expected 3 columns")
                 company_id, date, raw_value = row
                 col = date_index.get(date)
                 if col is None:
-                    try:  # a real calendar day, written YYYY-MM-DD
-                        real = datetime.date.fromisoformat(date).isoformat() == date
-                    except ValueError:
-                        real = False
-                    if not real:
+                    if not _is_day(date):
                         raise DataValidationError(
                             f"line {line_no}: bad date {date!r}, expected YYYY-MM-DD"
                         )
@@ -154,10 +204,12 @@ def load_returns_csv(path: str | Path) -> ReturnPanel:
                 rows.append(company_index.setdefault(company_id, len(company_index)))
                 cols.append(col)
                 values.append(value)
-        except DataValidationError:
-            # a duplicate on an earlier line is the first error in the file
-            _check_duplicates(rows, cols, company_index, date_index)
-            raise
+    except (DataValidationError, csv.Error) as e:
+        # a duplicate on an earlier line is the first error in the file
+        _check_duplicates(rows, cols, company_index, date_index)
+        if isinstance(e, csv.Error):
+            raise DataValidationError(f"line {line_no + 1}: {e}") from None
+        raise
     if not values:
         raise DataValidationError(f"no return observations in {path}")
     _check_duplicates(rows, cols, company_index, date_index)
@@ -197,6 +249,121 @@ def _check_duplicates(
         date = list(date_index)[cols[first]]
         raise DataValidationError(
             f"line {first + 2}: duplicate observation {company_id}/{date}"
+        )
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw binary reader over ``raw`` that adds each byte it reads to
+    ``sha256``: the digest is of exactly the bytes a parse read."""
+
+    def __init__(self, raw):
+        self.raw, self.sha256 = raw, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+
+def _sha256(raw) -> bytes:
+    """The SHA-256 of what is left to read in ``raw``."""
+    sha256 = hashlib.sha256()
+    for block in iter(lambda: raw.read(1 << 20), b""):
+        sha256.update(block)
+    return sha256.digest()
+
+
+def _pack_texts(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``texts`` as their joined UTF-8 bytes and their lengths in
+    characters. numpy's string arrays would drop trailing NULs."""
+    return (np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8),
+            np.array([len(text) for text in texts], dtype=np.int64))
+
+
+def _unpack_texts(blob: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The non-empty texts ``_pack_texts`` packed; ValueError unless the
+    lengths, each at least 1, add up to the decoded blob exactly."""
+    if (blob.dtype != np.uint8 or blob.ndim != 1
+            or lengths.dtype != np.int64 or lengths.ndim != 1):
+        raise ValueError("texts of the wrong type")
+    text = blob.tobytes().decode("utf-8")
+    ends = lengths.cumsum().tolist()
+    if (not ends or lengths.min() < 1 or lengths.max() > len(text)
+            or ends[-1] != len(text)):
+        raise ValueError("text lengths that do not fill the text")
+    return [text[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _checked_panel(
+    ids: np.ndarray,
+    id_lengths: np.ndarray,
+    dates: np.ndarray,
+    date_lengths: np.ndarray,
+    values: np.ndarray,
+    mask: np.ndarray,
+) -> ReturnPanel:
+    """The panel that a cache's arrays hold, if a parse could have given
+    it; else ValueError naming the first check that fails."""
+    ids, dates = _unpack_texts(ids, id_lengths), _unpack_texts(dates, date_lengths)
+    for name, keys in (("ids", ids), ("dates", dates)):
+        if any(map(ge, keys, keys[1:])):
+            raise ValueError(f"{name} not strictly increasing")
+    if not all(map(_is_day, dates)):
+        raise ValueError("a date that is not a YYYY-MM-DD day")
+    if (values.dtype != np.float64 or mask.dtype != np.bool_
+            or values.shape != (len(ids), len(dates)) or mask.shape != values.shape
+            or not (values.flags.c_contiguous and mask.flags.c_contiguous)):
+        raise ValueError("values or mask of the wrong type or shape")
+    if not np.isfinite(values).all():
+        raise ValueError("a non-finite value")
+    if mask.view(np.uint8).max() > 1:
+        raise ValueError("a mask byte other than 0 or 1")
+    if values.view(np.int64)[~mask].any():
+        raise ValueError("a value where the mask is unset")
+    if not (mask.any(axis=0).all() and mask.any(axis=1).all()):
+        raise ValueError("a company or date with no observation")
+    return ReturnPanel.from_arrays(ids, dates, values, mask)
+
+
+def _read_array(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    with archive.open(f"{name}.npy") as f:
+        return np.lib.format.read_array(f, allow_pickle=False)
+
+
+def _cached_panel(sidecar: str, raw) -> tuple[ReturnPanel | None, str]:
+    """The panel cached in ``sidecar`` if it was parsed from the bytes
+    that ``raw`` holds, under this ``PANEL_CACHE_VERSION``, and passes
+    ``_checked_panel``; else None and why not."""
+    if not os.path.isfile(sidecar):
+        return None, "no cache"
+    # the cache is outside input: whatever is wrong with it, parse instead
+    try:
+        with zipfile.ZipFile(sidecar) as archive:
+            version, sha256 = (_read_array(archive, name)
+                               for name in ("version", "sha256"))
+            if (version.dtype != np.int64 or version.shape != ()
+                    or version != PANEL_CACHE_VERSION):
+                return None, "a cache of another version"
+            if sha256.dtype != np.uint8 or sha256.tobytes() != _sha256(raw):
+                return None, "a cache of other contents"
+            arrays = [_read_array(archive, name) for name in _PANEL_ARRAYS]
+        return _checked_panel(*arrays), "cache hit"
+    except Exception as e:
+        return None, f"an unusable cache: {type(e).__name__}: {e}"
+
+
+def _save_panel_cache(sidecar: str, panel: ReturnPanel, sha256: bytes) -> None:
+    ids, id_lengths = _pack_texts(panel.ids)
+    dates, date_lengths = _pack_texts(panel.dates)
+    with replacing(sidecar, binary=True) as f:
+        np.savez(
+            f, version=np.int64(PANEL_CACHE_VERSION),
+            sha256=np.frombuffer(sha256, dtype=np.uint8),
+            ids=ids, id_lengths=id_lengths, dates=dates, date_lengths=date_lengths,
+            values=panel.values, mask=panel.mask,
         )
 
 

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import shutil
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -621,6 +623,60 @@ def test_exit_code_data_error_on_bad_returns(workspace, tmp_path):
     assert run("peers", "--cache", cache, "--returns", bad,
                "--out", tmp_path / "p.json") == 2
     assert not (tmp_path / "p.json").exists()
+
+
+def _peers_reports(cache, returns, out):
+    """Run ``peers`` with every report; returns its exit code and reports."""
+    out.mkdir()
+    code = run("peers", "--cache", cache, "--returns", returns,
+               "--out", out / "p.json", "--top-out", out / "top.csv",
+               "--csv-out", out / "p.csv")
+    return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_peers_reports_do_not_depend_on_the_returns_cache(workspace, tmp_path):
+    cache = tmp_path / "emb.bin"
+    assert run("embed", "--corpus", workspace / "corpus.jsonl",
+               "--hierarchy", workspace / "hierarchy.csv", "--out", cache) == 0
+    returns = tmp_path / "returns.csv"
+    shutil.copyfile(workspace / "returns.csv", returns)
+    sidecar = tmp_path / "returns.csv.panel.npz"
+    parsed = _peers_reports(cache, returns, tmp_path / "parsed")
+    assert sidecar.is_file()
+    assert _peers_reports(cache, returns, tmp_path / "hit") == parsed
+    assert parsed[0] == 0 and len(parsed[1]) == 3
+    # a directory where the cache would go: parsed, not cached, same reports
+    sidecar.unlink()
+    sidecar.mkdir()
+    assert _peers_reports(cache, returns, tmp_path / "blocked") == parsed
+    assert sidecar.is_dir() and not any(sidecar.iterdir())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_peers_reads_returns_from_a_fifo_without_caching(workspace, tmp_path):
+    cache = tmp_path / "emb.bin"
+    assert run("embed", "--corpus", workspace / "corpus.jsonl",
+               "--hierarchy", workspace / "hierarchy.csv", "--out", cache) == 0
+    fifo = tmp_path / "returns.csv"
+    os.mkfifo(fifo)
+    body = (workspace / "returns.csv").read_bytes()
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(body)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    from_fifo = _peers_reports(cache, fifo, tmp_path / "fifo")
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    regular = tmp_path / "regular" / "returns.csv"
+    regular.parent.mkdir()
+    regular.write_bytes(body)
+    assert from_fifo == _peers_reports(cache, regular, tmp_path / "file")
+    assert from_fifo[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "emb.bin", "emb.bin.ids", "fifo", "file", "regular", "returns.csv"]
 
 
 @pytest.mark.parametrize("command", ["peers", "cluster"])

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from companysim.corpus import (
     PairExample,
     generate_finetune_pairs,
     load_corpus,
-    load_pairs,
     save_corpus,
     save_pairs,
     stratified_split,
@@ -261,11 +261,21 @@ def test_generate_pairs_needs_two_industries(small_corpus):
         generate_finetune_pairs(small_corpus.subset(one), seed=0)
 
 
+def _load_pairs(path):
+    """The pairs file's rows, read back as the examples ``save_pairs`` wrote."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["id_a", "id_b", "label"]:
+            raise DataValidationError(f"{path}: expected header id_a,id_b,label, got {header}")
+        return [PairExample(row[0], row[1], int(row[2])) for row in reader if row]
+
+
 def test_pairs_csv_round_trip(tmp_path, small_corpus):
     pairs = generate_finetune_pairs(small_corpus, seed=2)
     path = tmp_path / "pairs.csv"
     save_pairs(pairs, path)
-    assert load_pairs(path) == pairs
+    assert _load_pairs(path) == pairs
 
 
 def test_subset_preserves_hierarchy(small_corpus):

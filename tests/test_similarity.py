@@ -1,5 +1,11 @@
 import csv
+import hashlib
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,7 +585,9 @@ def test_top_k_peers_bit_identical_to_sorted_ranking():
 # Loader
 
 
-@pytest.mark.parametrize("body, message", [
+_LONG = "x" * (csv.field_size_limit() + 1)
+
+_BAD_RETURNS = [
     ("company_id,date\n", "must start with"),
     ("", "must start with"),
     ("company_id,date,return\n", "no return observations"),
@@ -610,7 +618,19 @@ def test_top_k_peers_bit_identical_to_sorted_ranking():
     # the first error in the file wins: a duplicate before a bad value
     ("company_id,date,return\na,2020-01-02,0.1\na,2020-01-02,0.1\n"
      "b,2020-01-02,oops\n", "line 3: duplicate observation a/2020-01-02"),
-])
+    # a field the csv module refuses is a bad row like any other
+    pytest.param(f"{_LONG}\n", r"line 1: field larger than field limit \(131072\)",
+                 id="over-long header field"),
+    pytest.param(f"company_id,date,return\na,2020-01-02,0.1\n{_LONG},2020-01-02,0.2\n",
+                 r"line 3: field larger than field limit \(131072\)",
+                 id="over-long field"),
+    pytest.param(f"company_id,date,return\na,2020-01-02,0.1\na,2020-01-02,0.1\n"
+                 f"b,{_LONG},0.2\n", "line 3: duplicate observation a/2020-01-02",
+                 id="duplicate before an over-long field"),
+]
+
+
+@pytest.mark.parametrize("body, message", _BAD_RETURNS)
 def test_returns_csv_rejects_bad_input_naming_the_line(tmp_path, body, message):
     path = tmp_path / "r.csv"
     path.write_text(body, encoding="utf-8")
@@ -724,3 +744,250 @@ def test_returns_csv_writer_bytes_match_on_loaded_panel(tmp_path):
     save_returns_csv(loaded, got)
     _reference_save_returns_csv(loaded, want)
     assert got.read_bytes() == want.read_bytes() == first.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The panel cache beside the returns file
+
+# ids the csv module must quote, or that numpy's string arrays would change
+_ODD_IDS = ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", "trailing ", "é",
+            "株式会社", "nul\x00", "\x00"]
+
+
+def _parse(path):
+    """A fresh parse of the returns file, bypassing the cache."""
+    with open(path, "rb", buffering=0) as raw:
+        return similarity._parse_returns(raw, path)
+
+
+def _assert_same_panel(got, want):
+    assert got.ids == want.ids
+    assert all(type(i) is str for i in got.ids + got.dates)
+    assert got.dates == want.dates
+    assert got.values.dtype == want.values.dtype == np.float64
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.mask.dtype == want.mask.dtype == bool
+    assert np.array_equal(got.mask, want.mask)
+
+
+def _load_logging(path, caplog):
+    """Load ``path``; returns the panel and the one line the load logged."""
+    caplog.clear()
+    with caplog.at_level("INFO", logger="companysim.similarity"):
+        panel = load_returns_csv(path)
+    [line] = [r.getMessage() for r in caplog.records
+              if r.name == "companysim.similarity"]
+    return panel, line
+
+
+def _sidecar(path):
+    return path.parent / f"{path.name}.panel.npz"
+
+
+def test_cache_hit_gives_the_panel_a_parse_gives(tmp_path, caplog):
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        series = _gappy_series(rng, int(rng.integers(4, 20)), min_overlap=20)
+        # the first companies take the odd ids
+        series = dict(zip(_ODD_IDS + list(series)[len(_ODD_IDS):], series.values()))
+        series["no_returns"] = {}  # not in the file, so not in the panel
+        path = tmp_path / f"r{seed}.csv"
+        # csv.writer's own "\r\n" line end, so that "\r" in an id gets quoted
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["company_id", "date", "return"])
+            writer.writerows([c, d, repr(v)] for c, obs in series.items()
+                             for d, v in obs.items())
+        first, line = _load_logging(path, caplog)
+        assert line == (f"returns {path}: parsed (no cache) and cached to "
+                        f"{_sidecar(path)}")
+        hit, line = _load_logging(path, caplog)
+        assert line == f"returns {path}: cache hit, panel read from {_sidecar(path)}"
+        fresh = _parse(path)
+        _assert_same_panel(first, fresh)
+        _assert_same_panel(hit, fresh)
+        assert hit.ids == sorted(c for c, obs in series.items() if obs)
+        assert set(_ODD_IDS) < set(hit.ids)
+        assert hit.series == first.series
+
+
+def test_csv_edited_in_place_after_caching_is_parsed_again(tmp_path, caplog):
+    path = tmp_path / "r.csv"
+    path.write_text("company_id,date,return\na,2020-01-02,0.25\nb,2020-01-02,0.5\n")
+    load_returns_csv(path)
+    size = path.stat().st_size
+    path.write_text("company_id,date,return\na,2020-01-02,0.75\nb,2020-01-02,0.5\n")
+    assert path.stat().st_size == size
+    panel, line = _load_logging(path, caplog)
+    assert line == (f"returns {path}: parsed (a cache of other contents) and "
+                    f"cached to {_sidecar(path)}")
+    assert panel.values.tolist() == [[0.75], [0.5]]
+    assert _load_logging(path, caplog)[0].values.tolist() == [[0.75], [0.5]]
+
+
+def test_cache_key_is_the_digest_of_the_bytes_parsed(tmp_path, monkeypatch, caplog):
+    path = tmp_path / "r.csv"
+    before = "company_id,date,return\na,2020-01-02,0.25\n"
+    during = "company_id,date,return\na,2020-01-02,0.75\n"
+    path.write_text(during)
+    load_returns_csv(path)
+    path.write_text(before)
+    parse = similarity._parse_returns
+
+    def edit_then_parse(raw, name):  # the file changes after it was hashed
+        path.write_text(during)
+        return parse(raw, name)
+
+    monkeypatch.setattr(similarity, "_parse_returns", edit_then_parse)
+    assert load_returns_csv(path).values.tolist() == [[0.75]]
+    monkeypatch.undo()
+    with np.load(_sidecar(path), allow_pickle=False) as cached:
+        assert cached["sha256"].tobytes() == hashlib.sha256(during.encode()).digest()
+    path.write_text(before)
+    panel, line = _load_logging(path, caplog)
+    assert line.startswith(f"returns {path}: parsed (a cache of other contents)")
+    assert panel.values.tolist() == [[0.25]]
+
+
+def _rewrite_cache(sidecar, **changes):
+    """Write ``sidecar`` again with some arrays replaced (None drops one)."""
+    with np.load(sidecar, allow_pickle=False) as cached:
+        arrays = {name: cached[name] for name in cached.files}
+    for name, value in changes.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    np.savez(sidecar, **arrays)
+
+
+def _packed(name, texts):
+    """The two arrays that hold ``texts`` as cached ids or dates."""
+    blob, lengths = similarity._pack_texts(texts)
+    return {name: blob, f"{name[:-1]}_lengths": lengths}
+
+
+def _npy_at(sidecar, array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    sidecar.write_bytes(buffer.getvalue())
+
+
+def _set_first(array, value):
+    array = array.copy()
+    array.flat[0] = value
+    return array
+
+
+_CORRUPT_CACHES = {
+    "truncated": lambda sidecar, panel: sidecar.write_bytes(
+        sidecar.read_bytes()[: sidecar.stat().st_size // 2]),
+    "empty": lambda sidecar, panel: sidecar.write_bytes(b""),
+    "an npy file": lambda sidecar, panel: _npy_at(sidecar, panel.values),
+    "wrong version": lambda sidecar, panel: _rewrite_cache(
+        sidecar, version=np.int64(similarity.PANEL_CACHE_VERSION + 1)),
+    "version of another type": lambda sidecar, panel: _rewrite_cache(
+        sidecar, version=np.float64(similarity.PANEL_CACHE_VERSION)),
+    "missing values": lambda sidecar, panel: _rewrite_cache(sidecar, values=None),
+    "object array": lambda sidecar, panel: _rewrite_cache(
+        sidecar, ids=np.array(panel.ids, dtype=object)),
+    "unsorted ids": lambda sidecar, panel: _rewrite_cache(
+        sidecar, **_packed("ids", panel.ids[::-1])),
+    "repeated date": lambda sidecar, panel: _rewrite_cache(
+        sidecar, **_packed("dates", [panel.dates[0]] + panel.dates[:-1])),
+    "bad date": lambda sidecar, panel: _rewrite_cache(
+        sidecar, **_packed("dates", panel.dates[:-1] + ["2020-02-30"])),
+    "lengths beyond the text": lambda sidecar, panel: _rewrite_cache(
+        sidecar, id_lengths=np.array([1, 100], dtype=np.int64)),
+    "an empty id": lambda sidecar, panel: _rewrite_cache(
+        sidecar, id_lengths=np.array([0, 2], dtype=np.int64)),
+    "non-finite value": lambda sidecar, panel: _rewrite_cache(
+        sidecar, values=_set_first(panel.values, np.nan)),
+    "value where the mask is unset": lambda sidecar, panel: _rewrite_cache(
+        sidecar, values=np.where(panel.mask, panel.values, 1.0)),
+    "negative zero where the mask is unset": lambda sidecar, panel: _rewrite_cache(
+        sidecar, values=np.where(panel.mask, panel.values, -0.0)),
+    "float32 values": lambda sidecar, panel: _rewrite_cache(
+        sidecar, values=panel.values.astype(np.float32)),
+    "big-endian values": lambda sidecar, panel: _rewrite_cache(
+        sidecar, values=panel.values.astype(">f8")),
+    "integer mask": lambda sidecar, panel: _rewrite_cache(
+        sidecar, mask=panel.mask.astype(np.uint8)),
+    "mask byte other than 0 or 1": lambda sidecar, panel: _rewrite_cache(
+        sidecar, mask=(panel.mask.view(np.uint8) * 2).view(bool)),
+    "transposed": lambda sidecar, panel: _rewrite_cache(
+        sidecar, values=panel.values.T.copy(), mask=panel.mask.T.copy()),
+    "fortran order": lambda sidecar, panel: _rewrite_cache(
+        sidecar, values=np.asfortranarray(panel.values)),
+    "no observation": lambda sidecar, panel: _rewrite_cache(
+        sidecar, values=np.zeros_like(panel.values), mask=np.zeros_like(panel.mask)),
+}
+
+
+@pytest.mark.parametrize("corrupt", _CORRUPT_CACHES)
+def test_corrupt_cache_is_ignored_and_replaced(tmp_path, caplog, corrupt):
+    path = tmp_path / "r.csv"
+    path.write_text("company_id,date,return\na,2020-01-02,0.25\n"
+                    "b,2020-01-02,-0.5\nb,2020-01-03,0.125\nb,2020-01-06,2.0\n")
+    sidecar = _sidecar(path)
+    panel = load_returns_csv(path)
+    _CORRUPT_CACHES[corrupt](sidecar, panel)
+    again, line = _load_logging(path, caplog)
+    assert line.startswith(f"returns {path}: parsed (a")
+    assert line.endswith(f") and cached to {sidecar}")
+    _assert_same_panel(again, _parse(path))
+    hit, line = _load_logging(path, caplog)
+    assert line == f"returns {path}: cache hit, panel read from {sidecar}"
+    _assert_same_panel(hit, again)
+
+
+@pytest.mark.parametrize("body, message", _BAD_RETURNS)
+def test_bad_input_still_fails_after_a_valid_version_was_cached(tmp_path, body,
+                                                                message):
+    path = tmp_path / "r.csv"
+    path.write_text("company_id,date,return\na,2020-01-02,0.1\n", encoding="utf-8")
+    load_returns_csv(path)
+    assert _sidecar(path).is_file()
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(DataValidationError, match=message):
+        load_returns_csv(path)
+
+
+def test_failed_cache_write_is_logged_and_the_load_goes_on(tmp_path, caplog):
+    path = tmp_path / "r.csv"
+    path.write_text("company_id,date,return\na,2020-01-02,0.25\n")
+    _sidecar(path).mkdir()
+    panel, line = _load_logging(path, caplog)
+    assert line == (f"returns {path}: parsed (no cache), not cached: "
+                    f"{_sidecar(path)} exists and is not a regular file")
+    assert panel.values.tolist() == [[0.25]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.csv.panel.npz"]
+
+
+_CONCURRENT_LOAD = """
+import sys
+from companysim.similarity import load_returns_csv
+panel = load_returns_csv(sys.argv[1])
+print(len(panel.ids), int(panel.mask.sum()))
+"""
+
+
+def test_concurrent_loads_leave_one_valid_cache(tmp_path, caplog):
+    rng = np.random.default_rng(9)
+    series = _gappy_series(rng, 300, min_overlap=20, per_year=250)
+    path = tmp_path / "r.csv"
+    save_returns_csv(ReturnPanel(series), path)
+    fresh = _parse(path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(similarity.__file__).parent.parent),
+                    os.environ.get("PYTHONPATH")) if p)}
+    workers = [subprocess.Popen([sys.executable, "-c", _CONCURRENT_LOAD, str(path)],
+                                env=env, stdout=subprocess.PIPE, text=True)
+               for _ in range(4)]
+    outputs = [w.communicate(timeout=120)[0] for w in workers]
+    assert [w.returncode for w in workers] == [0] * 4
+    assert set(outputs) == {f"{len(fresh.ids)} {int(fresh.mask.sum())}\n"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.csv.panel.npz"]
+    hit, line = _load_logging(path, caplog)
+    assert line == f"returns {path}: cache hit, panel read from {_sidecar(path)}"
+    _assert_same_panel(hit, fresh)
