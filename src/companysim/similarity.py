@@ -19,7 +19,6 @@ import logging
 import math
 import os
 import stat
-import zipfile
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -328,29 +327,35 @@ def _checked_panel(
     return ReturnPanel.from_arrays(ids, dates, values, mask)
 
 
-def _read_array(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    with archive.open(f"{name}.npy") as f:
-        return np.lib.format.read_array(f, allow_pickle=False)
-
-
 def _cached_panel(sidecar: str, raw) -> tuple[ReturnPanel | None, str]:
     """The panel cached in ``sidecar`` if it was parsed from the bytes
     that ``raw`` holds, under this ``PANEL_CACHE_VERSION``, and passes
-    ``_checked_panel``; else None and why not."""
-    if not os.path.isfile(sidecar):
-        return None, "no cache"
+    ``_checked_panel``; else None and why not. Only a cache owned by this
+    user or by the returns file's owner, and that no group or other user
+    can write, is read: anyone else could have written it."""
     # the cache is outside input: whatever is wrong with it, parse instead
     try:
-        with zipfile.ZipFile(sidecar) as archive:
-            version, sha256 = (_read_array(archive, name)
-                               for name in ("version", "sha256"))
-            if (version.dtype != np.int64 or version.shape != ()
-                    or version != PANEL_CACHE_VERSION):
-                return None, "a cache of another version"
-            if sha256.dtype != np.uint8 or sha256.tobytes() != _sha256(raw):
-                return None, "a cache of other contents"
-            arrays = [_read_array(archive, name) for name in _PANEL_ARRAYS]
+        # non-blocking, so that a FIFO at the cache's path cannot stall the load
+        with open(sidecar, "rb", opener=lambda name, flags: os.open(
+                name, flags | os.O_NONBLOCK)) as f:
+            st = os.fstat(f.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                return None, "no cache"
+            if st.st_uid not in (os.geteuid(), os.fstat(raw.fileno()).st_uid):
+                return None, f"a cache owned by another user (uid {st.st_uid})"
+            if st.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+                return None, "a cache that group or others can write"
+            with np.load(f, allow_pickle=False) as cached:
+                version, sha256 = cached["version"], cached["sha256"]
+                if (version.dtype != np.int64 or version.shape != ()
+                        or version != PANEL_CACHE_VERSION):
+                    return None, "a cache of another version"
+                if sha256.dtype != np.uint8 or sha256.tobytes() != _sha256(raw):
+                    return None, "a cache of other contents"
+                arrays = [cached[name] for name in _PANEL_ARRAYS]
         return _checked_panel(*arrays), "cache hit"
+    except (FileNotFoundError, IsADirectoryError):
+        return None, "no cache"
     except Exception as e:
         return None, f"an unusable cache: {type(e).__name__}: {e}"
 
@@ -365,6 +370,9 @@ def _save_panel_cache(sidecar: str, panel: ReturnPanel, sha256: bytes) -> None:
             ids=ids, id_lengths=id_lengths, dates=dates, date_lengths=date_lengths,
             values=panel.values, mask=panel.mask,
         )
+        # whatever the umask, a cache others can write is never read back
+        mode = stat.S_IMODE(os.fstat(f.fileno()).st_mode)
+        os.fchmod(f.fileno(), mode & ~(stat.S_IWGRP | stat.S_IWOTH))
 
 
 def _csv_fields(texts: Sequence[str]) -> list[str]:

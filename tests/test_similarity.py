@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -941,6 +942,72 @@ def test_corrupt_cache_is_ignored_and_replaced(tmp_path, caplog, corrupt):
     _assert_same_panel(hit, again)
 
 
+def _forged_cache(path):
+    """Cache ``path``'s panel, then rewrite the cache to hold other values
+    under the same digest, readable as a valid cache. Returns the panel."""
+    panel = load_returns_csv(path)
+    _rewrite_cache(_sidecar(path), values=panel.values * 2)
+    _sidecar(path).chmod(0o644)
+    forged = load_returns_csv(path)
+    assert forged.values.tobytes() == (panel.values * 2).tobytes()
+    return panel
+
+
+def _needs_root(reason):
+    if "owned by another user" in reason and os.geteuid() != 0:
+        pytest.skip("only root can give a file to another user")
+
+
+@pytest.mark.parametrize("untrust, reason", [
+    (lambda sidecar: os.chown(sidecar, 4242, -1),
+     "a cache owned by another user (uid 4242)"),
+    (lambda sidecar: sidecar.chmod(0o664), "a cache that group or others can write"),
+    (lambda sidecar: sidecar.chmod(0o646), "a cache that group or others can write"),
+], ids=["another owner", "group-writable", "other-writable"])
+def test_cache_another_user_could_write_is_ignored_and_replaced(tmp_path, caplog,
+                                                                untrust, reason):
+    _needs_root(reason)
+    path = tmp_path / "r.csv"
+    path.write_text("company_id,date,return\na,2020-01-02,0.25\n"
+                    "b,2020-01-02,-0.5\nb,2020-01-03,0.125\n")
+    sidecar = _sidecar(path)
+    panel = _forged_cache(path)
+    untrust(sidecar)
+    again, line = _load_logging(path, caplog)
+    assert line == f"returns {path}: parsed ({reason}) and cached to {sidecar}"
+    _assert_same_panel(again, panel)
+    assert sidecar.stat().st_uid == os.geteuid()
+    assert not sidecar.stat().st_mode & 0o022
+    hit, line = _load_logging(path, caplog)
+    assert line == f"returns {path}: cache hit, panel read from {sidecar}"
+    _assert_same_panel(hit, panel)
+
+
+def test_cache_owned_by_the_returns_files_owner_is_read(tmp_path, caplog):
+    _needs_root("owned by another user")
+    path = tmp_path / "r.csv"
+    path.write_text("company_id,date,return\na,2020-01-02,0.25\n")
+    panel = load_returns_csv(path)
+    os.chown(path, 4242, -1)
+    os.chown(_sidecar(path), 4242, -1)
+    hit, line = _load_logging(path, caplog)
+    assert line == f"returns {path}: cache hit, panel read from {_sidecar(path)}"
+    _assert_same_panel(hit, panel)
+
+
+def test_cache_is_written_that_only_its_owner_can_write(tmp_path, caplog):
+    path = tmp_path / "r.csv"
+    path.write_text("company_id,date,return\na,2020-01-02,0.25\n")
+    umask = os.umask(0o002)
+    try:
+        load_returns_csv(path)
+    finally:
+        os.umask(umask)
+    assert not _sidecar(path).stat().st_mode & 0o022
+    _, line = _load_logging(path, caplog)
+    assert line == f"returns {path}: cache hit, panel read from {_sidecar(path)}"
+
+
 @pytest.mark.parametrize("body, message", _BAD_RETURNS)
 def test_bad_input_still_fails_after_a_valid_version_was_cached(tmp_path, body,
                                                                 message):
@@ -972,17 +1039,33 @@ print(len(panel.ids), int(panel.mask.sum()))
 """
 
 
+def _package_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(similarity.__file__).parent.parent),
+                    os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_fifo_at_the_cache_path_does_not_stall_the_load(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("company_id,date,return\na,2020-01-02,0.25\n")
+    os.mkfifo(_sidecar(path))
+    # in a child process, so that a load blocked on the FIFO fails the test
+    done = subprocess.run([sys.executable, "-c", _CONCURRENT_LOAD, str(path)],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "1 1\n"
+    assert stat.S_ISFIFO(os.stat(_sidecar(path)).st_mode)
+
+
 def test_concurrent_loads_leave_one_valid_cache(tmp_path, caplog):
     rng = np.random.default_rng(9)
     series = _gappy_series(rng, 300, min_overlap=20, per_year=250)
     path = tmp_path / "r.csv"
     save_returns_csv(ReturnPanel(series), path)
     fresh = _parse(path)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(Path(similarity.__file__).parent.parent),
-                    os.environ.get("PYTHONPATH")) if p)}
     workers = [subprocess.Popen([sys.executable, "-c", _CONCURRENT_LOAD, str(path)],
-                                env=env, stdout=subprocess.PIPE, text=True)
+                                env=_package_env(), stdout=subprocess.PIPE, text=True)
                for _ in range(4)]
     outputs = [w.communicate(timeout=120)[0] for w in workers]
     assert [w.returncode for w in workers] == [0] * 4
