@@ -13,6 +13,10 @@ Conventions shared by every subcommand:
   that exists and is not a regular file (a FIFO, a directory) are refused
   with exit 2, and a SIGKILL can leave an output's ``<name>.<pid>.tmp``
   behind,
+* each stage's inputs (an embedding cache, a corpus with its hierarchy, a
+  returns file, a cluster assignment) are declared with its flags in
+  ``STAGES`` and opened by ``main`` in the declared order before the stage
+  computes anything, so a stage that fails on an input writes no output,
 * exit codes: 0 success, 1 usage/config error, 2 data error (an input file
   that is not UTF-8 included), 3 computation or provider error.
 """
@@ -24,9 +28,10 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,7 +81,7 @@ from .errors import (
     ProviderError,
 )
 from .filings import extract_item1
-from .outputs import replacing, write_json, write_rows
+from .outputs import csv_writer, replacing, write_json, write_rows
 from .providers import HashBowProvider, RemoteProvider, TfidfProvider
 from .similarity import (
     avg_peer_correlation,
@@ -139,19 +144,37 @@ def _build_provider(cfg: RunConfig, documents: Sequence[tuple[str, list[list[str
     )
 
 
-def _has_gics_inputs(args) -> bool:
-    """Whether ``--corpus`` and ``--hierarchy`` were both given; either one
-    alone is a ConfigError naming the missing flag."""
-    for given, missing in (("corpus", "hierarchy"), ("hierarchy", "corpus")):
-        if getattr(args, given) and not getattr(args, missing):
-            raise ConfigError(f"--{given} needs --{missing}")
-    return bool(args.corpus)
+@dataclass(frozen=True)
+class Input:
+    """A kind of input file: the flags that name it, whether they are
+    required, and how ``main`` opens it from the parsed arguments."""
+    flags: tuple[str, ...]
+    load: Callable[[argparse.Namespace], object]
+    required: bool = True
 
 
-def _say(args, message: str) -> None:
-    # status lines respect --quiet; file outputs never go through here
-    if not getattr(args, "quiet", False):
-        print(message)
+def _corpus(args):
+    # None when an optional --corpus/--hierarchy pair was left out
+    return load_corpus(args.corpus, args.hierarchy) if args.corpus else None
+
+
+# Each loader looks its function up when it runs, so a wrapper installed
+# after import (a tracer, a test's call counter) sees the call.
+CACHE = Input(("--cache",), lambda args: cache_io.load_cache(args.cache))
+CORPUS = Input(("--corpus", "--hierarchy"), _corpus)
+GICS = Input(CORPUS.flags, _corpus, required=False)  # the pair, when given
+RETURNS = Input(("--returns",), lambda args: load_returns_csv(args.returns))
+ASSIGNMENT = Input(("--assignment",), lambda args: load_assignment(args.assignment))
+
+
+def _check_flags(args) -> None:
+    """The rules between flags, checked before any input is opened."""
+    if hasattr(args, "corpus"):
+        for given, missing in (("corpus", "hierarchy"), ("hierarchy", "corpus")):
+            if getattr(args, given) and not getattr(args, missing):
+                raise ConfigError(f"--{given} needs --{missing}")
+    if getattr(args, "sweep_out", None) and not args.corpus:
+        raise ConfigError("--sweep-out needs --corpus and --hierarchy")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +211,7 @@ def _labelled_filings(labels, filings_dir: Path, mode: str, min_chars: int):
         }
 
 
-def cmd_ingest(args, cfg: RunConfig) -> int:
+def cmd_ingest(args, cfg: RunConfig) -> str:
     hierarchy = GicsHierarchy.from_csv(args.hierarchy)
     with open(args.labels, "r", encoding="utf-8", newline="") as f:
         # the records load_corpus accepts, so the next stage reads them back
@@ -198,20 +221,16 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
         )
     save_corpus(corpus, args.out)
     logger.info("ingested %d companies into %s", len(corpus), args.out)
-    _say(args, f"ingested {len(corpus)} companies -> {args.out}")
-    return 0
+    return f"ingested {len(corpus)} companies -> {args.out}"
 
 
-def cmd_pairs(args, cfg: RunConfig) -> int:
-    corpus = load_corpus(args.corpus, args.hierarchy)
+def cmd_pairs(args, cfg: RunConfig, corpus) -> str:
     pairs = generate_finetune_pairs(corpus, seed=cfg.seed)
     save_pairs(pairs, args.out)
-    _say(args, f"wrote {len(pairs)} pairs -> {args.out}")
-    return 0
+    return f"wrote {len(pairs)} pairs -> {args.out}"
 
 
-def cmd_embed(args, cfg: RunConfig) -> int:
-    corpus = load_corpus(args.corpus, args.hierarchy)
+def cmd_embed(args, cfg: RunConfig, corpus) -> str:
     chunking = _chunking(cfg)
     # A TF-IDF fit depends on every document it reads, so a fitted provider
     # always embeds the whole corpus and a resume replaces its cache: one
@@ -240,15 +259,11 @@ def cmd_embed(args, cfg: RunConfig) -> int:
         cache_io.save_cache(matrix, args.out)
     if args.export_jsonl:
         cache_io.export_jsonl(matrix, args.export_jsonl)
-    _say(args,
-         f"embedded {len(matrix)} companies "
-         f"(provider={matrix.provider_id}, dim={matrix.dimension}) -> {args.out}")
-    return 0
+    return (f"embedded {len(matrix)} companies "
+            f"(provider={matrix.provider_id}, dim={matrix.dimension}) -> {args.out}")
 
 
-def cmd_classify(args, cfg: RunConfig) -> int:
-    corpus = load_corpus(args.corpus, args.hierarchy)
-    matrix = cache_io.load_cache(args.cache)
+def cmd_classify(args, cfg: RunConfig, corpus, matrix: EmbeddingMatrix) -> str:
     common = [i for i in corpus.ids() if i in matrix]
     if len(common) < 2:
         raise DataValidationError("cache and corpus share fewer than 2 companies")
@@ -294,7 +309,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         with replacing(path) as f:
             table = path.read_bytes() if path.exists() else b""
             f.buffer.write(table)  # before any text, so it comes first
-            writer = csv.writer(f, lineterminator="\n")
+            writer = csv_writer(f)
             if not table:
                 writer.writerow(header)
             writer.writerow([
@@ -302,17 +317,12 @@ def cmd_classify(args, cfg: RunConfig) -> int:
                 f"{report.accuracy:.8f}", f"{report.micro_f1:.8f}",
                 f"{report.weighted_f1:.8f}", report.n_examples,
             ])
-    _say(args,
-         f"classify level={cfg.classify.level}: accuracy={report.accuracy:.4f} "
-         f"micro_f1={report.micro_f1:.4f} weighted_f1={report.weighted_f1:.4f} "
-         f"on {report.n_examples} held-out companies")
-    return 0
+    return (f"classify level={cfg.classify.level}: accuracy={report.accuracy:.4f} "
+            f"micro_f1={report.micro_f1:.4f} weighted_f1={report.weighted_f1:.4f} "
+            f"on {report.n_examples} held-out companies")
 
 
-def cmd_peers(args, cfg: RunConfig) -> int:
-    with_gics = _has_gics_inputs(args)
-    matrix = cache_io.load_cache(args.cache)
-    panel = load_returns_csv(args.returns)
+def cmd_peers(args, cfg: RunConfig, matrix: EmbeddingMatrix, panel, corpus) -> str:
     years = list(cfg.peers.years) if cfg.peers.years is not None else None
     report = avg_peer_correlation(
         matrix, panel, k=cfg.peers.k, years=years,
@@ -324,8 +334,8 @@ def cmd_peers(args, cfg: RunConfig) -> int:
         "baseline": None,
         "margin": None,
     }
-    if with_gics:
-        corpus = load_corpus(args.corpus, args.hierarchy)
+    methods = [("embedding", report)]
+    if corpus is not None:
         level_labels = corpus.gics_labels(cfg.peers.baseline_level)
         labels = {i: level_labels[i] for i in corpus.ids() if i in matrix}
         baseline = gics_baseline_correlation(
@@ -333,6 +343,7 @@ def cmd_peers(args, cfg: RunConfig) -> int:
         )
         payload["baseline"] = baseline.to_dict()
         payload["margin"] = report.rho_bar - baseline.rho_bar
+        methods.append((f"gics-{cfg.peers.baseline_level}", baseline))
     write_json(args.out, payload)
     if args.top_out:
         write_rows(args.top_out, ["company_id", "rank", "peer_id", "similarity"], (
@@ -341,9 +352,6 @@ def cmd_peers(args, cfg: RunConfig) -> int:
             for rank, (peer, sim) in enumerate(peers, start=1)
         ))
     if args.csv_out:
-        methods = [("embedding", report)]
-        if payload["baseline"] is not None:
-            methods.append((f"gics-{cfg.peers.baseline_level}", baseline))
         write_rows(args.csv_out, ["method", "k", "rho_bar", "n_companies", "n_years"], (
             [method, rep.k if rep.k is not None else "dynamic",
              f"{rep.rho_bar:.8f}", rep.n_companies, len(rep.years)]
@@ -356,8 +364,7 @@ def cmd_peers(args, cfg: RunConfig) -> int:
             f"{payload['baseline']['rho_bar']:.4f} "
             f"(margin {payload['margin']:+.4f})"
         )
-    _say(args, msg)
-    return 0
+    return msg
 
 
 def _reduced_features(matrix: EmbeddingMatrix, cfg: RunConfig) -> np.ndarray:
@@ -370,11 +377,7 @@ def _reduced_features(matrix: EmbeddingMatrix, cfg: RunConfig) -> np.ndarray:
     )
 
 
-def cmd_cluster(args, cfg: RunConfig) -> int:
-    with_gics = _has_gics_inputs(args)
-    if args.sweep_out and not with_gics:
-        raise ConfigError("--sweep-out needs --corpus and --hierarchy")
-    matrix = cache_io.load_cache(args.cache)
+def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
     c = cfg.cluster
     X = _reduced_features(matrix, cfg)
     meta: dict = {"reduce_method": c.reduce_method}
@@ -393,12 +396,10 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
         )
         labels = result.labels
         meta.update(inertia=result.inertia, n_neighbors=c.n_neighbors)
-    elif c.method == "random":
+    else:  # "random": the config allows no other method
         labels = random_cluster_assignment(
             matrix.ids, c.n_clusters, seed=cfg.seed
         ).labels
-    else:
-        raise ConfigError(f"unknown cluster method {c.method!r}")
     assignment = ClusterAssignment(
         ids=matrix.ids,
         labels=labels,
@@ -413,8 +414,7 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
         "meta": {k: v for k, v in meta.items() if v is not None},
         "quality": None,
     }
-    if with_gics:
-        corpus = load_corpus(args.corpus, args.hierarchy)
+    if corpus is not None:
         level_labels = corpus.gics_labels(args.labels_level)
         aligned = [level_labels[i] for i in matrix.ids if i in level_labels]
         predicted = [
@@ -425,6 +425,7 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
         quality_payload["labels_level"] = args.labels_level
     if args.quality_out:
         write_json(args.quality_out, quality_payload)
+    lines = []
     if args.sweep_out:
         keep = [i for i in matrix.ids if i in level_labels]
         sub = matrix.subset(keep)
@@ -436,7 +437,7 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
             n_neighbors=c.n_neighbors,
         )
         save_sweep_csv(rows, args.sweep_out)
-        _say(args, f"swept {len(rows)} cluster settings -> {args.sweep_out}")
+        lines.append(f"swept {len(rows)} cluster settings -> {args.sweep_out}")
     line = f"cluster method={c.method} k={c.n_clusters} -> {args.out}"
     if quality_payload["quality"]:
         q = quality_payload["quality"]
@@ -445,13 +446,10 @@ def cmd_cluster(args, cfg: RunConfig) -> int:
             f" completeness={q['completeness']:.4f}"
             f" v={q['v_measure']:.4f})"
         )
-    _say(args, line)
-    return 0
+    return "\n".join([*lines, line])
 
 
-def cmd_attribute(args, cfg: RunConfig) -> int:
-    assignment = load_assignment(args.assignment)
-    panel = load_returns_csv(args.returns)
+def cmd_attribute(args, cfg: RunConfig, assignment: ClusterAssignment, panel) -> str:
     monthly = monthly_cumulative_returns(panel, cfg.attribution.min_month_obs)
     report = attribution_metric(
         monthly, assignment,
@@ -487,12 +485,10 @@ def cmd_attribute(args, cfg: RunConfig) -> int:
             f" vs random {payload['random_baseline']['avg_r_squared']:.4f} "
             f"(margin {payload['margin']:+.4f})"
         )
-    _say(args, msg)
-    return 0
+    return msg
 
 
-def cmd_project(args, cfg: RunConfig) -> int:
-    matrix = cache_io.load_cache(args.cache)
+def cmd_project(args, cfg: RunConfig, matrix: EmbeddingMatrix) -> str:
     coords = reduce_dims(
         matrix.matrix,
         args.components,
@@ -503,14 +499,10 @@ def cmd_project(args, cfg: RunConfig) -> int:
         [company_id] + [repr(float(v)) for v in row]
         for company_id, row in zip(matrix.ids, coords)
     ))
-    _say(args, f"projected {len(matrix)} companies to "
-              f"{coords.shape[1]}d -> {args.out}")
-    return 0
+    return f"projected {len(matrix)} companies to {coords.shape[1]}d -> {args.out}"
 
 
-def cmd_outliers(args, cfg: RunConfig) -> int:
-    matrix = cache_io.load_cache(args.cache)
-    corpus = load_corpus(args.corpus, args.hierarchy)
+def cmd_outliers(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
     sectors = corpus.gics_labels("sector")
     scores = sector_outlier_scores(matrix, sectors)
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -518,9 +510,7 @@ def cmd_outliers(args, cfg: RunConfig) -> int:
         [company_id, sectors[company_id], f"{score:.8f}"]
         for company_id, score in ranked
     ))
-    _say(args, f"ranked {len(ranked)} companies by sector outlier score "
-              f"-> {args.out}")
-    return 0
+    return f"ranked {len(ranked)} companies by sector outlier score -> {args.out}"
 
 
 def _classify_section(data: dict) -> str:
@@ -584,7 +574,7 @@ def _section(path: str, render) -> str:
         raise DataValidationError(f"{path} has unexpected content: {e}") from None
 
 
-def cmd_report(args, cfg: RunConfig) -> int:
+def cmd_report(args, cfg: RunConfig) -> str:
     sections = [
         _section(path, render)
         for path, render in ((args.classify, _classify_section),
@@ -599,12 +589,91 @@ def cmd_report(args, cfg: RunConfig) -> int:
     text = "company embedding evaluation\n\n" + "\n".join(sections)
     with replacing(args.out) as f:
         f.write(text)
-    _say(args, f"wrote summary -> {args.out}")
-    return 0
+    return f"wrote summary -> {args.out}"
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A subcommand: its help line, its body, and its flags in the order
+    ``--help`` lists them, where an ``Input`` stands for that input's flags.
+    ``main`` opens the inputs in the order the flags name them, or in
+    ``load_order`` when given, and passes them to ``run`` in that order
+    after ``args`` and the config; ``run`` returns the stage's status line."""
+    name: str
+    help: str
+    run: Callable[..., str]
+    flags: tuple
+    load_order: tuple[Input, ...] = ()
+
+    @property
+    def inputs(self) -> tuple[Input, ...]:
+        return self.load_order or tuple(f for f in self.flags if isinstance(f, Input))
+
+
+def _flag(name: str, **kwargs) -> tuple[str, dict]:
+    """A stage's own flag: ``(name, keyword arguments of add_argument)``."""
+    return name, kwargs
+
+
+OUT = _flag("--out", required=True)
+
+STAGES = (
+    Stage("ingest", "build a corpus from filing text files", cmd_ingest, (
+        _flag("--filings-dir", required=True),
+        _flag("--labels", required=True, help="CSV of company labels"),
+        _flag("--hierarchy", required=True),
+        OUT,
+        _flag("--mode", choices=["extract", "plain"], default="extract"),
+        _flag("--min-chars", type=int, default=200),
+    )),
+    Stage("pairs", "emit balanced finetuning pairs", cmd_pairs, (CORPUS, OUT)),
+    Stage("embed", "embed the corpus into a cache file", cmd_embed, (
+        CORPUS, OUT,
+        _flag("--resume", action="store_true",
+              help="only embed companies missing from the cache"),
+        _flag("--export-jsonl"),
+    )),
+    Stage("classify", "train/evaluate the GICS classifier", cmd_classify, (
+        CACHE, CORPUS,
+        _flag("--model-out", required=True),
+        _flag("--report-out", required=True),
+        _flag("--text-report"),
+        _flag("--soft-out", help="JSONL of per-company class probabilities"),
+        _flag("--csv-report", help="append a one-line CSV summary of this run"),
+    ), load_order=(CORPUS, CACHE)),
+    Stage("peers", "score top-k peers against returns", cmd_peers, (
+        CACHE, RETURNS, OUT, GICS,
+        _flag("--top-out"),
+        _flag("--csv-out", help="CSV with one row per method (embedding + baseline)"),
+    )),
+    Stage("cluster", "cluster embeddings", cmd_cluster, (
+        CACHE, OUT,
+        _flag("--quality-out"),
+        GICS,
+        _flag("--labels-level", default="sector", choices=GICS_LEVELS),
+        _flag("--sweep-out", help="CSV grid over methods, cluster counts, and PCA "
+                                  "dims (needs --corpus/--hierarchy)"),
+    )),
+    Stage("attribute", "explain monthly returns with clusters", cmd_attribute, (
+        ASSIGNMENT, RETURNS, OUT,
+        _flag("--random-baseline", action="store_true"),
+        _flag("--csv-out", help="per-month CSV with R2, adjusted R2, and counts"),
+    )),
+    Stage("project", "2d/low-d coordinates for plotting", cmd_project, (
+        CACHE, OUT,
+        _flag("--method", choices=["pca", "spectral"], default="pca"),
+        _flag("--components", type=int, default=2),
+    )),
+    Stage("outliers", "rank companies far from their sector", cmd_outliers,
+          (CACHE, CORPUS, OUT)),
+    Stage("report", "summarize previous JSON outputs", cmd_report, (
+        _flag("--classify"), _flag("--peers"), _flag("--attribution"), OUT,
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -621,98 +690,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress lines (file outputs unaffected)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="build a corpus from filing text files")
-    p.add_argument("--filings-dir", required=True)
-    p.add_argument("--labels", required=True, help="CSV of company labels")
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["extract", "plain"], default="extract")
-    p.add_argument("--min-chars", type=int, default=200)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("pairs", help="emit balanced finetuning pairs")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pairs)
-
-    p = sub.add_parser("embed", help="embed the corpus into a cache file")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--resume", action="store_true",
-                   help="only embed companies missing from the cache")
-    p.add_argument("--export-jsonl", default=None)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("classify", help="train/evaluate the GICS classifier")
-    p.add_argument("--cache", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--model-out", required=True)
-    p.add_argument("--report-out", required=True)
-    p.add_argument("--text-report", default=None)
-    p.add_argument("--soft-out", default=None,
-                   help="JSONL of per-company class probabilities")
-    p.add_argument("--csv-report", default=None,
-                   help="append a one-line CSV summary of this run")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("peers", help="score top-k peers against returns")
-    p.add_argument("--cache", required=True)
-    p.add_argument("--returns", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--hierarchy", default=None)
-    p.add_argument("--top-out", default=None)
-    p.add_argument("--csv-out", default=None,
-                   help="CSV with one row per method (embedding + baseline)")
-    p.set_defaults(func=cmd_peers)
-
-    p = sub.add_parser("cluster", help="cluster embeddings")
-    p.add_argument("--cache", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--quality-out", default=None)
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--hierarchy", default=None)
-    p.add_argument("--labels-level", default="sector",
-                   choices=GICS_LEVELS)
-    p.add_argument("--sweep-out", default=None,
-                   help="CSV grid over methods, cluster counts, and PCA dims "
-                        "(needs --corpus/--hierarchy)")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("attribute", help="explain monthly returns with clusters")
-    p.add_argument("--assignment", required=True)
-    p.add_argument("--returns", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--random-baseline", action="store_true")
-    p.add_argument("--csv-out", default=None,
-                   help="per-month CSV with R2, adjusted R2, and counts")
-    p.set_defaults(func=cmd_attribute)
-
-    p = sub.add_parser("project", help="2d/low-d coordinates for plotting")
-    p.add_argument("--cache", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--method", choices=["pca", "spectral"], default="pca")
-    p.add_argument("--components", type=int, default=2)
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("outliers", help="rank companies far from their sector")
-    p.add_argument("--cache", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_outliers)
-
-    p = sub.add_parser("report", help="summarize previous JSON outputs")
-    p.add_argument("--classify", default=None)
-    p.add_argument("--peers", default=None)
-    p.add_argument("--attribution", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
-
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help)
+        for entry in stage.flags:
+            if isinstance(entry, Input):
+                for name in entry.flags:
+                    p.add_argument(name, required=entry.required)
+            else:
+                p.add_argument(entry[0], **entry[1])
+        p.set_defaults(stage=stage)
     return parser
 
 
@@ -730,7 +716,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         cfg = load_config(args.config)
-        return args.func(args, cfg)
+        _check_flags(args)
+        inputs = [kind.load(args) for kind in args.stage.inputs]
+        status = args.stage.run(args, cfg, *inputs)
+        if not args.quiet:  # status lines only; file outputs are unaffected
+            print(status)
+        return 0
     except ConfigError as e:
         logger.error("config error: %s", e)
         return 1

@@ -9,6 +9,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 
 _SYSTEM_DIRS = ("/dev/", "/proc/")
@@ -51,10 +52,19 @@ def replacing(path: str | Path, binary: bool = False):
         raise
 
 
+def csv_writer(f, lineterminator: str = "\n"):
+    """A ``csv.writer`` on ``f`` whose rows end in ``lineterminator``. It
+    quotes as it does for the line end ``"\\r\\n"``, so a field holding a
+    bare ``\\r`` is quoted too and ``csv.reader`` reads every field back."""
+    # csv.writer hands each whole row, line end included, to one write()
+    rows = SimpleNamespace(write=lambda row: f.write(row[:-2] + lineterminator))
+    return csv.writer(rows, lineterminator="\r\n")
+
+
 def write_rows(path: str | Path, header, rows, lineterminator: str = "\n") -> None:
     """A CSV file: ``header`` and then each of ``rows``."""
     with replacing(path) as f:
-        writer = csv.writer(f, lineterminator=lineterminator)
+        writer = csv_writer(f, lineterminator)
         writer.writerow(header)
         writer.writerows(rows)
 

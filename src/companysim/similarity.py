@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import chain, compress
 from operator import add, ge, itemgetter
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     ZeroVarianceError,
     ZeroVectorError,
 )
-from .outputs import replacing
+from .outputs import csv_writer, replacing
 
 logger = logging.getLogger(__name__)
 
@@ -376,26 +376,19 @@ def _save_panel_cache(sidecar: str, panel: ReturnPanel, sha256: bytes) -> None:
 
 
 def _csv_fields(texts: Sequence[str]) -> list[str]:
-    """Each text as ``csv.writer(lineterminator="\\n")`` writes it as a
-    field. That line terminator must be the file's: it decides whether
-    ``\\r`` and ``\\n`` get quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    fields = []
-    for text in texts:
-        buf.seek(0)
-        buf.truncate()
-        # with a second, empty field an empty text stays unquoted, as in the
-        # file's rows; then strip that field's ",\n"
-        writer.writerow([text, ""])
-        fields.append(buf.getvalue()[:-2])
-    return fields
+    """Each text as ``outputs.csv_writer`` writes it as a field, so that a
+    ``\\r`` or ``\\n`` in it is quoted."""
+    rows: list[str] = []
+    # with a second, empty field an empty text stays unquoted, as in the
+    # file's rows; then strip that field's ",\n"
+    csv_writer(SimpleNamespace(write=rows.append)).writerows([t, ""] for t in texts)
+    return [row[:-2] for row in rows]
 
 
 def save_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
     """Rows ``company_id,date,repr(value)`` for the observed cells, byte for
-    byte as ``csv.writer`` writes them (a float's repr never needs quoting),
-    one write per company."""
+    byte as ``outputs.csv_writer`` writes them (a float's repr never needs
+    quoting), one write per company."""
     dates = [field + "," for field in _csv_fields(panel.dates)]
     with replacing(path) as f:
         f.write(",".join(RETURNS_HEADER) + "\n")

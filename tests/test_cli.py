@@ -439,6 +439,52 @@ def test_an_undecodable_input_is_refused_with_its_exit_code(
     assert "Traceback" not in capsys.readouterr().err + caplog.text
 
 
+def test_cluster_reads_a_given_corpus_before_writing_anything(staged, tmp_path, caplog):
+    shutil.copytree(staged, tmp_path, dirs_exist_ok=True)
+    corpus = tmp_path / "corpus.jsonl"
+    lines = corpus.read_bytes().splitlines(keepends=True)
+    corpus.write_bytes(lines[0] + b"\xff" + b"".join(lines[1:]))
+    assert run("cluster", "--cache", tmp_path / "emb.bin",
+               "--out", tmp_path / "new.csv", "--quality-out", tmp_path / "q.json",
+               "--corpus", corpus, "--hierarchy", tmp_path / "hierarchy.csv") == 2
+    assert "data error:" in caplog.text
+    assert not (tmp_path / "new.csv").exists()
+    assert not (tmp_path / "q.json").exists()
+
+
+# Each case names two missing inputs; the stage reports the one its
+# declaration loads first, and writes nothing.
+LOAD_ORDER = [
+    ("classify", ["--cache", "gone.bin", "--corpus", "gone.jsonl",
+                  "--hierarchy", "hierarchy.csv", "--model-out", "m.json",
+                  "--report-out", "r.json"], "gone.jsonl", "gone.bin"),
+    ("outliers", ["--cache", "gone.bin", "--corpus", "gone.jsonl",
+                  "--hierarchy", "hierarchy.csv", "--out", "o.csv"],
+     "gone.bin", "gone.jsonl"),
+    ("peers", ["--cache", "gone.bin", "--returns", "gone.csv", "--out", "p.json"],
+     "gone.bin", "gone.csv"),
+    ("peers", ["--cache", "emb.bin", "--returns", "gone.csv", "--out", "p.json",
+               "--corpus", "gone.jsonl", "--hierarchy", "hierarchy.csv"],
+     "gone.csv", "gone.jsonl"),
+    ("attribute", ["--assignment", "gone_assign.csv", "--returns", "gone.csv",
+                   "--out", "a.json"], "gone_assign.csv", "gone.csv"),
+]
+
+
+@pytest.mark.parametrize("stage, argv, first, second", LOAD_ORDER,
+                         ids=[f"{c[0]}-{c[2]}" for c in LOAD_ORDER])
+def test_the_first_declared_bad_input_is_reported(staged, tmp_path, caplog,
+                                                  stage, argv, first, second):
+    shutil.copytree(staged, tmp_path, dirs_exist_ok=True)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = [a if a.startswith("--") else tmp_path / a for a in argv]
+    caplog.clear()
+    assert run(stage, *argv) == 2
+    assert f"No such file or directory: '{tmp_path / first}'" in caplog.text
+    assert str(tmp_path / second) not in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_ingest_extracts_sections(workspace, tmp_path):
     filings = tmp_path / "filings"
     filings.mkdir()

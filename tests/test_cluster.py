@@ -22,6 +22,7 @@ from companysim.cluster import (
     pca,
     random_cluster_assignment,
     reduce_dims,
+    save_assignment,
     save_sweep_csv,
     spectral_cluster,
     spectral_embedding,
@@ -682,6 +683,17 @@ def test_load_assignment_rejects_a_repeated_company(tmp_path):
     loaded = load_assignment(path)
     assert loaded.ids == ["a", "b", "c"]
     assert loaded.labels.tolist() == [0, 1, 1]
+
+
+def test_saved_assignment_reads_back_whatever_its_ids_hold(tmp_path):
+    ids = ["cr\rhere", "lf\nhere", "a,b", 'say "hi"', "", "plain"]
+    assignment = ClusterAssignment(ids, np.array([0, 1, 2, 0, 1, 2]), 3, "m")
+    path = tmp_path / "clusters.csv"
+    save_assignment(assignment, path)
+    assert path.read_bytes().startswith(b'company_id,cluster\n"cr\rhere",0\n')
+    loaded = load_assignment(path)
+    assert loaded.ids == ids
+    assert loaded.labels.tolist() == [0, 1, 2, 0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

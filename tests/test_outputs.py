@@ -327,10 +327,13 @@ def test_csv_report_on_a_fifo_is_refused_without_reading_it(ws, tmp_path):
 
 
 def test_write_rows_and_write_json_layouts(tmp_path):
-    write_rows(tmp_path / "a.csv", ["x", "y"], [["1", "a,b"], [2, ""]])
-    assert (tmp_path / "a.csv").read_bytes() == b'x,y\n1,"a,b"\n2,\n'
-    write_rows(tmp_path / "b.csv", ("x",), [["1"]], lineterminator="\r\n")
-    assert (tmp_path / "b.csv").read_bytes() == b"x\r\n1\r\n"
+    # a field holding a line break is quoted whatever the line end
+    write_rows(tmp_path / "a.csv", ["x", "y"],
+               [["1", "a,b"], [2, ""], ["cr\rhere", "lf\nhere"]])
+    assert (tmp_path / "a.csv").read_bytes() == (
+        b'x,y\n1,"a,b"\n2,\n"cr\rhere","lf\nhere"\n')
+    write_rows(tmp_path / "b.csv", ("x",), [["1"], ["cr\rhere"]], lineterminator="\r\n")
+    assert (tmp_path / "b.csv").read_bytes() == b'x\r\n1\r\n"cr\rhere"\r\n'
     write_json(tmp_path / "a.json", {"b": 1, "a": [1]})
     assert (tmp_path / "a.json").read_bytes() == b'{\n  "a": [\n    1\n  ],\n  "b": 1\n}\n'
     write_json(tmp_path / "b.json", {"b": 1, "a": "é"}, indent=None)

@@ -703,14 +703,19 @@ def test_numpy_scalar_returns_round_trip_through_the_csv(tmp_path):
 
 
 def _reference_save_returns_csv(panel, path):
-    """The plain csv.writer form of the returns file, one row at a time."""
+    """The plain csv.writer form of the returns file, one row at a time:
+    quoted as for csv.writer's own "\\r\\n" line end, so that a bare "\\r"
+    is quoted too, and each line ended with "\\n"."""
+    rows = [["company_id", "date", "return"]]
+    for company_id in panel.companies():
+        obs = panel.series[company_id]
+        rows += [[company_id, date, repr(obs[date])] for date in sorted(obs)]
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["company_id", "date", "return"])
-        for company_id in panel.companies():
-            obs = panel.series[company_id]
-            for date in sorted(obs):
-                writer.writerow([company_id, date, repr(obs[date])])
+        for row in rows:
+            line = io.StringIO()
+            csv.writer(line).writerow(row)
+            assert line.getvalue().endswith("\r\n")
+            f.write(line.getvalue()[:-2] + "\n")
 
 
 def test_returns_csv_writer_bytes_match_csv_writer(tmp_path):
@@ -733,6 +738,19 @@ def test_returns_csv_writer_bytes_match_csv_writer(tmp_path):
         save_returns_csv(panel, got)
         _reference_save_returns_csv(panel, want)
         assert got.read_bytes() == want.read_bytes(), series
+
+
+def test_returns_csv_with_a_bare_carriage_return_reads_back(tmp_path):
+    panel = ReturnPanel({"cr\rhere": {"2020-01-02": 0.1, "2020-01-03": -0.2},
+                         "b": {"2020-01-02": 0.2}, "lf\nhere": {"2020-01-03": 0.3}})
+    path = tmp_path / "r.csv"
+    save_returns_csv(panel, path)
+    assert b'"cr\rhere",2020-01-02,0.1\n' in path.read_bytes()
+    loaded = load_returns_csv(path)
+    assert loaded.ids == panel.ids == ["b", "cr\rhere", "lf\nhere"]
+    assert loaded.dates == panel.dates
+    assert np.array_equal(loaded.values, panel.values)
+    assert np.array_equal(loaded.mask, panel.mask)
 
 
 def test_returns_csv_writer_bytes_match_on_loaded_panel(tmp_path):
