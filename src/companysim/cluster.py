@@ -222,16 +222,32 @@ class KMeansResult:
     inertia_history: list[float]
 
 
-def _kmeanspp_init(X: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    X: np.ndarray,
+    n_clusters: int,
+    rng: np.random.Generator,
+    rows: dict[int, np.ndarray],
+) -> np.ndarray:
+    """Row indices of a k-means++ start of ``n_clusters`` centers. Each
+    center takes one draw from ``rng``, so the start for k clusters is the
+    first k of the start for any larger count. ``rows`` memoizes the
+    squared distances from a picked row to every row of X, keyed by its
+    index; share one dict among the starts drawn on one X."""
     n = X.shape[0]
-    centers = np.empty((n_clusters, X.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = X[first]
-    closest = np.sum((X - centers[0]) ** 2, axis=1)
-    for c in range(1, n_clusters):
-        total = float(closest.sum())
-        if not math.isfinite(total):
-            raise ValueError(f"k-means++ distances sum to {total}")
+
+    def dist_row(idx: int) -> np.ndarray:
+        if idx not in rows:
+            rows[idx] = np.sum((X - X[idx]) ** 2, axis=1)
+        return rows[idx]
+
+    picks = [int(rng.integers(n))]
+    closest = dist_row(picks[0])
+    # checked for every count: a later total sums smaller distances, so it
+    # is finite when this one is
+    total = float(closest.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"k-means++ distances sum to {total}")
+    for _ in range(1, n_clusters):
         if total > 0.0:
             # the steps of rng.choice(n, p=closest / total), and its one
             # draw, without its per-call checks of p
@@ -240,9 +256,10 @@ def _kmeanspp_init(X: np.ndarray, n_clusters: int, rng: np.random.Generator) -> 
             idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = int(rng.integers(n))
-        centers[c] = X[idx]
-        closest = np.minimum(closest, np.sum((X - centers[c]) ** 2, axis=1))
-    return centers
+        picks.append(idx)
+        closest = np.minimum(closest, dist_row(idx))
+        total = float(closest.sum())
+    return np.array(picks)
 
 
 def _lloyd(
@@ -277,12 +294,53 @@ def _lloyd(
         if not reseeded and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        # each cluster's members are one contiguous slice, in row order
+        # each cluster's members are one contiguous slice, in row order;
+        # its sum over the count is what .mean(axis=0) computes
         grouped = X[np.argsort(labels, kind="stable")]
-        ends = np.cumsum(counts)
-        for c in np.flatnonzero(counts):
-            centers[c] = grouped[ends[c] - counts[c]:ends[c]].mean(axis=0)
+        end = 0
+        for c, count in enumerate(counts.tolist()):
+            if count:
+                end += count
+                centers[c] = np.add.reduce(grouped[end - count:end], axis=0) / count
     return labels, centers, history[-1], n_iter, history
+
+
+def _kmeans_counts(
+    X: np.ndarray,
+    counts: Sequence[int],
+    seed: int,
+    n_init: int,
+    max_iter: int = 300,
+) -> dict[int, KMeansResult]:
+    """``kmeans(X, k, seed, n_init, max_iter)`` for each k in ``counts``,
+    keyed by k. Each restart draws one k-means++ start, for the largest
+    count, and runs Lloyd from each count's prefix of it: that prefix is
+    the start a run for that count alone would draw."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError(f"X must be a non-empty 2-d array, got shape {X.shape}")
+    for k in counts:
+        if not 1 <= k <= X.shape[0]:
+            raise ConfigError(f"n_clusters must be in [1, {X.shape[0]}], got {k}")
+    if n_init < 1:
+        raise ConfigError(f"n_init must be >= 1, got {n_init}")
+    rows: dict[int, np.ndarray] = {}
+    starts = [
+        _kmeanspp_init(X, max(counts), np.random.default_rng([seed, attempt]), rows)
+        for attempt in range(n_init)
+    ]
+    # freed before Lloyd allocates the results, which outlive this call, so
+    # the memo's heap pages are free for reuse rather than pinned below them
+    del rows
+    best: dict[int, KMeansResult] = {}
+    for start in starts:
+        for k in set(counts):
+            labels, centers, inertia, n_iter, history = _lloyd(
+                X, X[start[:k]], max_iter
+            )
+            if k not in best or inertia < best[k].inertia:
+                best[k] = KMeansResult(labels, centers, inertia, n_iter, history)
+    return best
 
 
 def kmeans(
@@ -293,25 +351,13 @@ def kmeans(
     max_iter: int = 300,
 ) -> KMeansResult:
     """Lloyd's algorithm with k-means++ starts; the best of ``n_init``
-    seeded restarts (lowest inertia, ties to the earliest restart) wins."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError(f"X must be a non-empty 2-d array, got shape {X.shape}")
-    if not 1 <= n_clusters <= X.shape[0]:
-        raise ConfigError(
-            f"n_clusters must be in [1, {X.shape[0]}], got {n_clusters}"
-        )
-    if n_init < 1:
-        raise ConfigError(f"n_init must be >= 1, got {n_init}")
-    best: KMeansResult | None = None
-    for attempt in range(n_init):
-        rng = np.random.default_rng([seed, attempt])
-        centers = _kmeanspp_init(X, n_clusters, rng)
-        labels, centers, inertia, n_iter, history = _lloyd(X, centers, max_iter)
-        if best is None or inertia < best.inertia:
-            best = KMeansResult(labels, centers, inertia, n_iter, history)
-    assert best is not None
-    return best
+    seeded restarts (lowest inertia, ties to the earliest restart) wins.
+    Restart r draws its start from ``default_rng([seed, r])``, one draw per
+    center, so a run for fewer clusters starts from a prefix of the same
+    centers (``cluster_sweep`` shares the starts across its counts this
+    way). A non-finite row of X, or squared distances that overflow,
+    raise ``ValueError`` for every count."""
+    return _kmeans_counts(X, [n_clusters], seed, n_init, max_iter)[n_clusters]
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +418,16 @@ def agglomerative(
     lower triangle is a copy of the upper). A merged cluster keeps the
     matrix slot of its smallest member, which is therefore its name; the
     Lance-Williams update rewrites that slot's row and column, and the
-    other slot's row and column become +inf. Memory is one n x n float64
-    matrix, O(n^2); time is one O(n^2) scan per merge, O(n^3) in all.
+    other slot's row and column become +inf.
+
+    The scan for that minimum reads a cache of each row's first minimum
+    (Muellner's generic algorithm, arXiv:1109.2378, without its priority
+    queue): the matrix's first minimum is the cached one of the first row
+    with the smallest. A merge rescans the merged row and the rows whose
+    cached minimum sat in one of the two merged columns; every other row
+    only compares its cache with the merged column. Memory is one n x n
+    float64 matrix, O(n^2); time is O(n) per merge plus O(n) per rescanned
+    row, O(n^3) only when every merge rescans most rows.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -383,9 +437,12 @@ def agglomerative(
         raise ConfigError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     dist = _initial_distances(X, linkage, metric)
     sizes = np.ones(n, dtype=np.int64)
+    rowarg = np.argmin(dist, axis=1)
+    rowmin = dist[np.arange(n), rowarg]
     merges: list[tuple[int, int, float]] = []
     for _ in range(n - n_clusters):
-        i, j = divmod(int(np.argmin(dist)), n)
+        i = int(np.argmin(rowmin))
+        j = int(rowarg[i])
         cost = dist[i, j]
         if not np.isfinite(cost):
             raise ComputationError(f"non-finite linkage distance {cost}")
@@ -405,6 +462,16 @@ def agglomerative(
         dist[:, j] = np.inf
         sizes[i] = ni + nj
         merges.append((i, j, float(cost)))
+        # rescan the rows whose cached minimum sat in column i or j, row i
+        # among them; any other row changed only in column i
+        rescan = np.flatnonzero((rowarg == i) | (rowarg == j))
+        fresh = (row < rowmin) | ((row == rowmin) & (i < rowarg))
+        rowmin[fresh] = row[fresh]
+        rowarg[fresh] = i
+        rowarg[rescan] = np.argmin(dist[rescan], axis=1)
+        rowmin[rescan] = dist[rescan, rowarg[rescan]]
+        # a dead row matches no column again
+        rowmin[j], rowarg[j] = np.inf, -1
     return _cut(merges, n, n_clusters), merges
 
 
@@ -562,6 +629,12 @@ def cluster_sweep(
     dimensions than the feature rank, spectral with no more points than
     ``n_neighbors``) are skipped rather than failed, so one sweep call
     works on any universe size.
+
+    Per reduced dimension, k-means draws each restart's k-means++ start
+    once, for the largest count, and each count runs Lloyd from its
+    leading centers, which are the start ``kmeans`` at that count draws;
+    agglomerative builds one merge history and cuts it at each count.
+    Every row equals the one a separate run per count gives.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != len(reference_labels):
@@ -585,6 +658,9 @@ def cluster_sweep(
                 continue
         valid = [count for count in cluster_counts if count <= X.shape[0]]
         for method in methods:
+            # one k-means++ start per restart; each count takes its prefix
+            if method == "kmeans" and valid:
+                fits = _kmeans_counts(reduced, valid, seed, n_init)
             # one merge history, cut at each count
             if method == "agglomerative" and valid:
                 _, merges = agglomerative(reduced, min(valid))
@@ -600,8 +676,7 @@ def cluster_sweep(
                     continue
             for count in valid:
                 if method == "kmeans":
-                    labels = kmeans(reduced, count, seed=seed,
-                                    n_init=n_init).labels
+                    labels = fits[count].labels
                 elif method == "agglomerative":
                     labels = _cut(merges, X.shape[0], count)
                 elif method == "spectral":

@@ -6,8 +6,10 @@ import pytest
 
 from companysim.cluster import (
     ClusterAssignment,
+    KMeansResult,
     _cut,
     _initial_distances,
+    _kmeans_counts,
     _kmeanspp_init,
     _lloyd,
     _normalized_laplacian,
@@ -216,7 +218,7 @@ def test_lloyd_equals_reference_loop(seed):
         X = rng.normal(size=(4, d))[rng.integers(0, 4, size=n)]
     k = int(rng.integers(1, n + 1))
     # k-means++ starts, then starts far from the data that empty clusters
-    _assert_lloyd_equals_reference(X, _kmeanspp_init(X, k, rng))
+    _assert_lloyd_equals_reference(X, X[_kmeanspp_init(X, k, rng, {})])
     far = X[rng.integers(0, n, size=k)] + 50.0 * rng.normal(size=(k, d))
     far[0] = X[0]
     _assert_lloyd_equals_reference(X, far)
@@ -250,7 +252,7 @@ def test_kmeanspp_init_draws_what_generator_choice_draws():
             X = data.normal(size=(n, d)) * 10.0 ** data.integers(-3, 4)
         k = int(data.integers(1, n + 1))
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        centers = _kmeanspp_init(X, k, rng)
+        centers = X[_kmeanspp_init(X, k, rng, {})]
         assert np.array_equal(centers, _reference_kmeanspp_init(X, k, reference_rng))
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
@@ -260,10 +262,91 @@ def test_kmeanspp_init_fails_on_a_non_finite_total(far):
     X = np.array([[0.0], [far], [-1e200]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
-            _kmeanspp_init(X, 2, np.random.default_rng(0))
+            _kmeanspp_init(X, 2, np.random.default_rng(0), {})
         if far == 1e200:  # finite rows: choice raised on the overflowed total too
             with pytest.raises(ValueError):
                 _reference_kmeanspp_init(X, 2, np.random.default_rng(0))
+
+
+# The k-means of one start per count: the draws of ``Generator.choice`` and
+# the per-cluster ``.mean`` Lloyd loop, the oracle of the shared starts.
+def _per_count_kmeans(X, n_clusters, seed=0, n_init=4, max_iter=300):
+    best = None
+    for attempt in range(n_init):
+        rng = np.random.default_rng([seed, attempt])
+        centers = _reference_kmeanspp_init(X, n_clusters, rng)
+        labels, centers, inertia, n_iter, history = _reference_lloyd(
+            X, centers, max_iter
+        )
+        if best is None or inertia < best.inertia:
+            best = KMeansResult(labels, centers, inertia, n_iter, history)
+    return best
+
+
+def _kmeans_inputs(seed):
+    """Seeded rows, d = 1 included: gaussian, integer grids with duplicate
+    rows and distance ties, or a few distinct rows each repeated."""
+    rng = np.random.default_rng([seed, 7])
+    n, d = int(rng.integers(2, 50)), int(rng.integers(1, 5))
+    if seed % 3 == 0:
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-2, 3)
+    elif seed % 3 == 1:
+        X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    else:
+        X = rng.normal(size=(4, d))[rng.integers(0, 4, size=n)]
+    middle = rng.integers(1, n + 1, size=3).tolist()
+    return X, sorted({1, n, *middle}), int(rng.integers(0, 50))
+
+
+def _assert_same_kmeans(got, want):
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.centers, want.centers)
+    assert got.inertia == want.inertia
+    assert got.n_iter == want.n_iter
+    assert got.inertia_history == want.inertia_history
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_shared_starts_equal_a_lone_run_per_count(seed):
+    X, counts, run_seed = _kmeans_inputs(seed)
+    # counts above the distinct rows re-seed on every round up to max_iter
+    options = {"n_init": 3, "max_iter": 40}
+    fits = _kmeans_counts(X, counts[::-1], run_seed, **options)
+    assert sorted(fits) == counts
+    for k in counts:
+        want = _per_count_kmeans(X, k, seed=run_seed, **options)
+        _assert_same_kmeans(fits[k], want)
+        _assert_same_kmeans(kmeans(X, k, seed=run_seed, **options), want)
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_start_for_the_largest_count_extends_each_smaller_start(seed):
+    X, counts, run_seed = _kmeans_inputs(seed)
+    rows = {}
+    for attempt in range(3):
+        rng = np.random.default_rng([run_seed, attempt])
+        start = X[_kmeanspp_init(X, max(counts), rng, rows)]
+        for k in counts:
+            per_count_rng = np.random.default_rng([run_seed, attempt])
+            assert np.array_equal(
+                start[:k], _reference_kmeanspp_init(X, k, per_count_rng)
+            )
+        assert rng.bit_generator.state == per_count_rng.bit_generator.state
+    for idx, row in rows.items():
+        assert np.array_equal(row, np.sum((X - X[idx]) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("k", [1, 2])
+def test_kmeans_rejects_a_non_finite_row_for_every_count(bad, k):
+    # 1e200 is finite, but its squared distance overflows
+    X = np.array([[0.0, 1.0], [bad, 1.0], [2.0, 2.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in (11, 1, 0):  # the first center is row 0, 1, 2
+            with pytest.raises(ValueError, match=r"k-means\+\+ distances sum to"):
+                kmeans(X, k, seed=seed, n_init=1)
+            with pytest.raises(ValueError, match=r"k-means\+\+ distances sum to"):
+                _kmeans_counts(X, [k], seed, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +553,57 @@ def test_cut_of_one_history_equals_fresh_runs(linkage, metric):
             assert np.array_equal(_cut(merges, n, k), labels)
 
 
+# The merge loop that scanned the whole matrix for each merge, kept verbatim.
+def _full_scan_agglomerative(X, n_clusters, linkage="average", metric="euclidean"):
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    dist = _initial_distances(X, linkage, metric)
+    sizes = np.ones(n, dtype=np.int64)
+    merges: list[tuple[int, int, float]] = []
+    for _ in range(n - n_clusters):
+        i, j = divmod(int(np.argmin(dist)), n)
+        cost = dist[i, j]
+        if not np.isfinite(cost):
+            raise ComputationError(f"non-finite linkage distance {cost}")
+        ni, nj = sizes[i], sizes[j]
+        if linkage == "average":
+            row = (ni * dist[i] + nj * dist[j]) / (ni + nj)
+        elif linkage == "complete":
+            row = np.maximum(dist[i], dist[j])
+        else:  # ward on squared distances
+            row = (
+                (ni + sizes) * dist[i] + (nj + sizes) * dist[j] - sizes * cost
+            ) / (ni + nj + sizes)
+        row[i] = np.inf
+        dist[i] = row
+        dist[:, i] = row
+        dist[j] = np.inf
+        dist[:, j] = np.inf
+        sizes[i] = ni + nj
+        merges.append((i, j, float(cost)))
+    return _cut(merges, n, n_clusters), merges
+
+
+@pytest.mark.parametrize("linkage,metric", _LINKAGE_METRICS)
+def test_cached_row_minima_merge_as_the_full_scan(linkage, metric):
+    rng = np.random.default_rng(33)
+    for trial in range(6):
+        n = int(rng.integers(20, 301))
+        if trial % 3 == 0:
+            X = rng.normal(size=(n, int(rng.integers(1, 8))))
+        elif trial % 3 == 1:  # integer grid: exact cost ties everywhere
+            X = rng.integers(1, 5, size=(n, int(rng.integers(1, 4)))).astype(float)
+        else:  # a few distinct rows, each repeated: zero-cost merges
+            X = rng.normal(size=(6, 3))[rng.integers(0, 6, size=n)] + 2.0
+        n_clusters = int(rng.integers(1, n // 4 + 2))
+        labels, merges = agglomerative(X, n_clusters, linkage, metric)
+        want_labels, want_merges = _full_scan_agglomerative(
+            X, n_clusters, linkage, metric
+        )
+        assert np.array_equal(labels, want_labels)
+        assert merges == want_merges
+
+
 def test_agglomerative_ties_merge_smallest_pair_first():
     # four copies of one point: every pair costs 0, so the merges chain
     # into slot 0 in index order; the far point joins last
@@ -484,6 +618,21 @@ def test_agglomerative_rejects_non_finite_distances():
     X = np.array([[0.0, 1.0], [np.nan, 1.0], [2.0, 2.0]])
     with pytest.raises(ComputationError):
         agglomerative(X, 1)
+
+
+@pytest.mark.parametrize("X", [
+    [[0.0, 1.0], [np.nan, 1.0], [2.0, 2.0]],
+    [[0.0, 1.0], [np.inf, 1.0], [2.0, 2.0]],
+    # finite rows whose squared distances overflow: the last merge costs inf
+    [[0.0], [1.0], [1e200]],
+])
+def test_agglomerative_fails_where_the_full_scan_fails(X):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ComputationError) as got:
+            agglomerative(np.array(X), 1, linkage="ward")
+        with pytest.raises(ComputationError) as want:
+            _full_scan_agglomerative(np.array(X), 1, linkage="ward")
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -770,18 +919,21 @@ def test_cluster_sweep_spectral_rows_equal_per_count_runs():
 
 
 def _sweep_inputs(monkeypatch, X, reduced_dims):
-    """(reduced dims of the rows, kmeans inputs, pca calls) of a kmeans sweep."""
+    """(reduced dims of the rows, k-means inputs, pca calls) of a kmeans
+    sweep; there is one k-means input per dimension."""
     import companysim.cluster as cluster_module
 
     seen, pca_calls = [], []
-    real_kmeans, real_pca = cluster_module.kmeans, cluster_module.pca
-    monkeypatch.setattr(cluster_module, "kmeans",
+    real_kmeans, real_pca = cluster_module._kmeans_counts, cluster_module.pca
+    monkeypatch.setattr(cluster_module, "_kmeans_counts",
                         lambda Z, *a, **k: seen.append(Z) or real_kmeans(Z, *a, **k))
     monkeypatch.setattr(cluster_module, "pca",
                         lambda Z, r: pca_calls.append(r) or real_pca(Z, r))
     rows = cluster_sweep(X, [i % 3 for i in range(len(X))], methods=("kmeans",),
                          cluster_counts=(3,), reduced_dims=reduced_dims)
-    return [row["reduced_dim"] for row in rows], seen, pca_calls
+    dims = [row["reduced_dim"] for row in rows]
+    assert len(seen) == len(dims)
+    return dims, seen, pca_calls
 
 
 def test_cluster_sweep_runs_one_pca_and_slices_each_dimension(monkeypatch):
