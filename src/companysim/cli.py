@@ -27,11 +27,21 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
+
+# OpenBLAS's idle worker thread busy-waits for 2**28 cycles (its default) when
+# numpy loads it and after every threaded product: on 2 vCPUs that spin made
+# up about a third of a short stage's CPU time. 2**22 cycles (about 2 ms)
+# still spans the gaps between a stage's back-to-back products. OpenBLAS
+# reads the variable once, when numpy loads it, so this must run before
+# numpy is imported. The thread count is untouched, so every product is split
+# as before and every output keeps its bits; a value the user sets wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
 
 import numpy as np
 

@@ -87,10 +87,15 @@ def hash_bow_embed(chunk: list[str], dimension: int, seed: int) -> np.ndarray:
     for token in chunk:
         bucket, sign = _sign_hash(token, seed)
         vec[bucket % dimension] += sign
+    _normalize(vec)
+    return vec
+
+
+def _normalize(vec: np.ndarray) -> None:
+    """Divide a 1-d row by its L2 norm in place, unless the norm is 0."""
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec /= norm
-    return vec
 
 
 class HashBowProvider(EmbeddingProvider):
@@ -166,15 +171,11 @@ def tfidf_embed(
         if idx is not None:
             tf[idx] += 1.0
     vec = tf * model.idf
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
+    _normalize(vec)
     if projection is not None:
         dim, seed = projection
         vec = vec @ _gaussian_projection(len(model.vocabulary), dim, seed)
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
+        _normalize(vec)
     return vec
 
 
@@ -202,8 +203,29 @@ class TfidfProvider(EmbeddingProvider):
         return cls(model, projection)
 
     def embed_chunks(self, chunks: Sequence[list[str]]) -> np.ndarray:
-        rows = [tfidf_embed(self.model, c, self.projection) for c in chunks]
-        return np.array(rows).reshape(len(chunks), self.dimension)
+        """``tfidf_embed`` of each chunk, bit for bit: one ``bincount``
+        counts the terms of the whole batch, and each row is normalized and
+        projected on its own, since a matrix product may round a row
+        differently from a vector product."""
+        vocabulary = self.model.vocabulary
+        n_terms = len(vocabulary)
+        cells = [row * n_terms + idx
+                 for row, chunk in enumerate(chunks)
+                 for idx in map(vocabulary.get, chunk) if idx is not None]
+        tf = np.bincount(np.array(cells, dtype=np.intp),
+                         minlength=len(chunks) * n_terms)
+        rows = tf.reshape(len(chunks), n_terms) * self.model.idf
+        for vec in rows:
+            _normalize(vec)
+        if self.projection is None:
+            return rows
+        dim, seed = self.projection
+        gaussian = _gaussian_projection(n_terms, dim, seed)
+        projected = np.empty((len(chunks), dim))
+        for vec, out in zip(rows, projected):
+            out[:] = vec @ gaussian
+            _normalize(out)
+        return projected
 
 
 def remote_embed(

@@ -120,3 +120,22 @@ def test_embed_chunks_stacks_rows():
     out = hb.embed_chunks(chunks)
     assert out.shape == (3, 16)
     assert np.allclose(out[1], hb.embed_chunks([chunks[1]])[0])
+
+
+@pytest.mark.parametrize("projection", [None, (7, 3), (64, 1)])
+@pytest.mark.parametrize("max_features", [1, 301, 4096])
+def test_tfidf_batch_rows_equal_each_chunk_embedded_alone(projection, max_features):
+    rng = np.random.default_rng(max_features)
+    words = [f"w{i}" for i in range(5000)]
+    docs = [list(rng.choice(words, size=int(rng.integers(1, 300)))) for _ in range(40)]
+    model = tfidf_fit(docs, max_features=max_features)
+    provider = TfidfProvider(model, projection)
+    chunks = [doc[: int(rng.integers(0, 256))] for doc in docs]
+    chunks += [[], ["not-a-word", "nor-this"], ["w1"] * 9, docs[0] + docs[0]]
+    batch = provider.embed_chunks(chunks)
+    alone = np.array([tfidf_embed(model, c, projection) for c in chunks])
+    assert batch.dtype == np.float64
+    assert batch.shape == alone.shape == (len(chunks), provider.dimension)
+    assert (batch == alone).all()
+    assert not batch[len(docs) + 1].any()
+    assert provider.embed_chunks([]).shape == (0, provider.dimension)
