@@ -60,16 +60,14 @@ from .classify import (
 )
 from .cluster import (
     ClusterAssignment,
-    agglomerative,
     cluster_quality,
     cluster_sweep,
-    kmeans,
+    fit_clusters,
     load_assignment,
     random_cluster_assignment,
     reduce_dims,
     save_assignment,
     save_sweep_csv,
-    spectral_cluster,
 )
 from .config import RunConfig, config_hash, load_config
 from .corpus import (
@@ -391,25 +389,16 @@ def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
     c = cfg.cluster
     X = _reduced_features(matrix, cfg)
     meta: dict = {"reduce_method": c.reduce_method}
-    if c.method == "kmeans":
-        result = kmeans(X, c.n_clusters, seed=cfg.seed, n_init=c.n_init)
-        labels = result.labels
-        meta.update(inertia=result.inertia, n_iter=result.n_iter)
-    elif c.method == "agglomerative":
-        labels, merges = agglomerative(X, c.n_clusters, c.linkage, c.metric)
-        meta.update(linkage=c.linkage, metric=c.metric,
-                    last_merge_cost=merges[-1][2] if merges else None)
-    elif c.method == "spectral":
-        result = spectral_cluster(
-            X, c.n_clusters, n_neighbors=c.n_neighbors,
-            seed=cfg.seed, n_init=c.n_init,
-        )
-        labels = result.labels
-        meta.update(inertia=result.inertia, n_neighbors=c.n_neighbors)
-    else:  # "random": the config allows no other method
+    if c.method == "random":
         labels = random_cluster_assignment(
             matrix.ids, c.n_clusters, seed=cfg.seed
         ).labels
+    else:  # the one-count case of the sweep's fit
+        labels, facts = fit_clusters(
+            X, c.method, [c.n_clusters], cfg.seed, c.n_init, c.n_neighbors,
+            c.linkage, c.metric,
+        )[c.n_clusters]
+        meta.update(facts)
     assignment = ClusterAssignment(
         ids=matrix.ids,
         labels=labels,

@@ -178,14 +178,14 @@ def spectral_embedding(
     """
     if n_components < 1:
         raise ConfigError(f"n_components must be >= 1, got {n_components}")
-    laplacian = _normalized_laplacian(knn_affinity(X, n_neighbors))
-    _, eigvecs = np.linalg.eigh(laplacian)
+    affinity = knn_affinity(X, n_neighbors)
     start = 1 if drop_first else 0
-    if start + n_components > eigvecs.shape[1]:
+    if start + n_components > affinity.shape[0]:
         raise RankDeficiencyError(
             f"cannot take {n_components} spectral components from "
-            f"{eigvecs.shape[1]} points"
+            f"{affinity.shape[0]} points"
         )
+    _, eigvecs = np.linalg.eigh(_normalized_laplacian(affinity))
     block = eigvecs[:, start:start + n_components].copy()
     for i in range(block.shape[1]):
         j = int(np.argmax(np.abs(block[:, i])))
@@ -324,6 +324,8 @@ def _kmeans_counts(
             raise ConfigError(f"n_clusters must be in [1, {X.shape[0]}], got {k}")
     if n_init < 1:
         raise ConfigError(f"n_init must be >= 1, got {n_init}")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     rows: dict[int, np.ndarray] = {}
     starts = [
         _kmeanspp_init(X, max(counts), np.random.default_rng([seed, attempt]), rows)
@@ -354,7 +356,7 @@ def kmeans(
     seeded restarts (lowest inertia, ties to the earliest restart) wins.
     Restart r draws its start from ``default_rng([seed, r])``, one draw per
     center, so a run for fewer clusters starts from a prefix of the same
-    centers (``cluster_sweep`` shares the starts across its counts this
+    centers (``fit_clusters`` shares the starts across its counts this
     way). A non-finite row of X, or squared distances that overflow,
     raise ``ValueError`` for every count."""
     return _kmeans_counts(X, [n_clusters], seed, n_init, max_iter)[n_clusters]
@@ -476,30 +478,44 @@ def agglomerative(
 
 
 # ---------------------------------------------------------------------------
-# Spectral clustering
+# One fit per method, shared by all its cluster counts
 
 
-def spectral_cluster(
-    X: np.ndarray,
-    n_clusters: int,
-    n_neighbors: int = 15,
-    seed: int = 0,
-    n_init: int = 4,
-) -> KMeansResult:
-    """Normalized-cut style clustering: embed with the bottom ``n_clusters``
-    Laplacian eigenvectors (including the trivial one), normalize rows to
-    the unit sphere, and k-means the result."""
-    rows = spectral_embedding(X, n_clusters, n_neighbors, drop_first=False)
-    return _sphere_kmeans(rows, n_clusters, seed, n_init)
-
-
-def _sphere_kmeans(
-    rows: np.ndarray, n_clusters: int, seed: int, n_init: int
-) -> KMeansResult:
-    """k-means of ``rows`` scaled to unit norm (zero rows stay zero)."""
-    norms = np.linalg.norm(rows, axis=1)
-    norms[norms == 0.0] = 1.0
-    return kmeans(rows / norms[:, None], n_clusters, seed=seed, n_init=n_init)
+def fit_clusters(
+    X: np.ndarray, method: str, counts: Sequence[int], seed: int = 0,
+    n_init: int = 4, n_neighbors: int = 15, linkage: str = "average",
+    metric: str = "euclidean",
+) -> dict[int, tuple[np.ndarray, dict]]:
+    """Count -> (labels of the rows of X, the fit's facts) for each count in
+    ``counts``. One fit serves all counts and gives each the labels a call
+    for it alone gives. ``kmeans`` draws each restart's k-means++ start once,
+    for the largest count (facts: inertia, n_iter); ``agglomerative`` cuts
+    one merge history at each count (linkage, metric, last merge's cost);
+    ``spectral`` is the normalized cut (von Luxburg, arXiv:0711.0189):
+    k-means of each count's leading columns of one bottom Laplacian
+    eigenvector embedding, rows at unit norm (inertia, n_neighbors)."""
+    if method == "kmeans":
+        return {k: (f.labels, {"inertia": f.inertia, "n_iter": f.n_iter})
+                for k, f in _kmeans_counts(X, counts, seed, n_init).items()}
+    if method == "agglomerative":
+        n = len(X)
+        if max(counts) > n:
+            raise ConfigError(f"n_clusters must be in [1, {n}], got {max(counts)}")
+        _, merges = agglomerative(X, min(counts), linkage, metric)
+        return {k: (_cut(merges, n, k), {
+            "linkage": linkage, "metric": metric,
+            "last_merge_cost": merges[n - k - 1][2] if k < n else None,
+        }) for k in counts}
+    if method != "spectral":
+        raise ConfigError(f"unknown cluster method {method!r}")
+    embedded = spectral_embedding(X, max(counts), n_neighbors, drop_first=False)
+    fits = {}
+    for k in counts:
+        norms = np.linalg.norm(embedded[:, :k], axis=1)
+        norms[norms == 0.0] = 1.0
+        fit = kmeans(embedded[:, :k] / norms[:, None], k, seed=seed, n_init=n_init)
+        fits[k] = (fit.labels, {"inertia": fit.inertia, "n_neighbors": n_neighbors})
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +625,7 @@ def random_cluster_assignment(
     )
 
 
+FIT_METHODS = ("kmeans", "agglomerative", "spectral")
 DEFAULT_SWEEP_COUNTS = (11, 25, 66, 100)
 DEFAULT_SWEEP_DIMS = (5, 10, 20)
 
@@ -616,7 +633,7 @@ DEFAULT_SWEEP_DIMS = (5, 10, 20)
 def cluster_sweep(
     X: np.ndarray,
     reference_labels: Sequence,
-    methods: Sequence[str] = ("kmeans", "agglomerative", "spectral"),
+    methods: Sequence[str] = FIT_METHODS,
     cluster_counts: Sequence[int] = DEFAULT_SWEEP_COUNTS,
     reduced_dims: Sequence[int] = DEFAULT_SWEEP_DIMS,
     seed: int = 0,
@@ -627,20 +644,21 @@ def cluster_sweep(
 
     Cells that cannot run on this input (more clusters than points, more
     dimensions than the feature rank, spectral with no more points than
-    ``n_neighbors``) are skipped rather than failed, so one sweep call
-    works on any universe size.
+    ``n_neighbors`` or on a graph with an isolated row) are skipped rather
+    than failed, so one sweep call works on any universe size.
 
-    Per reduced dimension, k-means draws each restart's k-means++ start
-    once, for the largest count, and each count runs Lloyd from its
-    leading centers, which are the start ``kmeans`` at that count draws;
-    agglomerative builds one merge history and cuts it at each count.
-    Every row equals the one a separate run per count gives.
+    Per reduced dimension, each method makes one ``fit_clusters`` call for
+    all the counts that fit; every row equals a separate run per count.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != len(reference_labels):
         raise ValueError(
             f"{X.shape[0]} rows but {len(reference_labels)} reference labels"
         )
+    for method in methods:
+        if method not in FIT_METHODS:
+            raise ConfigError(f"unknown sweep method {method!r}")
+    valid = [count for count in cluster_counts if count <= X.shape[0]]
     rows: list[dict] = []
     dims = [r for r in reduced_dims if r <= min(X.shape[0] - 1, X.shape[1])]
     try:
@@ -656,37 +674,18 @@ def cluster_sweep(
                 reduced, _, _ = pca(X, r)
             except RankDeficiencyError:
                 continue
-        valid = [count for count in cluster_counts if count <= X.shape[0]]
         for method in methods:
-            # one k-means++ start per restart; each count takes its prefix
-            if method == "kmeans" and valid:
-                fits = _kmeans_counts(reduced, valid, seed, n_init)
-            # one merge history, cut at each count
-            if method == "agglomerative" and valid:
-                _, merges = agglomerative(reduced, min(valid))
-            # one embedding; each count takes its leading columns
-            if method == "spectral" and valid:
-                if n_neighbors >= X.shape[0]:
-                    continue  # the kNN graph needs more points than neighbours
-                try:
-                    embedded = spectral_embedding(
-                        reduced, max(valid), n_neighbors, drop_first=False
-                    )
-                except ComputationError:
-                    continue
+            if not valid or (method == "spectral" and n_neighbors >= X.shape[0]):
+                continue  # no count fits, or the kNN graph lacks points
+            try:
+                fits = fit_clusters(reduced, method, valid, seed, n_init, n_neighbors)
+            except ComputationError:
+                if method == "spectral":
+                    continue  # an isolated row in the kNN graph
+                raise
             for count in valid:
-                if method == "kmeans":
-                    labels = fits[count].labels
-                elif method == "agglomerative":
-                    labels = _cut(merges, X.shape[0], count)
-                elif method == "spectral":
-                    labels = _sphere_kmeans(
-                        embedded[:, :count], count, seed, n_init
-                    ).labels
-                else:
-                    raise ConfigError(f"unknown sweep method {method!r}")
                 quality = cluster_quality(
-                    list(reference_labels), labels.tolist()
+                    list(reference_labels), fits[count][0].tolist()
                 )
                 rows.append({
                     "method": method,

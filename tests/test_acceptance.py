@@ -32,9 +32,9 @@ from companysim.cli import main as cli_main
 from companysim.cluster import (
     ClusterAssignment,
     cluster_quality,
+    fit_clusters,
     kmeans,
     random_cluster_assignment,
-    spectral_cluster,
 )
 from companysim.corpus import generate_finetune_pairs, stratified_split
 from companysim.embeddings import EmbeddingMatrix, corpus_documents, embed_corpus
@@ -349,12 +349,12 @@ def test_acceptance_05_sector_recovery(capsys):
         accuracy = float(np.mean([p == t for p, t in zip(predictions, truth)]))
         assert accuracy >= 0.90, f"seed {seed}: accuracy {accuracy:.3f}"
 
-        result = spectral_cluster(
-            matrix.matrix.astype(np.float64), 6,
-            n_neighbors=30, seed=seed, n_init=8,
-        )
+        labels = fit_clusters(
+            matrix.matrix.astype(np.float64), "spectral", [6],
+            seed=seed, n_init=8, n_neighbors=30,
+        )[6][0]
         quality = cluster_quality(
-            [sectors[i] for i in matrix.ids], result.labels.tolist()
+            [sectors[i] for i in matrix.ids], labels.tolist()
         )
         assert quality.homogeneity >= 0.9, f"seed {seed}: {quality}"
         assert quality.completeness >= 0.9, f"seed {seed}: {quality}"

@@ -15,11 +15,12 @@ from companysim.classify import load_model
 from companysim.cli import _build_provider, _provider_identity, main
 from companysim.cluster import (
     agglomerative,
+    fit_clusters,
     kmeans,
     load_assignment,
     random_cluster_assignment,
     reduce_dims,
-    spectral_cluster,
+    spectral_embedding,
 )
 from companysim.config import config_from_dict
 from companysim.corpus import load_corpus
@@ -931,8 +932,9 @@ def test_cluster_methods_and_reductions(workspace, tmp_path, cluster):
     expected = {
         "kmeans": lambda: kmeans(X, 4, seed=cfg.seed, n_init=c.n_init).labels,
         "agglomerative": lambda: agglomerative(X, 4, c.linkage, c.metric)[0],
-        "spectral": lambda: spectral_cluster(
-            X, 4, n_neighbors=c.n_neighbors, seed=cfg.seed, n_init=c.n_init).labels,
+        "spectral": lambda: fit_clusters(
+            X, "spectral", [4], seed=cfg.seed, n_init=c.n_init,
+            n_neighbors=c.n_neighbors)[4][0],
         "random": lambda: random_cluster_assignment(matrix.ids, 4, seed=cfg.seed).labels,
     }[c.method]()
     assignment = load_assignment(out)
@@ -999,3 +1001,50 @@ def test_cluster_sweep_out(workspace, tmp_path):
     # requires reference labels
     assert run("cluster", "--cache", cache, "--out", tmp_path / "asg2.csv",
                "--sweep-out", tmp_path / "s2.csv") == 1
+
+
+@pytest.mark.parametrize("method", ["kmeans", "agglomerative", "spectral"])
+def test_cluster_stage_matches_its_sweep_cell(workspace, tmp_path, method):
+    """The stage at 11 clusters on PCA-5 scores what the sweep's
+    (method, 11, 5) row scores, and its meta holds the library's facts."""
+    cache = tmp_path / "emb.bin"
+    run("embed", "--corpus", workspace / "corpus.jsonl",
+        "--hierarchy", workspace / "hierarchy.csv", "--out", cache)
+    payload = {"cluster": {"method": method, "n_clusters": 11,
+                           "reduce_method": "pca", "reduce_components": 5}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(payload))
+    quality, sweep = tmp_path / "q.json", tmp_path / "sweep.csv"
+    assert run("--config", config, "cluster", "--cache", cache,
+               "--out", tmp_path / "asg.csv",
+               "--corpus", workspace / "corpus.jsonl",
+               "--hierarchy", workspace / "hierarchy.csv",
+               "--quality-out", quality, "--sweep-out", sweep) == 0
+    written = json.loads(quality.read_text())
+    with open(sweep) as f:
+        cells = {(r["method"], r["n_clusters"], r["reduced_dim"]): r
+                 for r in csv.DictReader(f)}
+    cell = cells[(method, "11", "5")]
+    for score in ("homogeneity", "completeness", "v_measure"):
+        assert f"{written['quality'][score]:.8f}" == cell[score]
+
+    cfg = config_from_dict(payload)
+    c = cfg.cluster
+    X = reduce_dims(load_cache(cache).matrix.astype(np.float64), 5, method="pca")
+    meta = written["meta"]
+    if method == "kmeans":
+        result = kmeans(X, 11, seed=cfg.seed, n_init=c.n_init)
+        assert meta == {"reduce_method": "pca", "inertia": result.inertia,
+                        "n_iter": result.n_iter}
+    elif method == "agglomerative":
+        _, merges = agglomerative(X, 11, c.linkage, c.metric)
+        assert meta == {"reduce_method": "pca", "linkage": c.linkage,
+                        "metric": c.metric, "last_merge_cost": merges[-1][2]}
+    else:
+        # the normalized-cut rule: bottom eigenvectors, unit rows, k-means
+        rows = spectral_embedding(X, 11, c.n_neighbors, drop_first=False)
+        norms = np.linalg.norm(rows, axis=1)
+        norms[norms == 0.0] = 1.0
+        result = kmeans(rows / norms[:, None], 11, seed=cfg.seed, n_init=c.n_init)
+        assert meta == {"reduce_method": "pca", "inertia": result.inertia,
+                        "n_neighbors": c.n_neighbors}

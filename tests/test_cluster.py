@@ -18,6 +18,7 @@ from companysim.cluster import (
     agglomerative,
     cluster_quality,
     cluster_sweep,
+    fit_clusters,
     kmeans,
     knn_affinity,
     load_assignment,
@@ -26,7 +27,6 @@ from companysim.cluster import (
     reduce_dims,
     save_assignment,
     save_sweep_csv,
-    spectral_cluster,
     spectral_embedding,
 )
 from companysim.errors import (
@@ -149,6 +149,15 @@ def test_kmeans_k_equals_n_and_duplicates():
     assert result.inertia <= 1e-12
     with pytest.raises(ConfigError):
         kmeans(X, 5)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_kmeans_rejects_max_iter_below_one(max_iter):
+    X = np.random.default_rng(9).normal(size=(10, 2))
+    with pytest.raises(ConfigError, match=f"max_iter must be >= 1, got {max_iter}"):
+        kmeans(X, 3, max_iter=max_iter)
+    with pytest.raises(ConfigError, match="max_iter"):
+        _kmeans_counts(X, [2, 3], 0, 1, max_iter)
 
 
 # The per-cluster-mask Lloyd loop that ``_lloyd`` replaced, kept verbatim.
@@ -744,6 +753,24 @@ def test_spectral_embedding_rejects_non_positive_components(n_components):
         spectral_embedding(X, n_components, n_neighbors=4)
 
 
+def test_spectral_embedding_checks_the_component_count_before_eigh(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        pytest.fail("eigh ran for a component count that cannot be taken")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    X = np.random.default_rng(21).normal(size=(12, 4)) + 3.0
+    for n_components, drop_first in ((12, True), (13, False), (50, True)):
+        with pytest.raises(RankDeficiencyError, match=(
+                f"cannot take {n_components} spectral components from 12 points")):
+            spectral_embedding(X, n_components, 4, drop_first)
+    # the affinity's own input errors come first
+    with pytest.raises(ConfigError, match="n_neighbors"):
+        spectral_embedding(X, 13, 12)
+    X[3] = 0.0
+    with pytest.raises(ZeroVectorError, match=r"\[3\]"):
+        spectral_embedding(X, 13, 4)
+
+
 def test_spectral_embedding_constant_first_eigenvector_dropped():
     rng = np.random.default_rng(22)
     X, _ = _blobs(rng, [[0, 0], [6, 6]], per=15)
@@ -757,8 +784,46 @@ def test_spectral_cluster_recovers_blobs():
     rng = np.random.default_rng(23)
     # affinity is cosine-based, so centers must sit away from the origin
     X, truth = _blobs(rng, [[8, 1, 1], [1, 8, 1], [1, 1, 8]], per=20)
-    result = spectral_cluster(X, 3, n_neighbors=12, seed=0, n_init=4)
-    assert cluster_quality(truth, result.labels.tolist()).v_measure == 1.0
+    labels = fit_clusters(X, "spectral", [3], seed=0, n_init=4, n_neighbors=12)[3][0]
+    assert cluster_quality(truth, labels.tolist()).v_measure == 1.0
+
+
+@pytest.mark.parametrize("method, options", [
+    ("kmeans", {"seed": 4, "n_init": 3}),
+    ("agglomerative", {"linkage": "complete", "metric": "cosine"}),
+    ("agglomerative", {"linkage": "ward"}),
+    ("spectral", {"seed": 2, "n_init": 2, "n_neighbors": 6}),
+])
+def test_fit_clusters_counts_in_one_call_equal_each_count_alone(method, options):
+    rng = np.random.default_rng(26)
+    X, _ = _blobs(rng, [[8.0, 1.0, 1.0], [1.0, 8.0, 1.0], [1.0, 1.0, 8.0]],
+                  per=8, scale=2.0)
+    counts = [5, 2, 24, 9]
+    fits = fit_clusters(X, method, counts, **options)
+    assert sorted(fits) == sorted(counts)
+    for k in counts:
+        labels, facts = fit_clusters(X, method, [k], **options)[k]
+        assert np.array_equal(fits[k][0], labels)
+        assert fits[k][1] == facts
+        assert sorted(np.unique(labels).tolist()) == list(range(k))
+
+
+def test_fit_clusters_facts_are_the_library_results():
+    rng = np.random.default_rng(27)
+    X, _ = _blobs(rng, [[8.0, 1.0], [1.0, 8.0]], per=6)
+    fit = kmeans(X, 3, seed=5, n_init=2)
+    assert fit_clusters(X, "kmeans", [3], seed=5, n_init=2)[3][1] == {
+        "inertia": fit.inertia, "n_iter": fit.n_iter}
+    _, merges = agglomerative(X, 3, "ward")
+    facts = fit_clusters(X, "agglomerative", [3, 12], linkage="ward")
+    assert facts[3][1] == {"linkage": "ward", "metric": "euclidean",
+                           "last_merge_cost": merges[-1][2]}
+    assert facts[12][1]["last_merge_cost"] is None  # no merge at k == n
+    assert fit_clusters(X, "spectral", [2], n_neighbors=4)[2][1]["n_neighbors"] == 4
+    with pytest.raises(ConfigError, match="got 13"):
+        fit_clusters(X, "agglomerative", [3, 13])
+    with pytest.raises(ConfigError, match="unknown cluster method 'random'"):
+        fit_clusters(X, "random", [3])
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +972,7 @@ def test_cluster_sweep_spectral_rows_equal_per_count_runs():
     for r in (2, 3):
         reduced, _, _ = pca(X, r)
         for count in (12, 3, 7):
-            fresh = spectral_cluster(reduced, count, n_neighbors=6).labels
+            fresh = fit_clusters(reduced, "spectral", [count], n_neighbors=6)[count][0]
             q = cluster_quality(labels, fresh.tolist())
             expected.append(("spectral", count, r, q.homogeneity,
                              q.completeness, q.v_measure))
@@ -970,6 +1035,21 @@ def test_cluster_sweep_skips_spectral_without_enough_neighbours():
         rows = cluster_sweep(X, ["a", "b"] * 7, n_neighbors=n_neighbors)
         assert {row["reduced_dim"] for row in rows
                 if row["method"] == "spectral"} == spectral_dims
+
+
+@pytest.mark.parametrize("counts", [(50,), (3,)])
+def test_cluster_sweep_rejects_an_unknown_method_before_any_fit(monkeypatch, counts):
+    import companysim.cluster as cluster_module
+
+    calls = []
+    for name in ("pca", "_kmeans_counts"):
+        monkeypatch.setattr(cluster_module, name,
+                            lambda *a, name=name, **k: calls.append(name))
+    X = np.random.default_rng(16).normal(size=(30, 4))
+    with pytest.raises(ConfigError, match="unknown sweep method 'bogus'"):
+        cluster_sweep(X, [i % 3 for i in range(30)],
+                      methods=("kmeans", "bogus"), cluster_counts=counts)
+    assert calls == []
 
 
 def test_cluster_sweep_validates_alignment():
