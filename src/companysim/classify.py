@@ -149,6 +149,8 @@ def fit_classifier(
         raise ValueError(f"{X.shape[0]} rows but {len(labels)} labels")
     if l2_penalty < 0:
         raise ConfigError(f"l2_penalty must be >= 0, got {l2_penalty}")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise DataValidationError(f"need >= 2 classes, got {classes}")
@@ -172,7 +174,6 @@ def fit_classifier(
     log_probs = _log_probs(params, Xs, n_classes)
     value = _objective_from(log_probs, params, *terms)
     history.append(value)
-    n_iter = 0
     for n_iter in range(1, max_iter + 1):
         grad = _gradient_from(log_probs, params, *terms)
         grad_norm = float(np.max(np.abs(grad)))
@@ -198,8 +199,6 @@ def fit_classifier(
             break
         params, log_probs, value = candidate, candidate_log_probs, new_value
         history.append(value)
-    else:
-        n_iter = max_iter
     if not converged:
         final_grad = float(np.max(np.abs(
             _gradient_from(log_probs, params, *terms))))

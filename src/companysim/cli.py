@@ -387,16 +387,15 @@ def _reduced_features(matrix: EmbeddingMatrix, cfg: RunConfig) -> np.ndarray:
 
 def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
     c = cfg.cluster
-    X = _reduced_features(matrix, cfg)
     meta: dict = {"reduce_method": c.reduce_method}
     if c.method == "random":
         labels = random_cluster_assignment(
             matrix.ids, c.n_clusters, seed=cfg.seed
         ).labels
-    else:  # the one-count case of the sweep's fit
+    else:  # the one-count case of the sweep's fit, on the reduced features
         labels, facts = fit_clusters(
-            X, c.method, [c.n_clusters], cfg.seed, c.n_init, c.n_neighbors,
-            c.linkage, c.metric,
+            _reduced_features(matrix, cfg), c.method, [c.n_clusters], cfg.seed,
+            c.n_init, c.n_neighbors, c.linkage, c.metric,
         )[c.n_clusters]
         meta.update(facts)
     assignment = ClusterAssignment(

@@ -658,6 +658,9 @@ def cluster_sweep(
     for method in methods:
         if method not in FIT_METHODS:
             raise ConfigError(f"unknown sweep method {method!r}")
+    for r in reduced_dims:
+        if r < 1:
+            raise ConfigError(f"n_components must be >= 1, got {r}")
     valid = [count for count in cluster_counts if count <= X.shape[0]]
     rows: list[dict] = []
     dims = [r for r in reduced_dims if r <= min(X.shape[0] - 1, X.shape[1])]
@@ -667,7 +670,7 @@ def cluster_sweep(
     except RankDeficiencyError:
         top = None  # rank below the largest dimension: one pca per dimension
     for r in dims:
-        if top is not None and r >= 1:
+        if top is not None:
             reduced = top[:, :r].copy()
         else:
             try:

@@ -17,10 +17,11 @@ errors, 408, 429 and 5xx are retried. An auth token can be injected from an
 environment variable; it is sent as a Bearer header and never logged.
 
 ``RemoteProvider.embed_batches`` keeps up to ``MAX_REQUESTS_IN_FLIGHT``
-requests outstanding, each sent by a pool thread, and handles their
-answers in request order: rows come back in order, each request is retried
-on its own, and the error raised is the one of the earliest failed request,
-as if the requests were sent one at a time. After a failure no new request
+requests outstanding, each sent by a pool thread that reads its answer
+whole and closes the connection, and handles the answers in request
+order: rows come back in order, each request is retried on its own, and
+the error raised is the one of the earliest failed request, as if the
+requests were sent one at a time. After a failure no new request
 is sent; the at most ``MAX_REQUESTS_IN_FLIGHT - 1`` already out are waited
 for and their answers discarded.
 """
@@ -249,7 +250,7 @@ def remote_embed(
         raise ValueError("remote_embed needs at least one text")
     target = _Target(endpoint, provider_id, auth_env, timeout)
     body = target.encode(texts)
-    return _answer(lambda attempt: target.receive(target.send(body)),
+    return _answer(lambda attempt: target.post(body),
                    target.url, len(texts), retries, backoff)
 
 
@@ -282,10 +283,11 @@ class _Target:
         return json.dumps({"provider_id": self.provider_id,
                            "texts": list(texts)}).encode("utf-8")
 
-    def send(self, body: bytes):
-        """POST ``body`` over its own connection and read the status line
-        and headers: the open response, or the status of an error answer.
-        A transport failure raises RemoteTransportError."""
+    def post(self, body: bytes) -> tuple[int, bytes]:
+        """POST ``body`` over its own connection and read the answer whole:
+        its status and content, or the status of an error answer with no
+        content. A transport failure, in the body read too, raises
+        RemoteTransportError."""
         import http.client
         import urllib.error
         import urllib.request
@@ -293,24 +295,11 @@ class _Target:
         request = urllib.request.Request(self.url, data=body, headers=self.headers,
                                          method="POST")
         try:
-            return self.opener.open(request, timeout=self.timeout)
+            with self.opener.open(request, timeout=self.timeout) as response:
+                return response.status, response.read()
         except urllib.error.HTTPError as e:
             e.close()
-            return e.code
-        except (OSError, http.client.HTTPException) as e:
-            failure = f"POST {self.url} failed: {e}"
-        raise RemoteTransportError(failure)
-
-    def receive(self, sent) -> tuple[int, bytes]:
-        """The status and content of what ``send`` returned; an open
-        response is read and closed."""
-        import http.client
-
-        if isinstance(sent, int):
-            return sent, b""
-        try:
-            with sent as response:
-                return response.status, response.read()
+            return e.code, b""
         except (OSError, http.client.HTTPException) as e:
             failure = f"POST {self.url} failed: {e}"
         raise RemoteTransportError(failure)
@@ -448,48 +437,41 @@ class RemoteProvider(EmbeddingProvider):
         """The rows of each batch, in order, with up to
         ``MAX_REQUESTS_IN_FLIGHT`` requests outstanding.
 
-        Pool threads only send encoded bodies and read the status and
-        headers of the answer. This generator encodes each request as a
-        thread comes free, and reads, retries (``_answer``, each request on
-        its own) and parses the answers in request order, so rows, errors
-        and the first error raised are those of sending one request at a
-        time. On an error it waits for the requests still out, at most
+        A pool thread sends each request once and reads its answer whole.
+        This generator encodes each request as a thread comes free, and
+        retries (``_answer``, each request on its own) and parses the
+        answers in request order, so rows, errors and the first error
+        raised are those of sending one request at a time. On an error it
+        waits for the requests still out, at most
         ``MAX_REQUESTS_IN_FLIGHT - 1``, and sends no more."""
         from concurrent.futures import ThreadPoolExecutor
 
         target = _Target(self.endpoint, self.provider_id, self.auth_env, self.timeout)
         requests = self._requests(batches)
-        # (text count, ends batch, body, future of its send) of each request out
+        # (text count, ends batch, body, future of its first answer) of each request out
         window: deque = deque()
         vectors: list[np.ndarray] = []
-        try:
-            with ThreadPoolExecutor(MAX_REQUESTS_IN_FLIGHT,
-                                    thread_name_prefix="remote-embed") as pool:
-                while True:
-                    while len(window) < MAX_REQUESTS_IN_FLIGHT:
-                        request = next(requests, None)
-                        if request is None:
-                            break
-                        texts, ends_batch = request
-                        body = target.encode(texts)
-                        window.append((len(texts), ends_batch, body,
-                                       pool.submit(target.send, body)))
-                    if not window:
-                        return
-                    n_texts, ends_batch, body, future = window.popleft()
-                    vectors.extend(_answer(
-                        lambda attempt: target.receive(
-                            target.send(body) if attempt else future.result()),
-                        target.url, n_texts, self.retries, self.backoff,
-                    ))
-                    if ends_batch:
-                        yield self._stacked(vectors)
-                        vectors = []
-        finally:
-            # every send has returned: close the answers left unread
-            for *_, future in window:
-                if future.exception() is None and not isinstance(future.result(), int):
-                    future.result().close()
+        with ThreadPoolExecutor(MAX_REQUESTS_IN_FLIGHT,
+                                thread_name_prefix="remote-embed") as pool:
+            while True:
+                while len(window) < MAX_REQUESTS_IN_FLIGHT:
+                    request = next(requests, None)
+                    if request is None:
+                        break
+                    texts, ends_batch = request
+                    body = target.encode(texts)
+                    window.append((len(texts), ends_batch, body,
+                                   pool.submit(target.post, body)))
+                if not window:
+                    return
+                n_texts, ends_batch, body, future = window.popleft()
+                vectors.extend(_answer(
+                    lambda attempt: target.post(body) if attempt else future.result(),
+                    target.url, n_texts, self.retries, self.backoff,
+                ))
+                if ends_batch:
+                    yield self._stacked(vectors)
+                    vectors = []
 
     def _stacked(self, vectors: list[np.ndarray]) -> np.ndarray:
         out = np.vstack(vectors)

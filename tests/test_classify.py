@@ -15,7 +15,7 @@ from companysim.classify import (
     score_predictions,
     unpack_params,
 )
-from companysim.errors import DataValidationError
+from companysim.errors import ConfigError, DataValidationError
 
 
 def _finite_difference(params, X, y, n_classes, l2, eps=1e-6):
@@ -191,6 +191,15 @@ def test_constant_feature_does_not_break_fit():
 def test_requires_two_classes():
     with pytest.raises(DataValidationError):
         fit_classifier(np.zeros((5, 2)), ["same"] * 5)
+
+
+@pytest.mark.parametrize("max_iter", [0, -2])
+def test_rejects_max_iter_below_one(max_iter):
+    X = np.random.default_rng(27).normal(size=(10, 2))
+    y = ["a", "b"] * 5
+    with pytest.raises(ConfigError, match=f"max_iter must be >= 1, got {max_iter}"):
+        fit_classifier(X, y, max_iter=max_iter)
+    assert fit_classifier(X, y, max_iter=1, tol=0.0).n_iter == 1
 
 
 def test_micro_f1_equals_accuracy_for_single_label():

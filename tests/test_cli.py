@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from companysim import cache as cache_module
+from companysim import cli as cli_module
 from companysim import providers, synth, textprep
 from companysim.cache import load_cache, save_cache
 from companysim.classify import load_model
@@ -25,6 +26,7 @@ from companysim.cluster import (
 from companysim.config import config_from_dict
 from companysim.corpus import load_corpus
 from companysim.embeddings import corpus_documents
+from companysim.errors import ComputationError
 from companysim.similarity import top_k_peers
 from companysim.textprep import ChunkingConfig
 from test_remote import Stub
@@ -943,6 +945,37 @@ def test_cluster_methods_and_reductions(workspace, tmp_path, cluster):
     written = json.loads(quality.read_text())
     assert (written["method"], written["n_clusters"]) == (c.method, 4)
     assert written["meta"].get("reduce_method") == c.reduce_method
+
+
+def test_random_cluster_run_never_reduces_the_features(workspace, tmp_path, monkeypatch):
+    """``random`` labels ignore the features, so a reduction that would fail
+    is never run: the run exits 0 and writes the bytes it writes when the
+    reduction works."""
+    cache = tmp_path / "emb.bin"
+    run("embed", "--corpus", workspace / "corpus.jsonl",
+        "--hierarchy", workspace / "hierarchy.csv", "--out", cache)
+    config = tmp_path / "cfg.json"
+
+    def cluster(method, name):
+        config.write_text(json.dumps({"cluster": {
+            "method": method, "n_clusters": 4, "reduce_method": "spectral",
+            "reduce_components": 3, "n_neighbors": 8}}))
+        out, quality = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        code = run("--config", config, "cluster", "--cache", cache, "--out", out,
+                   "--corpus", workspace / "corpus.jsonl",
+                   "--hierarchy", workspace / "hierarchy.csv",
+                   "--quality-out", quality)
+        return code, (out.read_bytes(), quality.read_bytes()) if code == 0 else None
+
+    code, reduced = cluster("random", "reduced")
+    assert code == 0
+
+    def failing_reduction(*args, **kwargs):
+        raise ComputationError("reduction failed")
+
+    monkeypatch.setattr(cli_module, "reduce_dims", failing_reduction)
+    assert cluster("random", "unreduced") == (0, reduced)
+    assert cluster("kmeans", "kmeans") == (3, None)  # a fit still reduces
 
 
 def test_peers_csv_includes_baseline_row(workspace, tmp_path):

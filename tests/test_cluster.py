@@ -1010,8 +1010,15 @@ def test_cluster_sweep_runs_one_pca_and_slices_each_dimension(monkeypatch):
     for Z, r in zip(seen, dims):
         assert Z.flags.c_contiguous
         assert np.array_equal(Z, expected[r])
-    with pytest.raises(ConfigError, match="n_components must be >= 1"):
+    import companysim.cluster as cluster_module
+
+    calls = []
+    for name in ("pca", "_kmeans_counts"):
+        monkeypatch.setattr(cluster_module, name,
+                            lambda *a, name=name, **k: calls.append(name))
+    with pytest.raises(ConfigError, match="n_components must be >= 1, got 0"):
         cluster_sweep(X, [i % 3 for i in range(30)], reduced_dims=(2, 0))
+    assert calls == []  # no fit at 2 before 0 is rejected
 
 
 def test_cluster_sweep_skips_dimensions_above_the_rank(monkeypatch):

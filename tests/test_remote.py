@@ -518,6 +518,21 @@ def test_each_request_is_retried_on_its_own_with_the_same_backoff(stub, monkeypa
     assert np.array_equal(matrix.matrix, WINDOW_ROWS)
 
 
+def test_broken_answers_in_the_window_are_retried(stub):
+    """A pool thread reads each answer whole: a body cut short and a hang-up
+    are transport errors of their own request, retried in request order."""
+    run = _held_run(stub, backoff=0.01)
+    stub.release(_request(stub, 1), ("truncate",))
+    stub.release(_request(stub, 2), ("hangup",))
+    stub.release_all()
+    matrix = run.join()
+    assert np.array_equal(matrix.matrix, WINDOW_ROWS)
+    sends = Counter(json.dumps(e["body"]) for e in stub.log)
+    assert [sends[json.dumps(_request(stub, k)["body"])] for k in range(4)] == [1, 2, 2, 1]
+    assert sum(sends.values()) == len(sends) + 2 == 14
+    _no_client_left()
+
+
 def test_the_earlier_requests_error_wins(stub):
     run = _held_run(stub)
     stub.release(_request(stub, 1), ("status", 401))  # fails first in time
