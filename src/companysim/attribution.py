@@ -7,8 +7,10 @@ month is regressed on cluster-membership dummies:
     R_j = A + sum_i B_i * C_{j,i} + eps_j
 
 with the smallest present cluster index held out as the reference (its
-coefficient is 0 by convention). The attribution score is the average
-cross-sectional R^2 over months.
+coefficient is 0 by convention). With an intercept and a dummy for every
+other present cluster, the least-squares fit is each cluster's mean, so the
+fit is read off the cluster means: no design matrix is built and nothing is
+solved. The attribution score is the average cross-sectional R^2 over months.
 """
 
 from __future__ import annotations
@@ -86,11 +88,13 @@ def cross_sectional_fit(
     labels: np.ndarray,
     month: str = "",
 ) -> AttributionFit:
-    """OLS of one month's returns on cluster dummies.
+    """OLS of one month's returns on cluster dummies, read off the cluster
+    means.
 
-    The design is an intercept plus a dummy per present cluster except the
-    smallest index, solved by least squares; coefficients for that
-    reference cluster report as 0. A zero-variance cross-section fits
+    The fitted value of each company is its cluster's mean. The intercept is
+    the mean of the reference cluster (the smallest present index) and each
+    coefficient is its cluster's mean minus the intercept, so the reference
+    cluster's coefficient is exactly 0. A zero-variance cross-section fits
     trivially and is flagged with r_squared = 0.
     """
     returns = np.asarray(returns, dtype=np.float64)
@@ -99,32 +103,21 @@ def cross_sectional_fit(
         raise ValueError("returns and labels must be aligned 1-d arrays")
     if returns.size < 2:
         raise DataValidationError("need at least 2 companies in a cross-section")
-    present = sorted(int(c) for c in np.unique(labels))
-    reference = present[0]
-    dummy_clusters = present[1:]
-    design = np.ones((returns.size, 1 + len(dummy_clusters)), dtype=np.float64)
-    for col, cluster in enumerate(dummy_clusters, start=1):
-        design[:, col] = (labels == cluster).astype(np.float64)
-    solution, _, _, _ = np.linalg.lstsq(design, returns, rcond=None)
-    fitted = design @ solution
-    residual = returns - fitted
+    present, cluster_of = np.unique(labels, return_inverse=True)
+    means = np.bincount(cluster_of, weights=returns) / np.bincount(cluster_of)
+    residual = returns - means[cluster_of]
     ss_res = float(residual @ residual)
     centered = returns - returns.mean()
     ss_tot = float(centered @ centered)
-    if ss_tot == 0.0:
-        r_squared = 0.0
-        degenerate = True
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
-        degenerate = False
-    coefficients = {reference: 0.0}
-    for col, cluster in enumerate(dummy_clusters, start=1):
-        coefficients[cluster] = float(solution[col])
+    degenerate = ss_tot == 0.0
+    r_squared = 0.0 if degenerate else 1.0 - ss_res / ss_tot
+    intercept = means[0]
+    coefficients = {int(c): float(m - intercept) for c, m in zip(present, means)}
     return AttributionFit(
         month=month,
-        intercept=float(solution[0]),
+        intercept=float(intercept),
         coefficients=coefficients,
-        reference_cluster=reference,
+        reference_cluster=int(present[0]),
         r_squared=r_squared,
         n_companies=int(returns.size),
         degenerate=degenerate,

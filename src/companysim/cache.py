@@ -98,6 +98,8 @@ def load_cache(path: str | Path) -> EmbeddingMatrix:
         )
         if dimension < 1:
             raise CacheFormatError(f"invalid dimension {dimension}")
+        if count == 0:
+            raise CacheFormatError(f"{path}: cache holds no rows")
         # checked before reading, so a corrupt header never asks for more
         # memory than the file holds
         size = 4 * dimension * count

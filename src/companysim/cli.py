@@ -191,7 +191,9 @@ def _check_flags(args) -> None:
 
 def _labelled_filings(labels, filings_dir: Path, mode: str, min_chars: int):
     """``(line number, corpus record)`` for each row of the labels CSV, the
-    description read from ``<filings_dir>/<company_id>.txt``."""
+    description read from ``<filings_dir>/<company_id>.txt``. An id that is
+    absolute or has a ``..`` component would read outside ``filings_dir``,
+    so it is rejected."""
     reader = csv.reader(labels)
     header = next(reader, None)
     if header != LABELS_HEADER:
@@ -205,6 +207,11 @@ def _labelled_filings(labels, filings_dir: Path, mode: str, min_chars: int):
                 f"line {line_no}: expected {len(LABELS_HEADER)} columns"
             )
         company_id, name, *levels = row
+        if Path(company_id).is_absolute() or ".." in Path(company_id).parts:
+            raise DataValidationError(
+                f"line {line_no}: company id {company_id!r} names a file "
+                f"outside the filings directory"
+            )
         filing_path = filings_dir / f"{company_id}.txt"
         if not filing_path.exists():
             raise DataValidationError(f"missing filing file {filing_path}")
@@ -226,6 +233,7 @@ def cmd_ingest(args, cfg: RunConfig) -> str:
         corpus = corpus_from_records(
             _labelled_filings(f, Path(args.filings_dir), args.mode, args.min_chars),
             hierarchy,
+            args.labels,
         )
     save_corpus(corpus, args.out)
     logger.info("ingested %d companies into %s", len(corpus), args.out)
@@ -280,6 +288,11 @@ def cmd_classify(args, cfg: RunConfig, corpus, matrix: EmbeddingMatrix) -> str:
     split = stratified_split(
         sub_corpus, labels, cfg.classify.test_fraction, seed=cfg.seed
     )
+    if not split.test_ids:
+        raise DataValidationError(
+            f"no {cfg.classify.level} class has 2 companies, so none can be "
+            f"held out for testing"
+        )
     train = matrix.subset(split.train_ids)
     test = matrix.subset(split.test_ids)
     model = fit_classifier(

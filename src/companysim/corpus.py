@@ -194,10 +194,12 @@ class PairExample:
             raise DataValidationError(f"pair label must be 0 or 1, got {self.label!r}")
 
 
-def corpus_from_records(records, hierarchy: GicsHierarchy) -> Corpus:
-    """The corpus of ``(line number, raw record)`` pairs. A record must be
-    an object with the record keys; company_id (non-empty and on no earlier
-    line), name, description and the GICS levels must be strings, and
+def corpus_from_records(records, hierarchy: GicsHierarchy,
+                        source: str | Path) -> Corpus:
+    """The corpus of ``(line number, raw record)`` pairs read from the file
+    ``source``, which must hold at least one. A record must be an object
+    with the record keys; company_id (non-empty and on no earlier line),
+    name, description and the GICS levels must be strings, and
     raw_filing_path a string or null; the labels must fit the hierarchy and
     the description must clean to at least one character. CorpusFormatError
     names the line of the first record that breaks a rule."""
@@ -241,6 +243,8 @@ def corpus_from_records(records, hierarchy: GicsHierarchy) -> Corpus:
             )
         checked.append(CompanyRecord(company_id, raw["name"], gics,
                                      raw["description"], raw_filing_path))
+    if not checked:
+        raise CorpusFormatError(f"{source}: no records")
     return Corpus(checked, hierarchy)
 
 
@@ -249,7 +253,7 @@ def load_corpus(path: str | Path, hierarchy_path: str | Path) -> Corpus:
     as ``corpus_from_records`` checks it."""
     hierarchy = GicsHierarchy.from_csv(hierarchy_path)
     with Path(path).open(encoding="utf-8") as fh:
-        return corpus_from_records(_json_lines(fh), hierarchy)
+        return corpus_from_records(_json_lines(fh), hierarchy, path)
 
 
 def _json_lines(fh) -> Iterator[tuple[int, object]]:

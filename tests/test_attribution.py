@@ -148,14 +148,30 @@ def test_monthly_all_sparse_raises():
 # Cross-sectional regression vs normal-equations oracle
 
 
-def test_fit_matches_normal_equations_on_random_cross_sections():
-    rng = np.random.default_rng(31)
-    for trial in range(8):
+def _cross_sections(rng):
+    """(returns, labels) pairs: contiguous ids with every cluster present;
+    unsorted, non-contiguous ids; one present cluster; every company in its
+    own cluster; and winsorized returns."""
+    for _ in range(8):
         n = int(rng.integers(12, 60))
         k = int(rng.integers(2, 6))
         labels = rng.integers(0, k, size=n)
         labels[:k] = np.arange(k)  # every cluster present
-        y = rng.normal(size=n)
+        yield rng.normal(size=n), labels
+    for _ in range(4):
+        n = int(rng.integers(12, 60))
+        ids = rng.choice(np.arange(3, 200, 7), size=int(rng.integers(2, 8)),
+                         replace=False)
+        yield rng.normal(size=n), rng.permutation(rng.choice(ids, size=n))
+    yield rng.normal(size=9), np.full(9, 42)
+    yield rng.normal(size=11), rng.permutation(np.arange(20, 31))
+    labels = rng.integers(0, 4, size=40)
+    yield winsorize(rng.standard_t(2, size=40), 0.1), labels
+
+
+def test_fit_matches_normal_equations_on_random_cross_sections():
+    rng = np.random.default_rng(31)
+    for y, labels in _cross_sections(rng):
         fit = cross_sectional_fit(y, labels)
         o_int, o_coefs, o_r2 = oracle_dummy_regression(y, labels)
         assert fit.intercept == pytest.approx(o_int, abs=1e-9)
@@ -163,6 +179,22 @@ def test_fit_matches_normal_equations_on_random_cross_sections():
         assert set(fit.coefficients) == set(o_coefs)
         for c, b in o_coefs.items():
             assert fit.coefficients[c] == pytest.approx(b, abs=1e-9)
+
+
+def test_fit_and_metric_need_no_least_squares_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    fit = cross_sectional_fit(np.array([0.1, 0.2, 0.3, 0.5]), np.array([4, 2, 4, 2]))
+    assert fit.intercept == pytest.approx(0.35, abs=1e-15)
+    assert fit.coefficients == {2: 0.0, 4: pytest.approx(-0.15, abs=1e-15)}
+    ids = ["a", "b", "c", "d"]
+    assignment = ClusterAssignment(ids, np.array([0, 0, 1, 1]), 2, "test")
+    monthly = _month_panel({"2021-01": {"a": 0.01, "b": 0.02, "c": -0.02, "d": -0.01}})
+    report = attribution_metric(monthly, assignment)
+    assert report.n_months == 1
+    assert report.per_month["2021-01"] == pytest.approx(0.9, abs=1e-12)
 
 
 def test_fit_reference_is_smallest_present_cluster():

@@ -25,7 +25,7 @@ from companysim.cluster import (
 )
 from companysim.config import config_from_dict
 from companysim.corpus import load_corpus
-from companysim.embeddings import corpus_documents
+from companysim.embeddings import EmbeddingMatrix, corpus_documents
 from companysim.errors import ComputationError
 from companysim.similarity import top_k_peers
 from companysim.textprep import ChunkingConfig
@@ -787,6 +787,64 @@ def test_exit_code_data_errors(workspace, tmp_path):
     assert run("ingest", "--filings-dir", tmp_path, "--labels", bad_labels,
                "--hierarchy", workspace / "hierarchy.csv",
                "--out", tmp_path / "c.jsonl") == 2
+
+
+@pytest.mark.parametrize("stage", ["embed", "cluster", "project"])
+def test_an_empty_corpus_or_cache_is_a_data_error(workspace, tmp_path, caplog, stage):
+    """A corpus file with no records, and a cache with no rows, fail the
+    stage that reads them (exit 2, naming the file) before it writes."""
+    if stage == "embed":
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        inputs = ["--corpus", empty, "--hierarchy", workspace / "hierarchy.csv"]
+        message = f"{empty}: no records"
+    else:
+        empty = tmp_path / "empty.bin"
+        save_cache(EmbeddingMatrix([], np.zeros((0, 8), dtype=np.float32),
+                                   "hash-bow", 256), empty)
+        inputs = ["--cache", empty]
+        message = f"{empty}: cache holds no rows"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(stage, *inputs, "--out", tmp_path / "out") == 2
+    assert "data error:" in caplog.text and message in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_classify_refuses_a_split_that_holds_nothing_out(workspace, tmp_path, caplog):
+    """One company per sector: no sector class can lose a member to the
+    test set, so classify has nothing to score."""
+    first_of_sector = {}
+    for line in (workspace / "corpus.jsonl").read_text().splitlines():
+        first_of_sector.setdefault(json.loads(line)["gics"]["sector"], line)
+    assert len(first_of_sector) == 6
+    corpus = tmp_path / "six.jsonl"
+    corpus.write_text("".join(line + "\n" for line in first_of_sector.values()))
+    gics = ["--corpus", corpus, "--hierarchy", workspace / "hierarchy.csv"]
+    assert run("embed", *gics, "--out", tmp_path / "emb.bin") == 0
+    model, report = tmp_path / "model.json", tmp_path / "report.json"
+    assert run("classify", "--cache", tmp_path / "emb.bin", *gics,
+               "--model-out", model, "--report-out", report) == 2
+    assert "no sector class has 2 companies" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not model.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("outside", ["../secret", "absolute"])
+def test_ingest_reads_filings_only_inside_the_filings_dir(workspace, tmp_path,
+                                                          caplog, outside):
+    root, labels = _ingest_inputs(tmp_path, [("X1", "solar panels " * 5)])
+    secret = tmp_path / "secret"
+    secret.with_suffix(".txt").write_text("storage " * 5, encoding="utf-8")
+    company_id = str(secret) if outside == "absolute" else outside
+    with open(labels, "a", newline="") as f:
+        csv.writer(f).writerow([company_id, "Secret Corp", "Energy", "Energy Group",
+                                "Solar Power", "Solar Power Core"])
+    out = tmp_path / "ingested.jsonl"
+    assert run("ingest", "--mode", "plain", "--filings-dir", root, "--labels", labels,
+               "--hierarchy", workspace / "hierarchy.csv", "--out", out) == 2
+    assert (f"line 3: company id {company_id!r} names a file outside the "
+            f"filings directory") in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
