@@ -417,7 +417,6 @@ def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
         n_clusters=c.n_clusters,
         method=c.method,
     )
-    save_assignment(assignment, args.out)
     quality_payload: dict = {
         "config_hash": config_hash(cfg),
         "method": c.method,
@@ -434,8 +433,6 @@ def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
         quality = cluster_quality(aligned, predicted)
         quality_payload["quality"] = quality.to_dict()
         quality_payload["labels_level"] = args.labels_level
-    if args.quality_out:
-        write_json(args.quality_out, quality_payload)
     lines = []
     if args.sweep_out:
         keep = [i for i in matrix.ids if i in level_labels]
@@ -447,8 +444,14 @@ def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
             n_init=c.n_init,
             n_neighbors=c.n_neighbors,
         )
-        save_sweep_csv(rows, args.sweep_out)
         lines.append(f"swept {len(rows)} cluster settings -> {args.sweep_out}")
+    # every output is computed before the first is written, so a run that
+    # fails in the sweep leaves the previous outputs as they were
+    save_assignment(assignment, args.out)
+    if args.quality_out:
+        write_json(args.quality_out, quality_payload)
+    if args.sweep_out:
+        save_sweep_csv(rows, args.sweep_out)
     line = f"cluster method={c.method} k={c.n_clusters} -> {args.out}"
     if quality_payload["quality"]:
         q = quality_payload["quality"]

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     ComputationError,
@@ -87,15 +88,19 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.clip(dist2, 0.0, None, out=dist2)
 
 
+# rows per block where an n x n matrix is worked on a block at a time
+_BLOCK = 256
+
+
 def _symmetrize(A: np.ndarray, combine) -> None:
     """Set ``A[i, j]`` and ``A[j, i]`` to ``combine(A[i, j], A[j, i])`` in
     place, one block pair at a time, so the only temporaries are blocks.
     ``combine`` must not depend on the order of its arguments."""
-    n, block = A.shape[0], 256
-    for lo in range(0, n, block):
-        for lo2 in range(lo, n, block):
-            upper = A[lo:lo + block, lo2:lo2 + block]
-            lower = A[lo2:lo2 + block, lo:lo + block]
+    n = A.shape[0]
+    for lo in range(0, n, _BLOCK):
+        for lo2 in range(lo, n, _BLOCK):
+            upper = A[lo:lo + _BLOCK, lo2:lo2 + _BLOCK]
+            lower = A[lo2:lo2 + _BLOCK, lo:lo + _BLOCK]
             merged = combine(upper, lower.T)
             upper[...] = merged
             lower[...] = merged.T
@@ -108,7 +113,8 @@ def knn_affinity(X: np.ndarray, n_neighbors: int) -> np.ndarray:
     symmetrized with an elementwise max so the matrix stays an affinity.
     Each row keeps its ``n_neighbors`` largest similarities (its own zero
     diagonal included); among equal values the smallest column indices win.
-    Memory is the n x n result plus one partitioned copy of it.
+    Memory is the n x n result plus, for one block of rows at a time, a
+    partitioned copy and a bool mask of that block.
     """
     unit = _unit_rows(X)
     n = unit.shape[0]
@@ -117,19 +123,23 @@ def knn_affinity(X: np.ndarray, n_neighbors: int) -> np.ndarray:
             f"n_neighbors must be in [1, {n - 1}], got {n_neighbors}"
         )
     sims = unit @ unit.T
+    del unit  # the row blocks below can reuse its memory
     np.clip(sims, 0.0, None, out=sims)
     np.fill_diagonal(sims, 0.0)
-    kth = np.partition(sims, n - n_neighbors, axis=1)[:, n - n_neighbors].copy()
-    below = sims < kth[:, None]
-    n_kept = n - np.count_nonzero(below, axis=1)
-    sims[below] = 0.0
-    del below
-    # rows with more ties at their k-th value than places left for them
-    for i in np.flatnonzero(n_kept > n_neighbors):
-        row = sims[i]
-        ties = np.flatnonzero(row == kth[i])
-        places = n_neighbors - (n_kept[i] - ties.size)
-        row[ties[places:]] = 0.0
+    for lo in range(0, n, _BLOCK):
+        rows = sims[lo:lo + _BLOCK]
+        # a copy, so the block's partition is freed before the next one
+        kth = np.partition(rows, n - n_neighbors, axis=1)[:, n - n_neighbors].copy()
+        below = rows < kth[:, None]
+        n_kept = n - np.count_nonzero(below, axis=1)
+        rows[below] = 0.0
+        del below
+        # rows with more ties at their k-th value than places left for them
+        for i in np.flatnonzero(n_kept > n_neighbors):
+            row = rows[i]
+            ties = np.flatnonzero(row == kth[i])
+            places = n_neighbors - (n_kept[i] - ties.size)
+            row[ties[places:]] = 0.0
     _symmetrize(sims, np.maximum)
     return sims
 
@@ -155,6 +165,22 @@ def _normalized_laplacian(W: np.ndarray) -> np.ndarray:
     return W
 
 
+def _eigenvalues_did_not_converge(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``np.linalg.eigh(a)`` returns for a float64 ``a``, with the
+    eigenvectors written over ``a``'s own buffer: the gufunc that ``eigh``
+    calls, under the same error state, given ``a`` as its output. ``a``
+    is overwritten; no second n x n array is allocated."""
+    values = np.empty(a.shape[0])
+    with np.errstate(call=_eigenvalues_did_not_converge, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        _umath_linalg.eigh_lo(a, signature="d->dd", out=(values, a))
+    return values, a
+
+
 def spectral_embedding(
     X: np.ndarray,
     n_components: int,
@@ -173,8 +199,9 @@ def spectral_embedding(
     that null space, not a canonical layout.
 
     Memory is one n x n float64 matrix (the affinity, turned into the
-    Laplacian in place) plus what ``np.linalg.eigh`` needs: its n x n
-    eigenvectors and LAPACK's workspace.
+    Laplacian in place and then into its eigenvectors) plus, while the
+    eigensolver runs, its own copy of the Laplacian and LAPACK's 2n^2
+    workspace, which it allocates outside numpy.
     """
     if n_components < 1:
         raise ConfigError(f"n_components must be >= 1, got {n_components}")
@@ -185,7 +212,7 @@ def spectral_embedding(
             f"cannot take {n_components} spectral components from "
             f"{affinity.shape[0]} points"
         )
-    _, eigvecs = np.linalg.eigh(_normalized_laplacian(affinity))
+    _, eigvecs = _eigh_in_place(_normalized_laplacian(affinity))
     block = eigvecs[:, start:start + n_components].copy()
     for i in range(block.shape[1]):
         j = int(np.argmax(np.abs(block[:, i])))

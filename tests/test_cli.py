@@ -1094,6 +1094,33 @@ def test_cluster_sweep_out(workspace, tmp_path):
                "--sweep-out", tmp_path / "s2.csv") == 1
 
 
+def test_cluster_stage_that_fails_in_the_sweep_writes_nothing(
+    workspace, tmp_path, monkeypatch
+):
+    cache = tmp_path / "emb.bin"
+    run("embed", "--corpus", workspace / "corpus.jsonl",
+        "--hierarchy", workspace / "hierarchy.csv", "--out", cache)
+    outputs = [tmp_path / name for name in ("asg.csv", "q.json", "sweep.csv")]
+    argv = ("cluster", "--cache", cache, "--out", outputs[0],
+            "--quality-out", outputs[1], "--corpus", workspace / "corpus.jsonl",
+            "--hierarchy", workspace / "hierarchy.csv", "--sweep-out", outputs[2])
+    assert run(*argv) == 0
+    fresh = [path.read_bytes() for path in outputs]
+    for path in outputs:
+        path.write_bytes(b"old\n")
+
+    def failing_sweep(*args, **kwargs):
+        raise ComputationError("sweep failed")
+
+    monkeypatch.setattr(cli_module, "cluster_sweep", failing_sweep)
+    assert run(*argv) == 3
+    assert [path.read_bytes() for path in outputs] == [b"old\n"] * 3
+    assert not list(tmp_path.glob("*.tmp"))
+    monkeypatch.undo()
+    assert run(*argv) == 0
+    assert [path.read_bytes() for path in outputs] == fresh
+
+
 @pytest.mark.parametrize("method", ["kmeans", "agglomerative", "spectral"])
 def test_cluster_stage_matches_its_sweep_cell(workspace, tmp_path, method):
     """The stage at 11 clusters on PCA-5 scores what the sweep's

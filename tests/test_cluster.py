@@ -1,13 +1,16 @@
+import functools
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from companysim import cluster as cluster_module
 from companysim.cluster import (
     ClusterAssignment,
     KMeansResult,
     _cut,
+    _eigh_in_place,
     _initial_distances,
     _kmeans_counts,
     _kmeanspp_init,
@@ -680,10 +683,7 @@ def _reference_laplacian(W):
     return (laplacian + laplacian.T) / 2.0
 
 
-def _knn_inputs(seed):
-    rng = np.random.default_rng(seed)
-    n, d = int(rng.integers(5, 300)), int(rng.integers(2, 8))
-    kind = seed % 4
+def _knn_points(rng, n, d, kind):
     if kind == 0:
         X = rng.normal(size=(n, d))
     elif kind == 1:  # integer grid: many equal similarities
@@ -694,12 +694,31 @@ def _knn_inputs(seed):
     else:  # nonnegative and orthogonal rows: fewer than k positive sims
         X = np.zeros((n, d))
         X[np.arange(n), rng.integers(0, d, size=n)] = rng.integers(1, 3, size=n)
+    return X
+
+
+def _knn_inputs(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(5, 300)), int(rng.integers(2, 8))
+    X = _knn_points(rng, n, d, seed % 4)
     return X, int(rng.integers(1, n))
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_knn_affinity_and_laplacian_equal_reference(seed):
-    X, k = _knn_inputs(seed)
+# n at the edges of knn_affinity's 256-row blocks, on the tie-heavy kinds
+# (integer grid, duplicate rows), with the smallest and largest k
+_KNN_BLOCK_CASES = [
+    pytest.param((kind, n, k), id=f"kind{kind}-n{n}-k{k}")
+    for kind in (1, 2) for n in (256, 257, 513) for k in (1, n - 1)
+]
+
+
+@pytest.mark.parametrize("case", [*range(24), *_KNN_BLOCK_CASES])
+def test_knn_affinity_and_laplacian_equal_reference(case):
+    if isinstance(case, int):
+        X, k = _knn_inputs(case)
+    else:
+        kind, n, k = case
+        X = _knn_points(np.random.default_rng(n), n, 4, kind)
     W = knn_affinity(X, k)
     want = _reference_knn_affinity(X, k)
     assert np.array_equal(W, want)
@@ -725,7 +744,7 @@ def test_spectral_embedding_equals_reference(drop_first):
 
 
 @pytest.mark.parametrize("kernel", [knn_affinity, spectral_embedding])
-def test_spectral_kernels_trace_under_two_and_a_quarter_matrices(kernel):
+def test_spectral_kernels_trace_under_one_point_six_matrices(kernel):
     n = 600
     rng = np.random.default_rng(25)
     X, _ = _blobs(rng, [[8, 1, 1], [1, 8, 1], [1, 1, 8]], per=n // 3)
@@ -735,7 +754,51 @@ def test_spectral_kernels_trace_under_two_and_a_quarter_matrices(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * n * n * 8
+    assert peak <= 1.6 * n * n * 8
+
+
+def _disconnected_laplacian():
+    """The normalized Laplacian of a kNN graph with three components."""
+    rng = np.random.default_rng(27)
+    X, _ = _blobs(rng, [[8, 1, 1], [1, 8, 1], [1, 1, 8]], per=20)
+    L = _normalized_laplacian(knn_affinity(X, 5))
+    assert np.count_nonzero(np.abs(np.linalg.eigvalsh(L)) < 1e-12) == 3
+    return L
+
+
+def _symmetric(n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    return a + a.T
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(functools.partial(_symmetric, n), id=f"n{n}")
+      for n in (1, 2, 7, 300)),
+    pytest.param(_disconnected_laplacian, id="disconnected-knn-laplacian"),
+])
+def test_eigh_in_place_equals_numpy_eigh_in_the_input_buffer(make):
+    a = make()
+    want_values, want_vectors = np.linalg.eigh(a)
+    values, vectors = _eigh_in_place(a)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(vectors, want_vectors)
+    # the point of the helper: no second n x n array
+    assert np.shares_memory(vectors, a)
+
+
+def test_eigh_in_place_agrees_with_numpy_eigh_on_nan():
+    a = _symmetric(7)
+    a[2, 4] = a[4, 2] = np.nan
+    try:
+        want = np.linalg.eigh(a.copy())
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            _eigh_in_place(a)
+    else:
+        got = _eigh_in_place(a)
+        assert np.isnan(want[1]).any()
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 def test_zero_row_raises_from_knn_affinity_and_cosine_linkage():
@@ -757,7 +820,7 @@ def test_spectral_embedding_checks_the_component_count_before_eigh(monkeypatch):
     def no_eigh(*args, **kwargs):
         pytest.fail("eigh ran for a component count that cannot be taken")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(cluster_module, "_eigh_in_place", no_eigh)
     X = np.random.default_rng(21).normal(size=(12, 4)) + 3.0
     for n_components, drop_first in ((12, True), (13, False), (50, True)):
         with pytest.raises(RankDeficiencyError, match=(
