@@ -357,8 +357,9 @@ def soft_class_distribution(
 # Persistence (JSON keeps float64 exactly via repr round-trip)
 
 
-def save_model(model: LogisticModel, path: str | Path) -> None:
-    payload = {
+def model_to_dict(model: LogisticModel) -> dict:
+    """What ``save_model`` writes, as a JSON-ready dict."""
+    return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "classes": model.classes,
@@ -371,7 +372,10 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
         "converged": model.converged,
         "final_objective": model.final_objective,
     }
-    write_json(path, payload, indent=None)
+
+
+def save_model(model: LogisticModel, path: str | Path) -> None:
+    write_json(path, model_to_dict(model), indent=None)
 
 
 def load_model(path: str | Path) -> LogisticModel:

@@ -11,8 +11,9 @@ Conventions shared by every subcommand:
 * every output is a regular file, replaced whole; a target under /dev or
   /proc (``/dev/stdout`` included), a link that leads there, and a target
   that exists and is not a regular file (a FIFO, a directory) are refused
-  with exit 2, and a SIGKILL can leave an output's ``<name>.<pid>.tmp``
-  behind,
+  with exit 2; SIGTERM, like SIGINT, raises where the stage is, so it
+  exits 143 and removes every ``<name>.<pid>.tmp`` it had open, while a
+  SIGKILL can leave one behind,
 * each stage's inputs (an embedding cache, a corpus with its hierarchy, a
   returns file, a cluster assignment) are declared with its flags in
   ``STAGES`` and opened by ``main`` in the declared order before the stage
@@ -25,10 +26,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
+import signal
 import sys
+import threading
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -55,7 +59,7 @@ from .classify import (
     evaluate,
     fit_classifier,
     format_report,
-    save_model,
+    model_to_dict,
     soft_class_distribution,
 )
 from .cluster import (
@@ -89,7 +93,15 @@ from .errors import (
     ProviderError,
 )
 from .filings import extract_item1
-from .outputs import csv_writer, replacing, write_json, write_rows
+from .outputs import (
+    check_target,
+    csv_writer,
+    json_text,
+    replace_together,
+    replacing,
+    write_json,
+    write_rows,
+)
 from .providers import HashBowProvider, RemoteProvider, TfidfProvider
 from .similarity import (
     avg_peer_correlation,
@@ -280,6 +292,12 @@ def cmd_embed(args, cfg: RunConfig, corpus) -> str:
 
 
 def cmd_classify(args, cfg: RunConfig, corpus, matrix: EmbeddingMatrix) -> str:
+    # every output path is checked before the fit and every output is
+    # computed before the first is written, so a failed run changes none
+    for path in (args.model_out, args.report_out, args.text_report,
+                 args.soft_out, args.csv_report):
+        if path:
+            check_target(path)
     common = [i for i in corpus.ids() if i in matrix]
     if len(common) < 2:
         raise DataValidationError("cache and corpus share fewer than 2 companies")
@@ -303,41 +321,39 @@ def cmd_classify(args, cfg: RunConfig, corpus, matrix: EmbeddingMatrix) -> str:
         tol=cfg.classify.tol,
     )
     report = evaluate(model, test.matrix, [labels[i] for i in split.test_ids])
-    save_model(model, args.model_out)
-    payload = {
-        "config_hash": config_hash(cfg),
-        "level": cfg.classify.level,
-        "n_train": len(split.train_ids),
-        "n_test": len(split.test_ids),
-        "singleton_classes": split.singleton_classes,
-        "report": report.to_dict(),
-    }
-    write_json(args.report_out, payload)
+    texts = [(args.model_out, json_text(model_to_dict(model), indent=None)),
+             (args.report_out, json_text({
+                 "config_hash": config_hash(cfg),
+                 "level": cfg.classify.level,
+                 "n_train": len(split.train_ids),
+                 "n_test": len(split.test_ids),
+                 "singleton_classes": split.singleton_classes,
+                 "report": report.to_dict(),
+             }))]
     if args.text_report:
-        with replacing(args.text_report) as f:
-            f.write(format_report(report))
+        texts.append((args.text_report, format_report(report)))
     if args.soft_out:
         rows = soft_class_distribution(model, matrix.matrix, matrix.ids)
-        with replacing(args.soft_out) as f:
-            for row in rows:
-                f.write(json.dumps(row, sort_keys=True) + "\n")
+        texts.append((args.soft_out, "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in rows)))
+    files = [(path, text.encode("utf-8")) for path, text in texts]
     if args.csv_report:
-        # accumulates across runs so sweeps land in one table; rewritten
-        # whole, old bytes first, so a failed run adds no partial row
-        header = ["provider", "context_budget", "level",
-                  "accuracy", "micro_f1", "weighted_f1", "n_test"]
+        # accumulates across runs so sweeps land in one table: the old
+        # bytes and one more row, rewritten whole
         path = Path(args.csv_report)
-        with replacing(path) as f:
-            table = path.read_bytes() if path.exists() else b""
-            f.buffer.write(table)  # before any text, so it comes first
-            writer = csv_writer(f)
-            if not table:
-                writer.writerow(header)
-            writer.writerow([
-                matrix.provider_id, matrix.context_budget, cfg.classify.level,
-                f"{report.accuracy:.8f}", f"{report.micro_f1:.8f}",
-                f"{report.weighted_f1:.8f}", report.n_examples,
-            ])
+        table = path.read_bytes() if path.exists() else b""
+        added = io.StringIO(newline="")
+        writer = csv_writer(added)
+        if not table:
+            writer.writerow(["provider", "context_budget", "level",
+                             "accuracy", "micro_f1", "weighted_f1", "n_test"])
+        writer.writerow([
+            matrix.provider_id, matrix.context_budget, cfg.classify.level,
+            f"{report.accuracy:.8f}", f"{report.micro_f1:.8f}",
+            f"{report.weighted_f1:.8f}", report.n_examples,
+        ])
+        files.append((path, table + added.getvalue().encode("utf-8")))
+    replace_together(files)
     return (f"classify level={cfg.classify.level}: accuracy={report.accuracy:.4f} "
             f"micro_f1={report.micro_f1:.4f} weighted_f1={report.weighted_f1:.4f} "
             f"on {report.n_examples} held-out companies")
@@ -716,7 +732,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_sigterm(signum, frame):
+    # raised where the stage is, as SIGINT raises KeyboardInterrupt, so
+    # each open ``replacing`` removes its temporary file on the way out
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    if threading.current_thread() is not threading.main_thread():
+        return _main(argv)  # only the main thread may set a handler
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        return _main(argv)
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

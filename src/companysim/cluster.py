@@ -10,7 +10,10 @@ breaks toward the smallest index.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
+import mmap
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -165,20 +168,71 @@ def _normalized_laplacian(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _eigenvalues_did_not_converge(err, flag):
+def _eigenvalues_did_not_converge(err=None, flag=None):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
+@functools.cache
+def _lapack_dsyevd():
+    """The LAPACK ``dsyevd`` that ``np.linalg.eigh`` calls, found through
+    the link of numpy's own linalg extension, or None when that LAPACK
+    exports neither name. Both names take 64-bit integers: numpy 2 wheels
+    bundle ``scipy_dsyevd_64_``, numpy 1 wheels ``dsyevd_64_``."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in ("scipy_dsyevd_64_", "dsyevd_64_"):
+        if hasattr(lib, name):
+            return getattr(lib, name)
+    return None
+
+
 def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What ``np.linalg.eigh(a)`` returns for a float64 ``a``, with the
-    eigenvectors written over ``a``'s own buffer: the gufunc that ``eigh``
-    calls, under the same error state, given ``a`` as its output. ``a``
-    is overwritten; no second n x n array is allocated."""
+    """What ``np.linalg.eigh(a)`` returns, computed in ``a``'s own buffer.
+
+    ``a`` must be a C-contiguous, exactly symmetric float64 matrix, and it
+    is overwritten. ``eigh`` copies its input into a private buffer and
+    then runs LAPACK's ``dsyevd`` there; here the same ``dsyevd`` runs on
+    ``a`` itself, with the same job ('V'), triangle ('L') and workspace
+    query, so its results are bit-identical. Read in column-major order,
+    ``a``'s lower triangle is its upper one, equal by symmetry; the
+    eigenvectors come back as the rows of ``a``, so the vectors returned
+    are ``a.T``. The 1 + 6n + 2n^2 workspace is one anonymous mapping,
+    outside numpy's allocator, unmapped before this returns.
+
+    A numpy whose LAPACK ``_lapack_dsyevd`` cannot find falls back to the
+    ``eigh`` gufunc, given ``a`` as its output (it still copies ``a``)."""
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1] \
+            or not (a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError("_eigh_in_place needs a writeable C-contiguous "
+                         f"square float64 matrix, got {a.dtype} {a.shape}")
     values = np.empty(a.shape[0])
-    with np.errstate(call=_eigenvalues_did_not_converge, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        _umath_linalg.eigh_lo(a, signature="d->dd", out=(values, a))
-    return values, a
+    dsyevd = _lapack_dsyevd()
+    if dsyevd is None:
+        with np.errstate(call=_eigenvalues_did_not_converge, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            _umath_linalg.eigh_lo(a, signature="d->dd", out=(values, a))
+        return values, a
+    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
+
+    def call(work, lwork, iwork, liwork):
+        dsyevd(b"V", b"L", ctypes.byref(n), ctypes.c_void_p(a.ctypes.data),
+               ctypes.byref(n), ctypes.c_void_p(values.ctypes.data), work,
+               ctypes.byref(lwork), iwork, ctypes.byref(liwork),
+               ctypes.byref(info))
+        return info.value
+
+    work_size, iwork_size = ctypes.c_double(0.0), ctypes.c_int64(0)
+    query = ctypes.c_int64(-1)
+    if call(ctypes.byref(work_size), query, ctypes.byref(iwork_size), query):
+        _eigenvalues_did_not_converge()
+    lwork, liwork = ctypes.c_int64(int(work_size.value)), iwork_size
+    with mmap.mmap(-1, 8 * (lwork.value + liwork.value)) as space:
+        # the address alone: a live ctypes view would keep the mapping open
+        work = ctypes.addressof(ctypes.c_char.from_buffer(space))
+        failed = call(ctypes.c_void_p(work), lwork,
+                      ctypes.c_void_p(work + 8 * lwork.value), liwork)
+    if failed:
+        _eigenvalues_did_not_converge()
+    return values, a.T
 
 
 def spectral_embedding(
@@ -199,9 +253,9 @@ def spectral_embedding(
     that null space, not a canonical layout.
 
     Memory is one n x n float64 matrix (the affinity, turned into the
-    Laplacian in place and then into its eigenvectors) plus, while the
-    eigensolver runs, its own copy of the Laplacian and LAPACK's 2n^2
-    workspace, which it allocates outside numpy.
+    Laplacian in place and then, by ``_eigh_in_place``, into its
+    eigenvectors) plus, while LAPACK's ``dsyevd`` runs, its 2n^2
+    workspace, which is mapped outside numpy.
     """
     if n_components < 1:
         raise ConfigError(f"n_components must be >= 1, got {n_components}")

@@ -8,7 +8,6 @@ should fail loudly, not silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -273,6 +272,7 @@ def config_to_dict(config: RunConfig) -> dict:
 
 def config_hash(config: RunConfig) -> str:
     """Short stable digest of the full effective configuration."""
+    import hashlib  # here, so stages that take no digest never load OpenSSL
     canonical = json.dumps(
         config_to_dict(config), sort_keys=True, separators=(",", ":")
     )

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,17 +30,23 @@ def _leads_into_system_dirs(path: str | Path) -> bool:
     return True
 
 
-@contextmanager
-def replacing(path: str | Path, binary: bool = False):
-    """A file for ``path``'s new contents: bytes, or UTF-8 text with no
-    newline translation. It replaces ``path`` on a clean exit and is
-    removed on any exception. A ``path`` under /dev or /proc, or a link
-    that leads there, and a ``path`` that exists and, links followed, is
-    not a regular file are refused before anything is written."""
+def check_target(path: str | Path) -> None:
+    """Raise OSError for a ``path`` that ``replacing`` refuses: one under
+    /dev or /proc, or a link that leads there, and one that exists and,
+    links followed, is not a regular file."""
     if _leads_into_system_dirs(path):
         raise OSError(f"{path} is under /dev or /proc, or links there")
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"{path} exists and is not a regular file")
+
+
+@contextmanager
+def replacing(path: str | Path, binary: bool = False):
+    """A file for ``path``'s new contents: bytes, or UTF-8 text with no
+    newline translation. It replaces ``path`` on a clean exit and is
+    removed on any exception. A ``path`` that ``check_target`` refuses is
+    refused before anything is written."""
+    check_target(path)
     temp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with (open(temp, "wb") if binary
@@ -50,6 +56,15 @@ def replacing(path: str | Path, binary: bool = False):
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def replace_together(files) -> None:
+    """Each ``(path, bytes)`` of ``files`` written whole to its temporary
+    file; the files replace their paths only once every temporary file is
+    complete, and a failure before then removes them all."""
+    with ExitStack() as stack:
+        for path, data in files:
+            stack.enter_context(replacing(path, binary=True)).write(data)
 
 
 def csv_writer(f, lineterminator: str = "\n"):
@@ -69,8 +84,12 @@ def write_rows(path: str | Path, header, rows, lineterminator: str = "\n") -> No
         writer.writerows(rows)
 
 
-def write_json(path: str | Path, payload, indent: int | None = 2) -> None:
+def json_text(payload, indent: int | None = 2) -> str:
     """``payload`` as JSON with sorted keys and a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
+
+
+def write_json(path: str | Path, payload, indent: int | None = 2) -> None:
+    """``json_text(payload, indent)`` as the file at ``path``."""
     with replacing(path) as f:
-        json.dump(payload, f, sort_keys=True, indent=indent)
-        f.write("\n")
+        f.write(json_text(payload, indent))

@@ -28,7 +28,6 @@ for and their answers discarded.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -73,21 +72,20 @@ class EmbeddingProvider:
             yield self.embed_chunks(chunks)
 
 
-def _sign_hash(token: str, seed: int) -> tuple[int, float]:
-    """Deterministic (index-source, sign) for a token; stable across processes."""
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=9, key=key).digest()
-    return int.from_bytes(digest[:8], "little"), (1.0 if digest[8] & 1 else -1.0)
-
-
 def hash_bow_embed(chunk: list[str], dimension: int, seed: int) -> np.ndarray:
-    """Signed feature-hashing bag of words, L2-normalized unless all-zero."""
+    """Signed feature-hashing bag of words, L2-normalized unless all-zero.
+    Each token's keyed BLAKE2b digest gives its bucket (first 8 bytes) and
+    its sign (the 9th byte's low bit), the same in every process."""
     if dimension < 2:
         raise ValueError(f"dimension must be >= 2, got {dimension}")
+    import hashlib  # here, so stages that never hash skip OpenSSL
+
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     vec = np.zeros(dimension, dtype=np.float64)
     for token in chunk:
-        bucket, sign = _sign_hash(token, seed)
-        vec[bucket % dimension] += sign
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=9, key=key).digest()
+        vec[int.from_bytes(digest[:8], "little") % dimension] += (
+            1.0 if digest[8] & 1 else -1.0)
     _normalize(vec)
     return vec
 

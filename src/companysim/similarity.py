@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import hashlib
 import io
 import logging
 import math
@@ -256,6 +255,8 @@ class _HashingReader(io.RawIOBase):
     ``sha256``: the digest is of exactly the bytes a parse read."""
 
     def __init__(self, raw):
+        import hashlib  # here, so stages that never hash skip OpenSSL
+
         self.raw, self.sha256 = raw, hashlib.sha256()
 
     def readable(self) -> bool:
@@ -269,6 +270,8 @@ class _HashingReader(io.RawIOBase):
 
 def _sha256(raw) -> bytes:
     """The SHA-256 of what is left to read in ``raw``."""
+    import hashlib
+
     sha256 = hashlib.sha256()
     for block in iter(lambda: raw.read(1 << 20), b""):
         sha256.update(block)

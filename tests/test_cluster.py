@@ -1,6 +1,10 @@
 import functools
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -771,11 +775,14 @@ def _symmetric(n):
     return a + a.T
 
 
-@pytest.mark.parametrize("make", [
+_EIGH_CASES = [
     *(pytest.param(functools.partial(_symmetric, n), id=f"n{n}")
       for n in (1, 2, 7, 300)),
     pytest.param(_disconnected_laplacian, id="disconnected-knn-laplacian"),
-])
+]
+
+
+@pytest.mark.parametrize("make", _EIGH_CASES)
 def test_eigh_in_place_equals_numpy_eigh_in_the_input_buffer(make):
     a = make()
     want_values, want_vectors = np.linalg.eigh(a)
@@ -799,6 +806,83 @@ def test_eigh_in_place_agrees_with_numpy_eigh_on_nan():
         assert np.isnan(want[1]).any()
         for g, w in zip(got, want):
             assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("make", _EIGH_CASES)
+def test_eigh_in_place_without_lapack_symbols_falls_back_to_the_gufunc(
+    make, monkeypatch
+):
+    monkeypatch.setattr(cluster_module, "_lapack_dsyevd", lambda: None)
+    a = make()
+    want_values, want_vectors = np.linalg.eigh(a)
+    values, vectors = _eigh_in_place(a)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(vectors, want_vectors)
+    assert np.shares_memory(vectors, a)
+
+
+def _lapack_or_skip():
+    dsyevd = cluster_module._lapack_dsyevd()
+    if dsyevd is None:
+        pytest.skip("numpy's LAPACK exports no dsyevd this module can call")
+    return dsyevd
+
+
+@pytest.mark.parametrize("failing_call", [0, 1], ids=["workspace-query", "solve"])
+def test_eigh_in_place_raises_on_nonzero_info(failing_call, monkeypatch):
+    dsyevd, calls = _lapack_or_skip(), []
+
+    def failing(*args):
+        dsyevd(*args)
+        if len(calls) == failing_call:
+            args[-1]._obj.value = 1  # INFO, passed by reference
+        calls.append(args)
+
+    monkeypatch.setattr(cluster_module, "_lapack_dsyevd", lambda: failing)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        _eigh_in_place(_symmetric(7))
+    assert len(calls) == failing_call + 1
+
+
+@pytest.mark.parametrize("a", [
+    np.eye(3, dtype=np.float32), np.eye(4)[:, :3], np.asfortranarray(_symmetric(3)),
+    _symmetric(4)[::2, ::2],
+], ids=["float32", "not-square", "fortran-order", "strided"])
+def test_eigh_in_place_refuses_what_lapack_cannot_take_in_place(a):
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _eigh_in_place(a)
+
+
+_EIGH_RSS_PROBE = """
+import os, resource, sys
+import numpy as np
+from companysim.cluster import _eigh_in_place
+n = int(sys.argv[1])
+warm = np.random.default_rng(1).normal(size=(400, 400))
+_eigh_in_place(warm + warm.T)  # OpenBLAS's own buffers, touched once
+a = np.random.default_rng(0).normal(size=(n, n))
+a += a.T
+with open("/proc/self/statm") as f:
+    before = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+_eigh_in_place(a)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+print((peak - before) / (8 * n * n))
+"""
+
+
+def test_eigh_in_place_raises_peak_rss_by_its_workspace_alone():
+    """dsyevd's 2n^2 workspace, with no private copy of the matrix (which
+    would make the rise about 3 n^2 doubles)."""
+    _lapack_or_skip()
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm")
+    src = str(Path(cluster_module.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", _EIGH_RSS_PROBE, "1500"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 2.5
 
 
 def test_zero_row_raises_from_knn_affinity_and_cosine_linkage():

@@ -79,3 +79,13 @@ def test_cli_import_loads_every_traced_module():
             "similarity", "attribution", "cluster", "classify", "textprep",
             "providers", "embeddings", "cache", "corpus")
     }
+
+
+def test_cli_import_loads_no_openssl():
+    """Only the stages that take a digest import ``hashlib``, whose OpenSSL
+    binding maps libcrypto (a few MB of resident memory) into the process."""
+    code = "import sys, companysim.cli; print('_hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert out.split() == ["False"]

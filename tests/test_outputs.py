@@ -7,13 +7,15 @@ import builtins
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from companysim import synth
+from companysim import cli, synth
 from companysim.attribution import (
     attribution_metric,
     monthly_cumulative_returns,
@@ -30,6 +32,7 @@ from companysim.corpus import (
     save_corpus,
     save_pairs,
 )
+from companysim.errors import ComputationError
 from companysim.outputs import replacing, write_json, write_rows
 from companysim.similarity import load_returns_csv, save_returns_csv
 
@@ -420,3 +423,93 @@ def test_write_check_finds_each_kind_of_write():
         "5: write_text", "6: write_bytes", "7: open with a computed mode",
         "13: open 'a'",
     ]
+
+
+
+_CLASSIFY_FILES = ("model.json", "classify.json", "classify.txt", "soft.jsonl", "runs.csv")
+
+
+def _classify_argv(ws, out, csv_report="runs.csv"):
+    return [str(a) for a in (
+        "classify", "--cache", ws / "emb.bin", *_gics(ws),
+        "--model-out", out / "model.json", "--report-out", out / "classify.json",
+        "--text-report", out / "classify.txt", "--soft-out", out / "soft.jsonl",
+        "--csv-report", out / csv_report)]
+
+
+def _old_outputs(out) -> dict:
+    for name in _CLASSIFY_FILES:
+        (out / name).write_bytes(b"old\n")
+    return _snapshot(out)
+
+
+def test_classify_checks_every_output_path_before_the_fit(ws, tmp_path, monkeypatch):
+    before = _old_outputs(tmp_path)
+    (tmp_path / "runs").mkdir()
+    monkeypatch.setattr(cli, "fit_classifier", lambda *a, **k: pytest.fail("fitted"))
+    assert main(_classify_argv(ws, tmp_path, csv_report="runs")) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, "runs"])
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
+def test_classify_computes_every_output_before_it_writes_one(ws, tmp_path, monkeypatch):
+    before = _old_outputs(tmp_path)
+
+    def failing(*args, **kwargs):
+        raise ComputationError("soft distribution failed")
+
+    monkeypatch.setattr(cli, "soft_class_distribution", failing)
+    assert main(_classify_argv(ws, tmp_path)) == 3
+    assert _snapshot(tmp_path) == before
+
+
+_STALLED_STAGE = """
+import os, sys, time
+from companysim import cli
+
+ready, point, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+
+
+def stalled(real):
+    def stall(*args, **kwargs):
+        open(ready, "w").close()
+        time.sleep(60)
+        return real(*args, **kwargs)
+    return stall
+
+
+if point == "compute":
+    cli.fit_classifier = stalled(cli.fit_classifier)
+else:  # every temporary file written, none renamed yet
+    os.replace = stalled(os.replace)
+sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("point", ["compute", "rename"])
+def test_sigterm_leaves_every_output_as_it_was(ws, tmp_path, point):
+    out = tmp_path / "out"
+    out.mkdir()
+    before = _old_outputs(out)
+    ready = tmp_path / "ready"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _STALLED_STAGE, str(ready), point,
+         *_classify_argv(ws, out)],
+        stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    try:
+        for _ in range(600):
+            if ready.exists() or proc.poll() is not None:
+                break
+            time.sleep(0.1)
+        assert ready.exists(), proc.stderr.read() if proc.poll() is not None else ""
+        temps = len(list(out.glob("*.tmp")))
+        assert temps == (0 if point == "compute" else len(_CLASSIFY_FILES))
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 143, proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert _snapshot(out) == before
