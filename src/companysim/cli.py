@@ -64,14 +64,14 @@ from .classify import (
 )
 from .cluster import (
     ClusterAssignment,
+    assignment_csv,
     cluster_quality,
     cluster_sweep,
     fit_clusters,
     load_assignment,
     random_cluster_assignment,
     reduce_dims,
-    save_assignment,
-    save_sweep_csv,
+    sweep_csv,
 )
 from .config import RunConfig, config_hash, load_config
 from .corpus import (
@@ -415,6 +415,11 @@ def _reduced_features(matrix: EmbeddingMatrix, cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
+    # every output path is checked before the fit and every output is
+    # computed before the first is written, so a failed run changes none
+    for path in (args.out, args.quality_out, args.sweep_out):
+        if path:
+            check_target(path)
     c = cfg.cluster
     meta: dict = {"reduce_method": c.reduce_method}
     if c.method == "random":
@@ -450,6 +455,9 @@ def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
         quality_payload["quality"] = quality.to_dict()
         quality_payload["labels_level"] = args.labels_level
     lines = []
+    texts = [(args.out, assignment_csv(assignment))]
+    if args.quality_out:
+        texts.append((args.quality_out, json_text(quality_payload)))
     if args.sweep_out:
         keep = [i for i in matrix.ids if i in level_labels]
         sub = matrix.subset(keep)
@@ -460,14 +468,9 @@ def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
             n_init=c.n_init,
             n_neighbors=c.n_neighbors,
         )
+        texts.append((args.sweep_out, sweep_csv(rows)))
         lines.append(f"swept {len(rows)} cluster settings -> {args.sweep_out}")
-    # every output is computed before the first is written, so a run that
-    # fails in the sweep leaves the previous outputs as they were
-    save_assignment(assignment, args.out)
-    if args.quality_out:
-        write_json(args.quality_out, quality_payload)
-    if args.sweep_out:
-        save_sweep_csv(rows, args.sweep_out)
+    replace_together([(path, text.encode("utf-8")) for path, text in texts])
     line = f"cluster method={c.method} k={c.n_clusters} -> {args.out}"
     if quality_payload["quality"]:
         q = quality_payload["quality"]

@@ -28,7 +28,7 @@ from .errors import (
     RankDeficiencyError,
     ZeroVectorError,
 )
-from .outputs import write_rows
+from .outputs import replacing, rows_text
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +172,50 @@ def _eigenvalues_did_not_converge(err=None, flag=None):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
+# each routine's arguments: c a character, i an integer by reference,
+# p an array's address
+_LAPACK_SIGNATURES = {
+    "dsyevd": "ccipippipii",
+    "dsytrd": "cipippppii",
+    "dstedc": "cipppipipii",
+    "dormtr": "ccciipippipii",
+}
+_LAPACK_ROUTINES = tuple(_LAPACK_SIGNATURES)
+
+
 @functools.cache
-def _lapack_dsyevd():
-    """The LAPACK ``dsyevd`` that ``np.linalg.eigh`` calls, found through
-    the link of numpy's own linalg extension, or None when that LAPACK
-    exports neither name. Both names take 64-bit integers: numpy 2 wheels
+def _lapack():
+    """The LAPACK routines behind ``np.linalg.eigh``, by name, found
+    through the link of numpy's own linalg extension: ``dsyevd``, asked
+    here only for its workspace size, and the three steps it takes,
+    ``dsytrd``, ``dstedc`` and ``dormtr``. None when that LAPACK lacks any
+    of them under both namings. Both take 64-bit integers: numpy 2 wheels
     bundle ``scipy_dsyevd_64_``, numpy 1 wheels ``dsyevd_64_``."""
     lib = ctypes.CDLL(_umath_linalg.__file__)
-    for name in ("scipy_dsyevd_64_", "dsyevd_64_"):
-        if hasattr(lib, name):
-            return getattr(lib, name)
+    kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64),
+             "p": ctypes.c_void_p}
+    for prefix in ("scipy_", ""):
+        names = [f"{prefix}{routine}_64_" for routine in _LAPACK_ROUTINES]
+        if all(hasattr(lib, name) for name in names):
+            routines = {}
+            for routine, name in zip(_LAPACK_ROUTINES, names):
+                function = routines[routine] = getattr(lib, name)
+                function.argtypes = [kinds[k] for k in _LAPACK_SIGNATURES[routine]]
+                function.restype = None
+            return routines
     return None
+
+
+# dsyevd rescales a matrix whose largest |entry| is nonzero and below
+# sqrt(smlnum), or above sqrt(1 / smlnum), before it reduces it
+_SMLNUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+_UNSCALED_MIN, _UNSCALED_MAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
+
+
+def _doubles(address: int, count: int) -> np.ndarray:
+    """A numpy view of ``count`` doubles at ``address``. It does not keep
+    their memory alive, and it does not keep a mapping from closing."""
+    return np.ctypeslib.as_array((ctypes.c_double * count).from_address(address))
 
 
 def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,48 +223,103 @@ def _eigh_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``a`` must be a C-contiguous, exactly symmetric float64 matrix, and it
     is overwritten. ``eigh`` copies its input into a private buffer and
-    then runs LAPACK's ``dsyevd`` there; here the same ``dsyevd`` runs on
-    ``a`` itself, with the same job ('V'), triangle ('L') and workspace
-    query, so its results are bit-identical. Read in column-major order,
-    ``a``'s lower triangle is its upper one, equal by symmetry; the
-    eigenvectors come back as the rows of ``a``, so the vectors returned
-    are ``a.T``. The 1 + 6n + 2n^2 workspace is one anonymous mapping,
-    outside numpy's allocator, unmapped before this returns.
+    runs LAPACK's ``dsyevd`` there, job 'V', triangle 'L', with the
+    workspace its query asks for. ``dsyevd`` is ``dsytrd`` (reduce to a
+    tridiagonal, the Householder reflectors left in the matrix),
+    ``dstedc('I')`` (the tridiagonal's eigenvectors, in an n x n block of
+    the workspace) and ``dormtr`` (apply the reflectors to them), then a
+    copy back. Here the three run one at a time on ``a`` itself:
 
-    A numpy whose LAPACK ``_lapack_dsyevd`` cannot find falls back to the
-    ``eigh`` gufunc, given ``a`` as its output (it still copies ``a``)."""
+    1. ``dsytrd`` on ``a``. Read in column-major order, ``a``'s lower
+       triangle is its upper one, equal by symmetry.
+    2. The reflectors (in numpy's view, row j from column j + 2 on) are
+       packed into the last n^2 doubles of the workspace, which
+       ``dstedc``'s workspace and the unpacked reflectors leave free.
+    3. ``dstedc`` writes the eigenvectors into ``a`` rather than into the
+       workspace, as the rows of ``a``; the vectors returned are ``a.T``.
+    4. The reflectors are unpacked, zeros elsewhere, into the first n^2
+       doubles of ``dstedc``'s workspace, and ``dormtr`` applies them to
+       ``a``, with the workspace after them.
+
+    So at most 1.5 n^2 doubles beyond ``a`` are touched (``dstedc``'s
+    n^2 + 4n + 1 and the ½n^2 packed reflectors) where ``dsyevd`` touches
+    2n^2. Each routine gets the ``lwork`` ``dsyevd`` gives it out of the
+    queried size: 2n^2 + 4n + 1 to ``dsytrd`` and n^2 + 4n + 1 to
+    ``dstedc`` and ``dormtr`` (more below n = 14, where ``dsytrd``'s
+    blocks ask for more), because the block sizes they choose, and with
+    them the bits, follow ``lwork``: ``dormtr``'s own query, which leaves
+    out ``dormqr``'s 65 x 64 block, shrinks its blocks. The results
+    are bit-identical to ``eigh``'s. The workspace is one anonymous
+    mapping, outside numpy's allocator, unmapped before this returns.
+
+    ``dsyevd`` would rescale a matrix whose largest |entry| lies outside
+    [``_UNSCALED_MIN``, ``_UNSCALED_MAX``] (about 1e-146 and 1e146); such
+    a matrix (n > 1) raises ``ValueError`` instead. A normalized
+    Laplacian's diagonal is exactly 1, so it never is one.
+
+    A numpy whose LAPACK ``_lapack`` cannot find, and any n < 2, falls
+    back to the ``eigh`` gufunc, given ``a`` as its output (it still
+    copies ``a``)."""
     if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1] \
             or not (a.flags.c_contiguous and a.flags.writeable):
         raise ValueError("_eigh_in_place needs a writeable C-contiguous "
                          f"square float64 matrix, got {a.dtype} {a.shape}")
-    values = np.empty(a.shape[0])
-    dsyevd = _lapack_dsyevd()
-    if dsyevd is None:
+    n = a.shape[0]
+    if n > 1:
+        top = max(a.max(), -a.min())  # NaN compares false and passes
+        if 0.0 < top < _UNSCALED_MIN or top > _UNSCALED_MAX:
+            raise ValueError(f"_eigh_in_place takes no matrix that LAPACK "
+                             f"would rescale: largest |entry| {top:.3g}")
+    values = np.empty(n)
+    lapack = _lapack()
+    if lapack is None or n < 2:  # below n = 2 dsyevd does no LAPACK work
         with np.errstate(call=_eigenvalues_did_not_converge, invalid="call",
                          over="ignore", divide="ignore", under="ignore"):
             _umath_linalg.eigh_lo(a, signature="d->dd", out=(values, a))
         return values, a
-    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
+    info = ctypes.c_int64(0)
 
-    def call(work, lwork, iwork, liwork):
-        dsyevd(b"V", b"L", ctypes.byref(n), ctypes.c_void_p(a.ctypes.data),
-               ctypes.byref(n), ctypes.c_void_p(values.ctypes.data), work,
-               ctypes.byref(lwork), iwork, ctypes.byref(liwork),
-               ctypes.byref(info))
-        return info.value
+    def call(routine, *args):
+        """``routine`` on ``args``, integers by reference, and then INFO;
+        a nonzero INFO raises."""
+        lapack[routine](*(ctypes.byref(ctypes.c_int64(x)) if kind == "i" else x
+                          for kind, x in zip(_LAPACK_SIGNATURES[routine], args)),
+                        ctypes.byref(info))
+        if info.value:
+            _eigenvalues_did_not_converge()
 
-    work_size, iwork_size = ctypes.c_double(0.0), ctypes.c_int64(0)
-    query = ctypes.c_int64(-1)
-    if call(ctypes.byref(work_size), query, ctypes.byref(iwork_size), query):
-        _eigenvalues_did_not_converge()
-    lwork, liwork = ctypes.c_int64(int(work_size.value)), iwork_size
-    with mmap.mmap(-1, 8 * (lwork.value + liwork.value)) as space:
+    def spans():
+        """Each reflector's row j in numpy's view (from column j + 2 on)
+        and its place in the packed copy."""
+        start = 0
+        for j in range(n - 2):
+            yield j, slice(start, start + n - 2 - j)
+            start += n - 2 - j
+
+    A, W = a.ctypes.data, values.ctypes.data
+    size, isize = ctypes.c_double(0.0), ctypes.c_int64(0)
+    call("dsyevd", b"V", b"L", n, A, n, W, ctypes.byref(size), -1,
+         ctypes.byref(isize), -1)
+    # dsyevd's LWORK: E and TAU, then dsytrd's workspace, which later
+    # holds dstedc's (the first lwork of it) and the packed reflectors
+    lwork, liwork = int(size.value), isize.value
+    with mmap.mmap(-1, 8 * (lwork + liwork)) as space:
         # the address alone: a live ctypes view would keep the mapping open
-        work = ctypes.addressof(ctypes.c_char.from_buffer(space))
-        failed = call(ctypes.c_void_p(work), lwork,
-                      ctypes.c_void_p(work + 8 * lwork.value), liwork)
-    if failed:
-        _eigenvalues_did_not_converge()
+        e = ctypes.addressof(ctypes.c_char.from_buffer(space))
+        tau, work, iwork = e + 8 * n, e + 16 * n, e + 8 * lwork
+        lwork -= 2 * n
+        call("dsytrd", b"L", n, A, n, W, e, tau, work, lwork)
+        lwork -= n * n
+        packed = _doubles(work + 8 * lwork, n * n)
+        for j, at in spans():
+            packed[at] = a[j, j + 2:]
+        call("dstedc", b"I", n, W, e, A, n, work, lwork, iwork, liwork)
+        reflectors = _doubles(work, n * n).reshape(n, n)
+        reflectors.fill(0.0)
+        for j, at in spans():
+            reflectors[j, j + 2:] = packed[at]
+        call("dormtr", b"L", b"L", b"N", n, n, work, n, tau, A, n,
+             work + 8 * n * n, lwork)
     return values, a.T
 
 
@@ -254,8 +342,9 @@ def spectral_embedding(
 
     Memory is one n x n float64 matrix (the affinity, turned into the
     Laplacian in place and then, by ``_eigh_in_place``, into its
-    eigenvectors) plus, while LAPACK's ``dsyevd`` runs, its 2n^2
-    workspace, which is mapped outside numpy.
+    eigenvectors) plus, while the solver runs, 1.5 n^2 doubles mapped
+    outside numpy: ``dstedc``'s n^2 workspace beside the ½n^2
+    Householder reflectors that ``dsytrd`` left and ``dormtr`` applies.
     """
     if n_components < 1:
         raise ConfigError(f"n_components must be >= 1, got {n_components}")
@@ -783,20 +872,32 @@ def cluster_sweep(
     return rows
 
 
-def save_sweep_csv(rows: Sequence[Mapping], path: str | Path) -> None:
+def sweep_csv(rows: Sequence[Mapping]) -> str:
+    """The sweep table ``save_sweep_csv`` writes."""
     columns = ["method", "n_clusters", "reduced_dim", "homogeneity",
                "completeness", "v_measure", "seed"]
     scores = {"homogeneity", "completeness", "v_measure"}
-    write_rows(path, columns, (
+    return rows_text(columns, (
         [f"{row[c]:.8f}" if c in scores else row[c] for c in columns] for row in rows
     ))
 
 
-def save_assignment(assignment: ClusterAssignment, path: str | Path) -> None:
-    write_rows(path, ["company_id", "cluster"], (
+def save_sweep_csv(rows: Sequence[Mapping], path: str | Path) -> None:
+    with replacing(path) as f:
+        f.write(sweep_csv(rows))
+
+
+def assignment_csv(assignment: ClusterAssignment) -> str:
+    """The assignment file ``save_assignment`` writes."""
+    return rows_text(["company_id", "cluster"], (
         [company_id, int(label)]
         for company_id, label in zip(assignment.ids, assignment.labels)
     ))
+
+
+def save_assignment(assignment: ClusterAssignment, path: str | Path) -> None:
+    with replacing(path) as f:
+        f.write(assignment_csv(assignment))
 
 
 def load_assignment(path: str | Path) -> ClusterAssignment:

@@ -5,6 +5,7 @@ write leaves the old file, or none, and never half of a new one."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from contextlib import ExitStack, contextmanager
@@ -76,12 +77,19 @@ def csv_writer(f, lineterminator: str = "\n"):
     return csv.writer(rows, lineterminator="\r\n")
 
 
+def rows_text(header, rows, lineterminator: str = "\n") -> str:
+    """A CSV table: ``header`` and then each of ``rows``."""
+    table = io.StringIO(newline="")
+    writer = csv_writer(table, lineterminator)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return table.getvalue()
+
+
 def write_rows(path: str | Path, header, rows, lineterminator: str = "\n") -> None:
-    """A CSV file: ``header`` and then each of ``rows``."""
+    """``rows_text(header, rows, lineterminator)`` as the file at ``path``."""
     with replacing(path) as f:
-        writer = csv_writer(f, lineterminator)
-        writer.writerow(header)
-        writer.writerows(rows)
+        f.write(rows_text(header, rows, lineterminator))
 
 
 def json_text(payload, indent: int | None = 2) -> str:

@@ -777,7 +777,9 @@ def _symmetric(n):
 
 _EIGH_CASES = [
     *(pytest.param(functools.partial(_symmetric, n), id=f"n{n}")
-      for n in (1, 2, 7, 300)),
+      # 3: the first n with a reflector; 26 and 27: either side of the
+      # 25 rows below which dstedc hands the tridiagonal to dsteqr
+      for n in (1, 2, 3, 7, 26, 27, 300)),
     pytest.param(_disconnected_laplacian, id="disconnected-knn-laplacian"),
 ]
 
@@ -812,7 +814,7 @@ def test_eigh_in_place_agrees_with_numpy_eigh_on_nan():
 def test_eigh_in_place_without_lapack_symbols_falls_back_to_the_gufunc(
     make, monkeypatch
 ):
-    monkeypatch.setattr(cluster_module, "_lapack_dsyevd", lambda: None)
+    monkeypatch.setattr(cluster_module, "_lapack", lambda: None)
     a = make()
     want_values, want_vectors = np.linalg.eigh(a)
     values, vectors = _eigh_in_place(a)
@@ -822,26 +824,66 @@ def test_eigh_in_place_without_lapack_symbols_falls_back_to_the_gufunc(
 
 
 def _lapack_or_skip():
-    dsyevd = cluster_module._lapack_dsyevd()
-    if dsyevd is None:
-        pytest.skip("numpy's LAPACK exports no dsyevd this module can call")
-    return dsyevd
+    lapack = cluster_module._lapack()
+    if lapack is None:
+        pytest.skip("numpy's LAPACK exports no dsytrd, dstedc and dormtr "
+                    "this module can call")
+    return lapack
 
 
-@pytest.mark.parametrize("failing_call", [0, 1], ids=["workspace-query", "solve"])
-def test_eigh_in_place_raises_on_nonzero_info(failing_call, monkeypatch):
-    dsyevd, calls = _lapack_or_skip(), []
+_ROUTINES = list(cluster_module._LAPACK_ROUTINES)
 
-    def failing(*args):
-        dsyevd(*args)
-        if len(calls) == failing_call:
-            args[-1]._obj.value = 1  # INFO, passed by reference
-        calls.append(args)
 
-    monkeypatch.setattr(cluster_module, "_lapack_dsyevd", lambda: failing)
+@pytest.mark.parametrize("failing", _ROUTINES,
+                         ids=["workspace-query", "dsytrd", "dstedc", "dormtr"])
+def test_eigh_in_place_raises_on_nonzero_info(failing, monkeypatch):
+    lapack, calls = _lapack_or_skip(), []
+
+    def traced(name):
+        def call(*args):
+            lapack[name](*args)
+            calls.append(name)
+            if name == failing:
+                args[-1]._obj.value = 1  # INFO, passed by reference
+        return call
+
+    monkeypatch.setattr(cluster_module, "_lapack",
+                        lambda: {name: traced(name) for name in lapack})
     with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
         _eigh_in_place(_symmetric(7))
-    assert len(calls) == failing_call + 1
+    assert calls == _ROUTINES[:_ROUTINES.index(failing) + 1]
+
+
+def _largest_entry(top):
+    """A symmetric matrix whose largest |entry| is exactly ``top``."""
+    a = _symmetric(6)
+    a *= 0.5 * top / np.abs(a).max()
+    a[0, 0] = top
+    return a
+
+
+@pytest.mark.parametrize("top", [
+    np.nextafter(cluster_module._UNSCALED_MIN, 0.0), 1e-200,
+    np.nextafter(cluster_module._UNSCALED_MAX, np.inf), 1e200, np.inf,
+], ids=["just-below-min", "tiny", "just-above-max", "huge", "inf"])
+def test_eigh_in_place_refuses_a_matrix_lapack_would_rescale(top, monkeypatch):
+    monkeypatch.setattr(cluster_module, "_lapack",
+                        lambda: pytest.fail("LAPACK was looked up"))
+    for a in (_largest_entry(top), -_largest_entry(top)):
+        with pytest.raises(ValueError, match="rescale"):
+            _eigh_in_place(a)
+
+
+@pytest.mark.parametrize("a", [
+    _largest_entry(cluster_module._UNSCALED_MIN),
+    _largest_entry(cluster_module._UNSCALED_MAX),
+    np.zeros((6, 6)), np.array([[1e-200]]),
+], ids=["min", "max", "zero", "n1-tiny"])
+def test_eigh_in_place_takes_what_lapack_does_not_rescale(a):
+    want_values, want_vectors = np.linalg.eigh(a)
+    values, vectors = _eigh_in_place(a)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(vectors, want_vectors)
 
 
 @pytest.mark.parametrize("a", [
@@ -870,9 +912,9 @@ print((peak - before) / (8 * n * n))
 """
 
 
-def test_eigh_in_place_raises_peak_rss_by_its_workspace_alone():
-    """dsyevd's 2n^2 workspace, with no private copy of the matrix (which
-    would make the rise about 3 n^2 doubles)."""
+@pytest.fixture(scope="module")
+def eigh_rss_rise():
+    """The rise in peak RSS over one n = 1,500 solve, in n^2 doubles."""
     _lapack_or_skip()
     if not os.path.exists("/proc/self/statm"):
         pytest.skip("needs /proc/self/statm")
@@ -882,7 +924,19 @@ def test_eigh_in_place_raises_peak_rss_by_its_workspace_alone():
     done = subprocess.run([sys.executable, "-c", _EIGH_RSS_PROBE, "1500"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout) <= 2.5
+    return float(done.stdout)
+
+
+def test_eigh_in_place_raises_peak_rss_by_its_workspace_alone(eigh_rss_rise):
+    """No private copy of the matrix, which would make the rise about
+    3 n^2 doubles."""
+    assert eigh_rss_rise <= 2.5
+
+
+def test_eigh_in_place_needs_less_than_dsyevds_workspace(eigh_rss_rise):
+    """dstedc's n^2 workspace and the ½n^2 packed reflectors, where one
+    dsyevd call, with its 2n^2 workspace, reads about 2.2 n^2 doubles."""
+    assert eigh_rss_rise <= 1.9
 
 
 def test_zero_row_raises_from_knn_affinity_and_cosine_linkage():

@@ -463,6 +463,21 @@ def test_classify_computes_every_output_before_it_writes_one(ws, tmp_path, monke
     assert _snapshot(tmp_path) == before
 
 
+def test_cluster_checks_every_output_path_before_the_fit(ws, tmp_path, monkeypatch):
+    for name in ("assign.csv", "quality.json"):
+        (tmp_path / name).write_bytes(b"old\n")
+    before = _snapshot(tmp_path)
+    (tmp_path / "sweep").mkdir()
+    monkeypatch.setattr(cli, "fit_clusters", lambda *a, **k: pytest.fail("fitted"))
+    monkeypatch.setattr(cli, "cluster_sweep", lambda *a, **k: pytest.fail("swept"))
+    assert main([str(a) for a in (
+        "cluster", "--cache", ws / "emb.bin", *_gics(ws),
+        "--out", tmp_path / "assign.csv", "--quality-out", tmp_path / "quality.json",
+        "--sweep-out", tmp_path / "sweep")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, "sweep"])
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
 _STALLED_STAGE = """
 import os, sys, time
 from companysim import cli
