@@ -180,7 +180,6 @@ _LAPACK_SIGNATURES = {
     "dstedc": "cipppipipii",
     "dormtr": "ccciipippipii",
 }
-_LAPACK_ROUTINES = tuple(_LAPACK_SIGNATURES)
 
 
 @functools.cache
@@ -195,12 +194,11 @@ def _lapack():
     kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64),
              "p": ctypes.c_void_p}
     for prefix in ("scipy_", ""):
-        names = [f"{prefix}{routine}_64_" for routine in _LAPACK_ROUTINES]
-        if all(hasattr(lib, name) for name in names):
-            routines = {}
-            for routine, name in zip(_LAPACK_ROUTINES, names):
-                function = routines[routine] = getattr(lib, name)
-                function.argtypes = [kinds[k] for k in _LAPACK_SIGNATURES[routine]]
+        names = {r: f"{prefix}{r}_64_" for r in _LAPACK_SIGNATURES}
+        if all(hasattr(lib, name) for name in names.values()):
+            routines = {r: getattr(lib, name) for r, name in names.items()}
+            for r, function in routines.items():
+                function.argtypes = [kinds[k] for k in _LAPACK_SIGNATURES[r]]
                 function.restype = None
             return routines
     return None

@@ -831,7 +831,7 @@ def _lapack_or_skip():
     return lapack
 
 
-_ROUTINES = list(cluster_module._LAPACK_ROUTINES)
+_ROUTINES = list(cluster_module._LAPACK_SIGNATURES)
 
 
 @pytest.mark.parametrize("failing", _ROUTINES,
