@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .cluster import ClusterAssignment
 from .errors import DataValidationError
-from .outputs import write_rows
+from .outputs import rows_text
 from .similarity import ReturnPanel
 
 logger = logging.getLogger(__name__)
@@ -207,7 +206,7 @@ def attribution_metric(
     )
 
 
-def save_attribution_csv(report: AttributionReport, path: str | Path) -> None:
+def attribution_csv(report: AttributionReport) -> str:
     """Per-month table plus an 'average' summary row."""
     adjusted = [adjusted_r_squared(fit) for fit in report.fits]
     rows = [
@@ -218,4 +217,4 @@ def save_attribution_csv(report: AttributionReport, path: str | Path) -> None:
     avg_adj = float(np.mean(adjusted)) if adjusted else 0.0
     rows.append(["average", f"{report.avg_r_squared:.8f}", f"{avg_adj:.8f}",
                  sum(fit.n_companies for fit in report.fits), report.n_clusters])
-    write_rows(path, ["month", "r2", "adj_r2", "n_obs", "n_clusters_present"], rows)
+    return rows_text(["month", "r2", "adj_r2", "n_obs", "n_clusters_present"], rows)

@@ -191,14 +191,11 @@ def append_rows(cached: EmbeddingMatrix | None, fresh: EmbeddingMatrix) -> Embed
     )
 
 
-def export_jsonl(matrix: EmbeddingMatrix, path: str | Path) -> None:
+def matrix_jsonl(matrix: EmbeddingMatrix) -> str:
     """Human-inspectable export: one JSON object per row."""
-    with replacing(path) as f:
-        for company_id in matrix.ids:
-            record = {
-                "company_id": company_id,
-                "provider_id": matrix.provider_id,
-                "context_budget": matrix.context_budget,
-                "vector": [float(x) for x in matrix.row(company_id)],
-            }
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(json.dumps({
+        "company_id": company_id,
+        "provider_id": matrix.provider_id,
+        "context_budget": matrix.context_budget,
+        "vector": [float(x) for x in matrix.row(company_id)],
+    }, sort_keys=True) + "\n" for company_id in matrix.ids)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataValidationError
-from .outputs import write_json
+from .outputs import json_text, replacing
 
 logger = logging.getLogger(__name__)
 
@@ -375,7 +375,8 @@ def model_to_dict(model: LogisticModel) -> dict:
 
 
 def save_model(model: LogisticModel, path: str | Path) -> None:
-    write_json(path, model_to_dict(model), indent=None)
+    with replacing(path) as f:
+        f.write(json_text(model_to_dict(model), indent=None))
 
 
 def load_model(path: str | Path) -> LogisticModel:

@@ -8,16 +8,18 @@ Conventions shared by every subcommand:
   explicit flags; flags win over the config file,
 * logs go to stderr, data goes to the paths you name; outputs carry no
   timestamps, so a rerun with the same inputs is byte-identical,
+* each stage declares its inputs (an embedding cache, a corpus with its
+  hierarchy, a returns file, a cluster assignment) and its outputs with its
+  flags in ``STAGES``; ``main`` checks every output path before it opens
+  an input, the stage computes everything, then ``main`` replaces all
+  outputs or none. ``embed``'s cache is the one exception: ``save_cache``
+  renames its two files one after the other,
 * every output is a regular file, replaced whole; a target under /dev or
   /proc (``/dev/stdout`` included), a link that leads there, and a target
   that exists and is not a regular file (a FIFO, a directory) are refused
   with exit 2; SIGTERM, like SIGINT, raises where the stage is, so it
   exits 143 and removes every ``<name>.<pid>.tmp`` it had open, while a
   SIGKILL can leave one behind,
-* each stage's inputs (an embedding cache, a corpus with its hierarchy, a
-  returns file, a cluster assignment) are declared with its flags in
-  ``STAGES`` and opened by ``main`` in the declared order before the stage
-  computes anything, so a stage that fails on an input writes no output,
 * exit codes: 0 success, 1 usage/config error, 2 data error (an input file
   that is not UTF-8 included), 3 computation or provider error.
 """
@@ -51,9 +53,9 @@ import numpy as np
 
 from . import cache as cache_io
 from .attribution import (
+    attribution_csv,
     attribution_metric,
     monthly_cumulative_returns,
-    save_attribution_csv,
 )
 from .classify import (
     evaluate,
@@ -78,10 +80,10 @@ from .corpus import (
     GICS_LEVELS,
     GicsHierarchy,
     corpus_from_records,
+    corpus_jsonl,
     generate_finetune_pairs,
     load_corpus,
-    save_corpus,
-    save_pairs,
+    pairs_csv,
     stratified_split,
 )
 from .embeddings import EmbeddingMatrix, corpus_documents, embed_corpus
@@ -93,15 +95,7 @@ from .errors import (
     ProviderError,
 )
 from .filings import extract_item1
-from .outputs import (
-    check_target,
-    csv_writer,
-    json_text,
-    replace_together,
-    replacing,
-    write_json,
-    write_rows,
-)
+from .outputs import check_target, csv_writer, json_text, replace_together, rows_text
 from .providers import HashBowProvider, RemoteProvider, TfidfProvider
 from .similarity import (
     avg_peer_correlation,
@@ -187,6 +181,20 @@ RETURNS = Input(("--returns",), lambda args: load_returns_csv(args.returns))
 ASSIGNMENT = Input(("--assignment",), lambda args: load_assignment(args.assignment))
 
 
+@dataclass(frozen=True)
+class Output:
+    """An output file's flag. ``main`` checks the path it names before any
+    input is opened, and writes to it what the stage returns under
+    ``dest``."""
+    flag: str
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
 def _check_flags(args) -> None:
     """The rules between flags, checked before any input is opened."""
     if hasattr(args, "corpus"):
@@ -238,7 +246,7 @@ def _labelled_filings(labels, filings_dir: Path, mode: str, min_chars: int):
         }
 
 
-def cmd_ingest(args, cfg: RunConfig) -> str:
+def cmd_ingest(args, cfg: RunConfig):
     hierarchy = GicsHierarchy.from_csv(args.hierarchy)
     with open(args.labels, "r", encoding="utf-8", newline="") as f:
         # the records load_corpus accepts, so the next stage reads them back
@@ -247,18 +255,16 @@ def cmd_ingest(args, cfg: RunConfig) -> str:
             hierarchy,
             args.labels,
         )
-    save_corpus(corpus, args.out)
-    logger.info("ingested %d companies into %s", len(corpus), args.out)
-    return f"ingested {len(corpus)} companies -> {args.out}"
+    return (f"ingested {len(corpus)} companies -> {args.out}",
+            {"out": corpus_jsonl(corpus)})
 
 
-def cmd_pairs(args, cfg: RunConfig, corpus) -> str:
+def cmd_pairs(args, cfg: RunConfig, corpus):
     pairs = generate_finetune_pairs(corpus, seed=cfg.seed)
-    save_pairs(pairs, args.out)
-    return f"wrote {len(pairs)} pairs -> {args.out}"
+    return f"wrote {len(pairs)} pairs -> {args.out}", {"out": pairs_csv(pairs)}
 
 
-def cmd_embed(args, cfg: RunConfig, corpus) -> str:
+def cmd_embed(args, cfg: RunConfig, corpus):
     chunking = _chunking(cfg)
     # A TF-IDF fit depends on every document it reads, so a fitted provider
     # always embeds the whole corpus and a resume replaces its cache: one
@@ -279,25 +285,21 @@ def cmd_embed(args, cfg: RunConfig, corpus) -> str:
             return embed(corpus.ids())
         return cache_io.append_rows(cached, embed(missing))
 
+    # the one output a body writes: the cache is two files, which
+    # save_cache and sync_cache rename one after the other
     if args.resume:
         matrix = cache_io.sync_cache(args.out, corpus.ids(), update,
                                      *_provider_identity(cfg))
     else:
         matrix = embed(corpus.ids())
         cache_io.save_cache(matrix, args.out)
-    if args.export_jsonl:
-        cache_io.export_jsonl(matrix, args.export_jsonl)
+    files = {"export_jsonl": cache_io.matrix_jsonl(matrix)} if args.export_jsonl else {}
     return (f"embedded {len(matrix)} companies "
-            f"(provider={matrix.provider_id}, dim={matrix.dimension}) -> {args.out}")
+            f"(provider={matrix.provider_id}, dim={matrix.dimension}) -> {args.out}",
+            files)
 
 
-def cmd_classify(args, cfg: RunConfig, corpus, matrix: EmbeddingMatrix) -> str:
-    # every output path is checked before the fit and every output is
-    # computed before the first is written, so a failed run changes none
-    for path in (args.model_out, args.report_out, args.text_report,
-                 args.soft_out, args.csv_report):
-        if path:
-            check_target(path)
+def cmd_classify(args, cfg: RunConfig, corpus, matrix: EmbeddingMatrix):
     common = [i for i in corpus.ids() if i in matrix]
     if len(common) < 2:
         raise DataValidationError("cache and corpus share fewer than 2 companies")
@@ -321,22 +323,21 @@ def cmd_classify(args, cfg: RunConfig, corpus, matrix: EmbeddingMatrix) -> str:
         tol=cfg.classify.tol,
     )
     report = evaluate(model, test.matrix, [labels[i] for i in split.test_ids])
-    texts = [(args.model_out, json_text(model_to_dict(model), indent=None)),
-             (args.report_out, json_text({
+    files = {"model_out": json_text(model_to_dict(model), indent=None),
+             "report_out": json_text({
                  "config_hash": config_hash(cfg),
                  "level": cfg.classify.level,
                  "n_train": len(split.train_ids),
                  "n_test": len(split.test_ids),
                  "singleton_classes": split.singleton_classes,
                  "report": report.to_dict(),
-             }))]
+             })}
     if args.text_report:
-        texts.append((args.text_report, format_report(report)))
+        files["text_report"] = format_report(report)
     if args.soft_out:
         rows = soft_class_distribution(model, matrix.matrix, matrix.ids)
-        texts.append((args.soft_out, "".join(
-            json.dumps(row, sort_keys=True) + "\n" for row in rows)))
-    files = [(path, text.encode("utf-8")) for path, text in texts]
+        files["soft_out"] = "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in rows)
     if args.csv_report:
         # accumulates across runs so sweeps land in one table: the old
         # bytes and one more row, rewritten whole
@@ -352,14 +353,13 @@ def cmd_classify(args, cfg: RunConfig, corpus, matrix: EmbeddingMatrix) -> str:
             f"{report.accuracy:.8f}", f"{report.micro_f1:.8f}",
             f"{report.weighted_f1:.8f}", report.n_examples,
         ])
-        files.append((path, table + added.getvalue().encode("utf-8")))
-    replace_together(files)
+        files["csv_report"] = table + added.getvalue().encode("utf-8")
     return (f"classify level={cfg.classify.level}: accuracy={report.accuracy:.4f} "
             f"micro_f1={report.micro_f1:.4f} weighted_f1={report.weighted_f1:.4f} "
-            f"on {report.n_examples} held-out companies")
+            f"on {report.n_examples} held-out companies", files)
 
 
-def cmd_peers(args, cfg: RunConfig, matrix: EmbeddingMatrix, panel, corpus) -> str:
+def cmd_peers(args, cfg: RunConfig, matrix: EmbeddingMatrix, panel, corpus):
     years = list(cfg.peers.years) if cfg.peers.years is not None else None
     report = avg_peer_correlation(
         matrix, panel, k=cfg.peers.k, years=years,
@@ -381,15 +381,15 @@ def cmd_peers(args, cfg: RunConfig, matrix: EmbeddingMatrix, panel, corpus) -> s
         payload["baseline"] = baseline.to_dict()
         payload["margin"] = report.rho_bar - baseline.rho_bar
         methods.append((f"gics-{cfg.peers.baseline_level}", baseline))
-    write_json(args.out, payload)
+    files = {"out": json_text(payload)}
     if args.top_out:
-        write_rows(args.top_out, ["company_id", "rank", "peer_id", "similarity"], (
+        files["top_out"] = rows_text(["company_id", "rank", "peer_id", "similarity"], (
             [company_id, rank, peer, f"{sim:.8f}"]
             for company_id, peers in report.peers.items()
             for rank, (peer, sim) in enumerate(peers, start=1)
         ))
     if args.csv_out:
-        write_rows(args.csv_out, ["method", "k", "rho_bar", "n_companies", "n_years"], (
+        files["csv_out"] = rows_text(["method", "k", "rho_bar", "n_companies", "n_years"], (
             [method, rep.k if rep.k is not None else "dynamic",
              f"{rep.rho_bar:.8f}", rep.n_companies, len(rep.years)]
             for method, rep in methods
@@ -401,7 +401,7 @@ def cmd_peers(args, cfg: RunConfig, matrix: EmbeddingMatrix, panel, corpus) -> s
             f"{payload['baseline']['rho_bar']:.4f} "
             f"(margin {payload['margin']:+.4f})"
         )
-    return msg
+    return msg, files
 
 
 def _reduced_features(matrix: EmbeddingMatrix, cfg: RunConfig) -> np.ndarray:
@@ -414,12 +414,7 @@ def _reduced_features(matrix: EmbeddingMatrix, cfg: RunConfig) -> np.ndarray:
     )
 
 
-def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
-    # every output path is checked before the fit and every output is
-    # computed before the first is written, so a failed run changes none
-    for path in (args.out, args.quality_out, args.sweep_out):
-        if path:
-            check_target(path)
+def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus):
     c = cfg.cluster
     meta: dict = {"reduce_method": c.reduce_method}
     if c.method == "random":
@@ -455,9 +450,9 @@ def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
         quality_payload["quality"] = quality.to_dict()
         quality_payload["labels_level"] = args.labels_level
     lines = []
-    texts = [(args.out, assignment_csv(assignment))]
+    files = {"out": assignment_csv(assignment)}
     if args.quality_out:
-        texts.append((args.quality_out, json_text(quality_payload)))
+        files["quality_out"] = json_text(quality_payload)
     if args.sweep_out:
         keep = [i for i in matrix.ids if i in level_labels]
         sub = matrix.subset(keep)
@@ -468,9 +463,8 @@ def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
             n_init=c.n_init,
             n_neighbors=c.n_neighbors,
         )
-        texts.append((args.sweep_out, sweep_csv(rows)))
+        files["sweep_out"] = sweep_csv(rows)
         lines.append(f"swept {len(rows)} cluster settings -> {args.sweep_out}")
-    replace_together([(path, text.encode("utf-8")) for path, text in texts])
     line = f"cluster method={c.method} k={c.n_clusters} -> {args.out}"
     if quality_payload["quality"]:
         q = quality_payload["quality"]
@@ -479,10 +473,10 @@ def cmd_cluster(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
             f" completeness={q['completeness']:.4f}"
             f" v={q['v_measure']:.4f})"
         )
-    return "\n".join([*lines, line])
+    return "\n".join([*lines, line]), files
 
 
-def cmd_attribute(args, cfg: RunConfig, assignment: ClusterAssignment, panel) -> str:
+def cmd_attribute(args, cfg: RunConfig, assignment: ClusterAssignment, panel):
     monthly = monthly_cumulative_returns(panel, cfg.attribution.min_month_obs)
     report = attribution_metric(
         monthly, assignment,
@@ -506,9 +500,9 @@ def cmd_attribute(args, cfg: RunConfig, assignment: ClusterAssignment, panel) ->
         )
         payload["random_baseline"] = baseline.to_dict()
         payload["margin"] = report.avg_r_squared - baseline.avg_r_squared
-    write_json(args.out, payload)
+    files = {"out": json_text(payload)}
     if args.csv_out:
-        save_attribution_csv(report, args.csv_out)
+        files["csv_out"] = attribution_csv(report)
     msg = (
         f"attribution: avg R^2={report.avg_r_squared:.4f} "
         f"over {report.n_months} months"
@@ -518,32 +512,34 @@ def cmd_attribute(args, cfg: RunConfig, assignment: ClusterAssignment, panel) ->
             f" vs random {payload['random_baseline']['avg_r_squared']:.4f} "
             f"(margin {payload['margin']:+.4f})"
         )
-    return msg
+    return msg, files
 
 
-def cmd_project(args, cfg: RunConfig, matrix: EmbeddingMatrix) -> str:
+def cmd_project(args, cfg: RunConfig, matrix: EmbeddingMatrix):
     coords = reduce_dims(
         matrix.matrix,
         args.components,
         method=args.method,
         n_neighbors=cfg.cluster.n_neighbors,
     )
-    write_rows(args.out, ["company_id"] + [f"x{i}" for i in range(coords.shape[1])], (
+    table = rows_text(["company_id"] + [f"x{i}" for i in range(coords.shape[1])], (
         [company_id] + [repr(float(v)) for v in row]
         for company_id, row in zip(matrix.ids, coords)
     ))
-    return f"projected {len(matrix)} companies to {coords.shape[1]}d -> {args.out}"
+    return (f"projected {len(matrix)} companies to {coords.shape[1]}d -> {args.out}",
+            {"out": table})
 
 
-def cmd_outliers(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus) -> str:
+def cmd_outliers(args, cfg: RunConfig, matrix: EmbeddingMatrix, corpus):
     sectors = corpus.gics_labels("sector")
     scores = sector_outlier_scores(matrix, sectors)
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    write_rows(args.out, ["company_id", "sector", "score"], (
+    table = rows_text(["company_id", "sector", "score"], (
         [company_id, sectors[company_id], f"{score:.8f}"]
         for company_id, score in ranked
     ))
-    return f"ranked {len(ranked)} companies by sector outlier score -> {args.out}"
+    return (f"ranked {len(ranked)} companies by sector outlier score -> {args.out}",
+            {"out": table})
 
 
 def _classify_section(data: dict) -> str:
@@ -607,7 +603,7 @@ def _section(path: str, render) -> str:
         raise DataValidationError(f"{path} has unexpected content: {e}") from None
 
 
-def cmd_report(args, cfg: RunConfig) -> str:
+def cmd_report(args, cfg: RunConfig):
     sections = [
         _section(path, render)
         for path, render in ((args.classify, _classify_section),
@@ -620,9 +616,7 @@ def cmd_report(args, cfg: RunConfig) -> str:
             "report needs at least one of --classify/--peers/--attribution"
         )
     text = "company embedding evaluation\n\n" + "\n".join(sections)
-    with replacing(args.out) as f:
-        f.write(text)
-    return f"wrote summary -> {args.out}"
+    return f"wrote summary -> {args.out}", {"out": text}
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +629,12 @@ class Stage:
     ``--help`` lists them, where an ``Input`` stands for that input's flags.
     ``main`` opens the inputs in the order the flags name them, or in
     ``load_order`` when given, and passes them to ``run`` in that order
-    after ``args`` and the config; ``run`` returns the stage's status line."""
+    after ``args`` and the config. ``run`` returns the stage's status line
+    and ``{dest: text or bytes}``, the contents of each ``Output`` it was
+    given."""
     name: str
     help: str
-    run: Callable[..., str]
+    run: Callable[..., tuple[str, dict]]
     flags: tuple
     load_order: tuple[Input, ...] = ()
 
@@ -646,13 +642,17 @@ class Stage:
     def inputs(self) -> tuple[Input, ...]:
         return self.load_order or tuple(f for f in self.flags if isinstance(f, Input))
 
+    @property
+    def outputs(self) -> tuple[Output, ...]:
+        return tuple(f for f in self.flags if isinstance(f, Output))
+
 
 def _flag(name: str, **kwargs) -> tuple[str, dict]:
     """A stage's own flag: ``(name, keyword arguments of add_argument)``."""
     return name, kwargs
 
 
-OUT = _flag("--out", required=True)
+OUT = Output("--out", required=True)
 
 STAGES = (
     Stage("ingest", "build a corpus from filing text files", cmd_ingest, (
@@ -668,33 +668,33 @@ STAGES = (
         CORPUS, OUT,
         _flag("--resume", action="store_true",
               help="only embed companies missing from the cache"),
-        _flag("--export-jsonl"),
+        Output("--export-jsonl"),
     )),
     Stage("classify", "train/evaluate the GICS classifier", cmd_classify, (
         CACHE, CORPUS,
-        _flag("--model-out", required=True),
-        _flag("--report-out", required=True),
-        _flag("--text-report"),
-        _flag("--soft-out", help="JSONL of per-company class probabilities"),
-        _flag("--csv-report", help="append a one-line CSV summary of this run"),
+        Output("--model-out", required=True),
+        Output("--report-out", required=True),
+        Output("--text-report"),
+        Output("--soft-out", help="JSONL of per-company class probabilities"),
+        Output("--csv-report", help="append a one-line CSV summary of this run"),
     ), load_order=(CORPUS, CACHE)),
     Stage("peers", "score top-k peers against returns", cmd_peers, (
         CACHE, RETURNS, OUT, GICS,
-        _flag("--top-out"),
-        _flag("--csv-out", help="CSV with one row per method (embedding + baseline)"),
+        Output("--top-out"),
+        Output("--csv-out", help="CSV with one row per method (embedding + baseline)"),
     )),
     Stage("cluster", "cluster embeddings", cmd_cluster, (
         CACHE, OUT,
-        _flag("--quality-out"),
+        Output("--quality-out"),
         GICS,
         _flag("--labels-level", default="sector", choices=GICS_LEVELS),
-        _flag("--sweep-out", help="CSV grid over methods, cluster counts, and PCA "
-                                  "dims (needs --corpus/--hierarchy)"),
+        Output("--sweep-out", help="CSV grid over methods, cluster counts, and PCA "
+                                   "dims (needs --corpus/--hierarchy)"),
     )),
     Stage("attribute", "explain monthly returns with clusters", cmd_attribute, (
         ASSIGNMENT, RETURNS, OUT,
         _flag("--random-baseline", action="store_true"),
-        _flag("--csv-out", help="per-month CSV with R2, adjusted R2, and counts"),
+        Output("--csv-out", help="per-month CSV with R2, adjusted R2, and counts"),
     )),
     Stage("project", "2d/low-d coordinates for plotting", cmd_project, (
         CACHE, OUT,
@@ -729,6 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
             if isinstance(entry, Input):
                 for name in entry.flags:
                     p.add_argument(name, required=entry.required)
+            elif isinstance(entry, Output):
+                p.add_argument(entry.flag, required=entry.required, help=entry.help)
             else:
                 p.add_argument(entry[0], **entry[1])
         p.set_defaults(stage=stage)
@@ -767,8 +769,17 @@ def _main(argv: Sequence[str] | None) -> int:
     try:
         cfg = load_config(args.config)
         _check_flags(args)
-        inputs = [kind.load(args) for kind in args.stage.inputs]
-        status = args.stage.run(args, cfg, *inputs)
+        stage = args.stage
+        targets = {o.dest: getattr(args, o.dest) for o in stage.outputs
+                   if getattr(args, o.dest)}
+        if len({os.path.abspath(path) for path in targets.values()}) < len(targets):
+            raise ConfigError("two output flags name the same file")
+        for path in targets.values():
+            check_target(path)
+        inputs = [kind.load(args) for kind in stage.inputs]
+        status, files = stage.run(args, cfg, *inputs)
+        # a dest the stage did not declare, or was not given, is a KeyError
+        replace_together((targets[dest], data) for dest, data in files.items())
         if not args.quiet:  # status lines only; file outputs are unaffected
             print(status)
         return 0

@@ -28,7 +28,7 @@ from .errors import (
     RankDeficiencyError,
     ZeroVectorError,
 )
-from .outputs import replacing, rows_text
+from .outputs import rows_text
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +871,7 @@ def cluster_sweep(
 
 
 def sweep_csv(rows: Sequence[Mapping]) -> str:
-    """The sweep table ``save_sweep_csv`` writes."""
+    """The sweep table: one row per cell of ``cluster_sweep``."""
     columns = ["method", "n_clusters", "reduced_dim", "homogeneity",
                "completeness", "v_measure", "seed"]
     scores = {"homogeneity", "completeness", "v_measure"}
@@ -880,22 +880,12 @@ def sweep_csv(rows: Sequence[Mapping]) -> str:
     ))
 
 
-def save_sweep_csv(rows: Sequence[Mapping], path: str | Path) -> None:
-    with replacing(path) as f:
-        f.write(sweep_csv(rows))
-
-
 def assignment_csv(assignment: ClusterAssignment) -> str:
-    """The assignment file ``save_assignment`` writes."""
+    """The assignment file ``load_assignment`` reads."""
     return rows_text(["company_id", "cluster"], (
         [company_id, int(label)]
         for company_id, label in zip(assignment.ids, assignment.labels)
     ))
-
-
-def save_assignment(assignment: ClusterAssignment, path: str | Path) -> None:
-    with replacing(path) as f:
-        f.write(assignment_csv(assignment))
 
 
 def load_assignment(path: str | Path) -> ClusterAssignment:

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import CorpusFormatError, DataValidationError, HierarchyError
-from .outputs import replacing, write_rows
+from .outputs import replacing, rows_text
 from .textprep import has_text
 
 logger = logging.getLogger(__name__)
@@ -123,7 +123,8 @@ class GicsHierarchy:
         return cls(rows)
 
     def to_csv(self, path: str | Path) -> None:
-        write_rows(path, GICS_LEVELS, self.rows, lineterminator="\r\n")
+        with replacing(path) as fh:
+            fh.write(rows_text(GICS_LEVELS, self.rows, lineterminator="\r\n"))
 
     def validate_labels(self, gics: GicsLabels) -> None:
         """Raise HierarchyError unless the 4-tuple is consistent with the table."""
@@ -266,19 +267,27 @@ def _json_lines(fh) -> Iterator[tuple[int, object]]:
             raise CorpusFormatError(f"invalid JSON ({e.msg})", line=line_no) from None
 
 
+def _record_line(r: CompanyRecord) -> str:
+    obj = {
+        "company_id": r.company_id,
+        "name": r.name,
+        "gics": r.gics.to_dict(),
+        "description": r.description,
+    }
+    if r.raw_filing_path is not None:
+        obj["raw_filing_path"] = r.raw_filing_path
+    return json.dumps(obj) + "\n"
+
+
+def corpus_jsonl(corpus: Corpus) -> str:
+    """The records as JSONL; round-trips through load_corpus."""
+    return "".join(map(_record_line, corpus))
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write records as JSONL; round-trips through load_corpus."""
+    # one write per record, so a paper-scale corpus is not copied into one string
     with replacing(path) as fh:
-        for r in corpus:
-            obj = {
-                "company_id": r.company_id,
-                "name": r.name,
-                "gics": r.gics.to_dict(),
-                "description": r.description,
-            }
-            if r.raw_filing_path is not None:
-                obj["raw_filing_path"] = r.raw_filing_path
-            fh.write(json.dumps(obj) + "\n")
+        fh.writelines(map(_record_line, corpus))
 
 
 @dataclass
@@ -380,6 +389,6 @@ def generate_finetune_pairs(corpus: Corpus, seed: int) -> list[PairExample]:
     return pairs
 
 
-def save_pairs(pairs: list[PairExample], path: str | Path) -> None:
-    write_rows(path, ["id_a", "id_b", "label"],
-               ([p.id_a, p.id_b, p.label] for p in pairs), lineterminator="\r\n")
+def pairs_csv(pairs: list[PairExample]) -> str:
+    return rows_text(["id_a", "id_b", "label"],
+                     ([p.id_a, p.id_b, p.label] for p in pairs), lineterminator="\r\n")

@@ -60,12 +60,14 @@ def replacing(path: str | Path, binary: bool = False):
 
 
 def replace_together(files) -> None:
-    """Each ``(path, bytes)`` of ``files`` written whole to its temporary
-    file; the files replace their paths only once every temporary file is
-    complete, and a failure before then removes them all."""
+    """Each ``(path, data)`` of ``files``, bytes or text, written whole to
+    its temporary file; the files replace their paths only once every
+    temporary file is complete, and a failure before then removes them
+    all."""
     with ExitStack() as stack:
         for path, data in files:
-            stack.enter_context(replacing(path, binary=True)).write(data)
+            binary = isinstance(data, bytes)
+            stack.enter_context(replacing(path, binary=binary)).write(data)
 
 
 def csv_writer(f, lineterminator: str = "\n"):
@@ -86,18 +88,6 @@ def rows_text(header, rows, lineterminator: str = "\n") -> str:
     return table.getvalue()
 
 
-def write_rows(path: str | Path, header, rows, lineterminator: str = "\n") -> None:
-    """``rows_text(header, rows, lineterminator)`` as the file at ``path``."""
-    with replacing(path) as f:
-        f.write(rows_text(header, rows, lineterminator))
-
-
 def json_text(payload, indent: int | None = 2) -> str:
     """``payload`` as JSON with sorted keys and a final newline."""
     return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
-
-
-def write_json(path: str | Path, payload, indent: int | None = 2) -> None:
-    """``json_text(payload, indent)`` as the file at ``path``."""
-    with replacing(path) as f:
-        f.write(json_text(payload, indent))

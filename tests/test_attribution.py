@@ -3,10 +3,10 @@ import pytest
 
 from companysim.attribution import (
     adjusted_r_squared,
+    attribution_csv,
     attribution_metric,
     cross_sectional_fit,
     monthly_cumulative_returns,
-    save_attribution_csv,
     winsorize,
 )
 from companysim.cluster import ClusterAssignment
@@ -406,7 +406,7 @@ def test_adjusted_r_squared_zero_without_residual_dof():
     assert adjusted_r_squared(fit) == 0.0
 
 
-def test_save_attribution_csv_layout(tmp_path):
+def test_attribution_csv_layout():
     ids = [f"c{i:02d}" for i in range(12)]
     labels = np.array([i % 3 for i in range(12)])
     assignment = ClusterAssignment(ids, labels, 3, "test")
@@ -417,9 +417,7 @@ def test_save_attribution_csv_layout(tmp_path):
     }
     monthly = _month_panel(months)
     report = attribution_metric(monthly, assignment)
-    out = tmp_path / "attr.csv"
-    save_attribution_csv(report, out)
-    lines = out.read_text().splitlines()
+    lines = attribution_csv(report).splitlines()
     assert lines[0] == "month,r2,adj_r2,n_obs,n_clusters_present"
     assert len(lines) == 4
     first = lines[1].split(",")

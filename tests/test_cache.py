@@ -7,8 +7,8 @@ import pytest
 
 from companysim.cache import (
     append_rows,
-    export_jsonl,
     load_cache,
+    matrix_jsonl,
     save_cache,
     sync_cache,
 )
@@ -250,11 +250,9 @@ def test_sync_cache_embeds_only_missing(tmp_path):
     assert result2.ids == ["a", "c"]
 
 
-def test_export_jsonl_lists_every_row(tmp_path):
+def test_matrix_jsonl_lists_every_row():
     mat = _matrix(["a", "b"], seed=4, dim=3)
-    out = tmp_path / "emb.jsonl"
-    export_jsonl(mat, out)
-    lines = out.read_text().splitlines()
+    lines = matrix_jsonl(mat).splitlines()
     assert len(lines) == 2
     rec = json.loads(lines[0])
     assert rec["company_id"] == "a"

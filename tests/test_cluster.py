@@ -23,6 +23,7 @@ from companysim.cluster import (
     _sq_dists,
     _unit_rows,
     agglomerative,
+    assignment_csv,
     cluster_quality,
     cluster_sweep,
     fit_clusters,
@@ -32,9 +33,8 @@ from companysim.cluster import (
     pca,
     random_cluster_assignment,
     reduce_dims,
-    save_assignment,
-    save_sweep_csv,
     spectral_embedding,
+    sweep_csv,
 )
 from companysim.errors import (
     ComputationError,
@@ -1100,11 +1100,11 @@ def test_load_assignment_rejects_a_repeated_company(tmp_path):
     assert loaded.labels.tolist() == [0, 1, 1]
 
 
-def test_saved_assignment_reads_back_whatever_its_ids_hold(tmp_path):
+def test_assignment_csv_reads_back_whatever_its_ids_hold(tmp_path):
     ids = ["cr\rhere", "lf\nhere", "a,b", 'say "hi"', "", "plain"]
     assignment = ClusterAssignment(ids, np.array([0, 1, 2, 0, 1, 2]), 3, "m")
     path = tmp_path / "clusters.csv"
-    save_assignment(assignment, path)
+    path.write_bytes(assignment_csv(assignment).encode("utf-8"))
     assert path.read_bytes().startswith(b'company_id,cluster\n"cr\rhere",0\n')
     loaded = load_assignment(path)
     assert loaded.ids == ids
@@ -1265,14 +1265,12 @@ def test_cluster_sweep_validates_alignment():
         cluster_sweep(np.ones((4, 3)), ["a", "b"])
 
 
-def test_save_sweep_csv_layout(tmp_path):
+def test_sweep_csv_layout():
     rows = [{
         "method": "kmeans", "n_clusters": 3, "reduced_dim": 2,
         "homogeneity": 1.0, "completeness": 0.5, "v_measure": 2 / 3,
         "seed": 4,
     }]
-    out = tmp_path / "sweep.csv"
-    save_sweep_csv(rows, out)
-    lines = out.read_text().splitlines()
+    lines = sweep_csv(rows).splitlines()
     assert lines[0] == "method,n_clusters,reduced_dim,homogeneity,completeness,v_measure,seed"
     assert lines[1] == "kmeans,3,2,1.00000000,0.50000000,0.66666667,4"

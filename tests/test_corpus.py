@@ -11,8 +11,8 @@ from companysim.corpus import (
     PairExample,
     generate_finetune_pairs,
     load_corpus,
+    pairs_csv,
     save_corpus,
-    save_pairs,
     stratified_split,
 )
 from companysim.errors import (
@@ -262,7 +262,7 @@ def test_generate_pairs_needs_two_industries(small_corpus):
 
 
 def _load_pairs(path):
-    """The pairs file's rows, read back as the examples ``save_pairs`` wrote."""
+    """The pairs file's rows, read back as the examples ``pairs_csv`` lists."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -274,7 +274,7 @@ def _load_pairs(path):
 def test_pairs_csv_round_trip(tmp_path, small_corpus):
     pairs = generate_finetune_pairs(small_corpus, seed=2)
     path = tmp_path / "pairs.csv"
-    save_pairs(pairs, path)
+    path.write_bytes(pairs_csv(pairs).encode("utf-8"))
     assert _load_pairs(path) == pairs
 
 

@@ -4,6 +4,7 @@ file beside it. Only ``companysim.outputs`` opens a file to write it."""
 
 import ast
 import builtins
+import csv
 import io
 import os
 import re
@@ -11,29 +12,18 @@ import signal
 import subprocess
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from companysim import cli, synth
-from companysim.attribution import (
-    attribution_metric,
-    monthly_cumulative_returns,
-    save_attribution_csv,
-)
-from companysim.cache import export_jsonl, load_cache, save_cache
+from companysim.cache import load_cache, save_cache
 from companysim.classify import load_model, save_model
 from companysim.cli import main
-from companysim.cluster import load_assignment, save_assignment, save_sweep_csv
-from companysim.corpus import (
-    GicsHierarchy,
-    generate_finetune_pairs,
-    load_corpus,
-    save_corpus,
-    save_pairs,
-)
+from companysim.corpus import GICS_LEVELS, GicsHierarchy, load_corpus, save_corpus
 from companysim.errors import ComputationError
-from companysim.outputs import replacing, write_json, write_rows
+from companysim.outputs import json_text, replace_together, replacing, rows_text
 from companysim.similarity import load_returns_csv, save_returns_csv
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "companysim"
@@ -62,6 +52,15 @@ def ws(tmp_path_factory):
     _cli("cluster", "--cache", root / "emb.bin", "--out", root / "assign.csv")
     _cli("attribute", "--assignment", root / "assign.csv",
          "--returns", root / "returns.csv", "--out", root / "attribution.json")
+    # the corpus as the filings and labels that ingest reads
+    (root / "filings").mkdir()
+    with open(root / "labels.csv", "w", encoding="utf-8", newline="") as f:
+        labels = csv.writer(f)
+        labels.writerow(cli.LABELS_HEADER)
+        for r in load_corpus(root / "corpus.jsonl", root / "hierarchy.csv"):
+            (root / "filings" / f"{r.company_id}.txt").write_text(
+                r.description, encoding="utf-8")
+            labels.writerow([r.company_id, r.name, *map(r.gics.level, GICS_LEVELS)])
     return root
 
 
@@ -94,33 +93,17 @@ def _attribute(ws, out):
          "--out", out / "attribution.json", "--csv-out", out / "attribution.csv")
 
 
-_SWEEP = [{"method": "kmeans", "n_clusters": k, "reduced_dim": 5, "homogeneity": 0.5,
-           "completeness": 0.25, "v_measure": 1 / 3, "seed": 0} for k in (2, 3)]
-
 # name -> (output file names, a function of (workspace, output dir) that
 # writes them)
 WRITERS = {
-    "save_assignment": (["assign.csv"], lambda ws, out: save_assignment(
-        load_assignment(ws / "assign.csv"), out / "assign.csv")),
-    "save_sweep_csv": (["sweep.csv"], lambda ws, out: save_sweep_csv(
-        _SWEEP, out / "sweep.csv")),
-    "save_attribution_csv": (["attribution.csv"], lambda ws, out: save_attribution_csv(
-        attribution_metric(monthly_cumulative_returns(load_returns_csv(ws / "returns.csv")),
-                           load_assignment(ws / "assign.csv")),
-        out / "attribution.csv")),
     "save_model": (["model.json"], lambda ws, out: save_model(
         load_model(ws / "model.json"), out / "model.json")),
     "save_corpus": (["corpus.jsonl"], lambda ws, out: save_corpus(
         load_corpus(ws / "corpus.jsonl", ws / "hierarchy.csv"), out / "corpus.jsonl")),
-    "save_pairs": (["pairs.csv"], lambda ws, out: save_pairs(
-        generate_finetune_pairs(load_corpus(ws / "corpus.jsonl", ws / "hierarchy.csv"), seed=0),
-        out / "pairs.csv")),
     "GicsHierarchy.to_csv": (["hierarchy.csv"], lambda ws, out: GicsHierarchy.from_csv(
         ws / "hierarchy.csv").to_csv(out / "hierarchy.csv")),
     "save_cache": (["emb.bin", "emb.bin.ids"], lambda ws, out: save_cache(
         load_cache(ws / "emb.bin"), out / "emb.bin")),
-    "export_jsonl": (["emb.jsonl"], lambda ws, out: export_jsonl(
-        load_cache(ws / "emb.bin"), out / "emb.jsonl")),
     "save_returns_csv": (["returns.csv"], lambda ws, out: save_returns_csv(
         load_returns_csv(ws / "returns.csv"), out / "returns.csv")),
     "embed --out": (["emb.bin", "emb.bin.ids"], lambda ws, out: _cli(
@@ -329,18 +312,21 @@ def test_csv_report_on_a_fifo_is_refused_without_reading_it(ws, tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_write_rows_and_write_json_layouts(tmp_path):
+def test_rows_text_and_json_text_layouts():
     # a field holding a line break is quoted whatever the line end
-    write_rows(tmp_path / "a.csv", ["x", "y"],
-               [["1", "a,b"], [2, ""], ["cr\rhere", "lf\nhere"]])
-    assert (tmp_path / "a.csv").read_bytes() == (
-        b'x,y\n1,"a,b"\n2,\n"cr\rhere","lf\nhere"\n')
-    write_rows(tmp_path / "b.csv", ("x",), [["1"], ["cr\rhere"]], lineterminator="\r\n")
-    assert (tmp_path / "b.csv").read_bytes() == b'x\r\n1\r\n"cr\rhere"\r\n'
-    write_json(tmp_path / "a.json", {"b": 1, "a": [1]})
-    assert (tmp_path / "a.json").read_bytes() == b'{\n  "a": [\n    1\n  ],\n  "b": 1\n}\n'
-    write_json(tmp_path / "b.json", {"b": 1, "a": "é"}, indent=None)
-    assert (tmp_path / "b.json").read_bytes() == b'{"a": "\\u00e9", "b": 1}\n'
+    assert rows_text(["x", "y"], [["1", "a,b"], [2, ""], ["cr\rhere", "lf\nhere"]]) == (
+        'x,y\n1,"a,b"\n2,\n"cr\rhere","lf\nhere"\n')
+    assert rows_text(("x",), [["1"], ["cr\rhere"]], lineterminator="\r\n") == (
+        'x\r\n1\r\n"cr\rhere"\r\n')
+    assert json_text({"b": 1, "a": [1]}) == '{\n  "a": [\n    1\n  ],\n  "b": 1\n}\n'
+    assert json_text({"b": 1, "a": "é"}, indent=None) == '{"a": "\\u00e9", "b": 1}\n'
+
+
+def test_replace_together_writes_text_verbatim_and_bytes(tmp_path):
+    replace_together([(tmp_path / "a.txt", "café\r\n"), (tmp_path / "b.bin", b"\x00\xff")])
+    assert (tmp_path / "a.txt").read_bytes() == "café\r\n".encode("utf-8")
+    assert (tmp_path / "b.bin").read_bytes() == b"\x00\xff"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin"]
 
 
 def test_csv_report_appends_the_bytes_an_append_would(ws, tmp_path):
@@ -425,57 +411,146 @@ def test_write_check_finds_each_kind_of_write():
     ]
 
 
-
-_CLASSIFY_FILES = ("model.json", "classify.json", "classify.txt", "soft.jsonl", "runs.csv")
-
-
-def _classify_argv(ws, out, csv_report="runs.csv"):
-    return [str(a) for a in (
-        "classify", "--cache", ws / "emb.bin", *_gics(ws),
-        "--model-out", out / "model.json", "--report-out", out / "classify.json",
-        "--text-report", out / "classify.txt", "--soft-out", out / "soft.jsonl",
-        "--csv-report", out / csv_report)]
+# the calls that write or check an output, which only ``main`` makes
+_OUTPUT_CALL = re.compile(r"(write|save|export)_\w*|sync_cache|replacing|replace_together"
+                          r"|check_target")
 
 
-def _old_outputs(out) -> dict:
-    for name in _CLASSIFY_FILES:
-        (out / name).write_bytes(b"old\n")
+def _stage_writes(source: str) -> list[str]:
+    """``function: call`` for each call in a ``cmd_*`` function of
+    ``source`` that writes or checks an output."""
+    found = []
+    for function in ast.parse(source).body:
+        if not (isinstance(function, ast.FunctionDef) and function.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name and _OUTPUT_CALL.fullmatch(name):
+                    found.append(f"{function.name}: {ast.unparse(func)}")
+    return found
+
+
+def test_only_main_writes_a_stage_output():
+    """A ``cmd_*`` body returns what each output holds; ``main`` checks
+    every output path and writes them all. ``embed``'s cache pair, two files
+    that ``save_cache`` and ``sync_cache`` rename, is the one exception."""
+    assert sorted(_stage_writes((PACKAGE / "cli.py").read_text(encoding="utf-8"))) == [
+        "cmd_embed: cache_io.save_cache", "cmd_embed: cache_io.sync_cache"]
+
+
+def test_stage_write_check_finds_each_kind_of_call():
+    source = (
+        "def cmd_a(args):\n"
+        "    write_json(p, x)\n"
+        "    outputs.replacing(p)\n"
+        "    def inner():\n"
+        "        check_target(p)\n"
+        "    model.save_model(p)\n"
+        "    export_jsonl(m, p)\n"
+        "    replace_together(files)\n"
+        "    f.write(x)\n"
+        "    rows_text(h, r)\n"
+        "def helper():\n"
+        "    write_json(p, x)\n"
+    )
+    assert sorted(_stage_writes(source)) == [
+        "cmd_a: check_target", "cmd_a: export_jsonl", "cmd_a: model.save_model",
+        "cmd_a: outputs.replacing", "cmd_a: replace_together", "cmd_a: write_json"]
+
+
+
+# stage -> its arguments on the workspace, outputs aside
+_INPUTS = {
+    "ingest": lambda ws: ["--filings-dir", ws / "filings", "--labels", ws / "labels.csv",
+                          "--hierarchy", ws / "hierarchy.csv", "--mode", "plain"],
+    "pairs": _gics,
+    "embed": _gics,
+    "classify": lambda ws: ["--cache", ws / "emb.bin", *_gics(ws)],
+    "peers": lambda ws: ["--cache", ws / "emb.bin", "--returns", ws / "returns.csv",
+                         *_gics(ws)],
+    "cluster": lambda ws: ["--cache", ws / "emb.bin", *_gics(ws)],
+    "attribute": lambda ws: ["--assignment", ws / "assign.csv",
+                             "--returns", ws / "returns.csv", "--random-baseline"],
+    "project": lambda ws: ["--cache", ws / "emb.bin"],
+    "outliers": lambda ws: ["--cache", ws / "emb.bin", *_gics(ws)],
+    "report": lambda ws: ["--classify", ws / "classify.json", "--peers", ws / "peers.json",
+                          "--attribution", ws / "attribution.json"],
+}
+
+
+def _stage(name):
+    return next(stage for stage in cli.STAGES if stage.name == name)
+
+
+def _stage_argv(ws, name, out) -> list[str]:
+    """Stage ``name`` on the workspace with every output flag it declares
+    given, each output named after its dest in ``out``."""
+    outputs = chain.from_iterable((o.flag, out / o.dest) for o in _stage(name).outputs)
+    return [str(a) for a in (name, *_INPUTS[name](ws), *outputs)]
+
+
+def _stage_files(name) -> list[str]:
+    """The files stage ``name`` writes when given every output flag: its
+    outputs, and for ``embed`` the cache's ``.ids`` sidecar."""
+    files = [o.dest for o in _stage(name).outputs]
+    return files + ["out.ids"] if name == "embed" else files
+
+
+def _old_outputs(out, name, but=None) -> dict:
+    for file in _stage_files(name):
+        if file != but:
+            (out / file).write_bytes(b"old\n")
     return _snapshot(out)
 
 
-def test_classify_checks_every_output_path_before_the_fit(ws, tmp_path, monkeypatch):
-    before = _old_outputs(tmp_path)
-    (tmp_path / "runs").mkdir()
-    monkeypatch.setattr(cli, "fit_classifier", lambda *a, **k: pytest.fail("fitted"))
-    assert main(_classify_argv(ws, tmp_path, csv_report="runs")) == 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, "runs"])
-    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+@pytest.mark.parametrize("name", [stage.name for stage in cli.STAGES])
+def test_a_stage_writes_its_declared_outputs_and_nothing_else(ws, tmp_path, name):
+    assert main(_stage_argv(ws, name, tmp_path)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_stage_files(name))
+
+
+# stage -> (the output made a directory, the function it computes with first)
+_COMPUTES = {
+    "classify": ("csv_report", "fit_classifier"),
+    "cluster": ("sweep_out", "fit_clusters"),
+    "peers": ("top_out", "avg_peer_correlation"),
+    "attribute": ("csv_out", "monthly_cumulative_returns"),
+    "embed": ("export_jsonl", "embed_corpus"),
+}
+
+
+@pytest.mark.parametrize("name", _COMPUTES)
+def test_every_output_path_is_checked_before_the_stage_computes(ws, tmp_path,
+                                                                monkeypatch, name):
+    directory, compute = _COMPUTES[name]
+    before = _old_outputs(tmp_path, name, but=directory)
+    (tmp_path / directory).mkdir()
+    monkeypatch.setattr(cli, compute, lambda *a, **k: pytest.fail("computed"))
+    assert main(_stage_argv(ws, name, tmp_path)) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, directory])
+    assert {file: (tmp_path / file).read_bytes() for file in before} == before
+
+
+def test_two_outputs_on_one_path_are_refused_before_any_input(ws, tmp_path, monkeypatch):
+    (tmp_path / "peers.json").write_bytes(b"old\n")
+    monkeypatch.setattr(cli, "load_returns_csv", lambda *a, **k: pytest.fail("loaded"))
+    assert main([str(a) for a in (
+        "peers", *_INPUTS["peers"](ws), "--out", tmp_path / "peers.json",
+        "--top-out", tmp_path / ".." / tmp_path.name / "peers.json")]) == 1
+    assert _snapshot(tmp_path) == {"peers.json": b"old\n"}
 
 
 def test_classify_computes_every_output_before_it_writes_one(ws, tmp_path, monkeypatch):
-    before = _old_outputs(tmp_path)
+    before = _old_outputs(tmp_path, "classify")
 
     def failing(*args, **kwargs):
         raise ComputationError("soft distribution failed")
 
     monkeypatch.setattr(cli, "soft_class_distribution", failing)
-    assert main(_classify_argv(ws, tmp_path)) == 3
+    assert main(_stage_argv(ws, "classify", tmp_path)) == 3
     assert _snapshot(tmp_path) == before
-
-
-def test_cluster_checks_every_output_path_before_the_fit(ws, tmp_path, monkeypatch):
-    for name in ("assign.csv", "quality.json"):
-        (tmp_path / name).write_bytes(b"old\n")
-    before = _snapshot(tmp_path)
-    (tmp_path / "sweep").mkdir()
-    monkeypatch.setattr(cli, "fit_clusters", lambda *a, **k: pytest.fail("fitted"))
-    monkeypatch.setattr(cli, "cluster_sweep", lambda *a, **k: pytest.fail("swept"))
-    assert main([str(a) for a in (
-        "cluster", "--cache", ws / "emb.bin", *_gics(ws),
-        "--out", tmp_path / "assign.csv", "--quality-out", tmp_path / "quality.json",
-        "--sweep-out", tmp_path / "sweep")]) == 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, "sweep"])
-    assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
 _STALLED_STAGE = """
@@ -493,23 +568,25 @@ def stalled(real):
     return stall
 
 
-if point == "compute":
-    cli.fit_classifier = stalled(cli.fit_classifier)
-else:  # every temporary file written, none renamed yet
+if point == "rename":  # every temporary file written, none renamed yet
     os.replace = stalled(os.replace)
+else:  # the stage's compute function
+    setattr(cli, point, stalled(getattr(cli, point)))
 sys.exit(cli.main(argv))
 """
 
 
 @pytest.mark.parametrize("point", ["compute", "rename"])
-def test_sigterm_leaves_every_output_as_it_was(ws, tmp_path, point):
+@pytest.mark.parametrize("name", ["classify", "peers"])
+def test_sigterm_leaves_every_output_as_it_was(ws, tmp_path, name, point):
     out = tmp_path / "out"
     out.mkdir()
-    before = _old_outputs(out)
+    before = _old_outputs(out, name)
     ready = tmp_path / "ready"
     proc = subprocess.Popen(
-        [sys.executable, "-c", _STALLED_STAGE, str(ready), point,
-         *_classify_argv(ws, out)],
+        [sys.executable, "-c", _STALLED_STAGE, str(ready),
+         _COMPUTES[name][1] if point == "compute" else point,
+         *_stage_argv(ws, name, out)],
         stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
@@ -520,7 +597,7 @@ def test_sigterm_leaves_every_output_as_it_was(ws, tmp_path, point):
             time.sleep(0.1)
         assert ready.exists(), proc.stderr.read() if proc.poll() is not None else ""
         temps = len(list(out.glob("*.tmp")))
-        assert temps == (0 if point == "compute" else len(_CLASSIFY_FILES))
+        assert temps == (0 if point == "compute" else len(before))
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 143, proc.stderr.read()
     finally:
